@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -45,9 +44,8 @@ EXIT_INTERNAL = 3
 class RunContext:
     """Collects inputs/outputs of one invocation for the manifest."""
 
-    def __init__(self, argv: list[str], threads: int):
+    def __init__(self, argv: list[str]):
         self.argv = list(argv)
-        self.threads = threads
         self.seed: Optional[int] = None
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
@@ -88,7 +86,6 @@ def write_manifest(ctx: RunContext, override: Optional[str]) -> Optional[Path]:
         "python": sys.version.split()[0],
         "argv": ctx.argv,
         "seed": ctx.seed,
-        "threads": ctx.threads,
         "inputs": [
             {"path": str(p), "sha256": _sha256(p)} for p in ctx.inputs if p.exists()
         ],
@@ -547,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orl",
         description="ordered Ramsey constructions, searches, and certificates",
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker cap (current implementation is sequential)")
     parser.add_argument("--manifest", default=None, help="override the run-manifest path")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -673,11 +669,7 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("ORL_THREADS")
-        threads = int(env) if env else (os.cpu_count() or 1)
-    ctx = RunContext(argv, threads)
+    ctx = RunContext(argv)
     if getattr(args, "seed", None) is not None:
         ctx.seed = args.seed
     output_opt = getattr(args, "output_opt", None)

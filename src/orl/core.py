@@ -501,6 +501,170 @@ def serialize_coloring(col: Coloring) -> str:
 # order-preserving embedding search
 # ---------------------------------------------------------------------------
 
+class CompiledPattern:
+    """A pattern's order-preserving containment search, compiled once.
+
+    Pattern positions are placed in increasing order.  A position's
+    candidates are one host bitmask: its window (strictly after the previous
+    image, leaving room for the positions still to place, and before any
+    later pin) ANDed with the `host_adj` masks of its placed earlier
+    neighbors and of its pinned neighbors.  Candidates are tried from the
+    lowest bit up on an explicit stack, so the result is the leftmost
+    (lexicographically first) embedding and search depth is not bounded by
+    the interpreter's recursion limit.  The per-pattern tables are built
+    here; the tables that depend on which positions are pinned are built on
+    first use and cached per set of pinned positions.
+    """
+
+    __slots__ = ("n", "nbrs", "_plans")
+
+    def __init__(self, pattern_n: int, pattern_edges: Iterable[tuple[int, int]]):
+        self.n = pattern_n
+        nbrs = [0] * (pattern_n + 1)  # bit q of nbrs[p]: {p, q} is a pattern edge
+        for a, b in pattern_edges:
+            nbrs[a] |= 1 << b
+            nbrs[b] |= 1 << a
+        self.nbrs = nbrs
+        self._plans: dict[tuple[int, ...], _PinPlan] = {}
+
+    def search(
+        self,
+        host_n: int,
+        host_adj: Sequence[int],
+        pins: Optional[dict[int, int]] = None,
+        memo: bool = True,
+    ) -> Optional[tuple[int, ...]]:
+        """Leftmost embedding into `host_adj` (bitmasks over 1..host_n), or None.
+
+        `pins` fixes the images of selected pattern positions; a pin outside
+        1..n or 1..host_n admits no embedding.  With `memo`, subtrees proven
+        infeasible are cached by (position, previous image, frontier images),
+        where the frontier is the placed positions with a neighbor at or
+        after the position; this only prunes provable failures and never
+        changes the answer.
+        """
+        n = self.n
+        if n == 0:
+            return ()
+        if n > host_n:
+            return None
+        pins = pins or {}
+        img = [0] * (n + 2)  # img[0] and img[n + 1] stand for the host's ends
+        img[n + 1] = host_n + 1
+        for p, v in pins.items():
+            if not (1 <= p <= n and 1 <= v <= host_n):
+                return None
+            img[p] = v
+        # keyed by insertion order, which callers keep fixed for a pattern;
+        # the plan itself only depends on the set of keys
+        plan = self._plans.get(tuple(pins))
+        if plan is None:
+            plan = self._plans[tuple(pins)] = _PinPlan(self.nbrs, sorted(pins))
+        prev = 0
+        for q in plan.pinned:
+            if img[q] - img[prev] < q - prev:
+                return None
+            prev = q
+        for a, b in plan.pin_edges:
+            if not (host_adj[img[a]] >> img[b]) & 1:
+                return None
+        windows = []
+        for p, below, above, pinned_nbrs in plan.bounds:
+            window = (1 << (img[above] - above + p + 1)) - (1 << (img[below] + p - below))
+            for q in pinned_nbrs:
+                window &= host_adj[img[q]]
+            if not window:
+                return None
+            windows.append(window)
+
+        free, placed_nbrs, frontier = plan.free, plan.placed_nbrs, plan.frontier
+        k = len(free)
+        if k == 0:
+            return tuple(img[1 : n + 1])
+        failed: set[tuple[int, ...]] = set()
+        keys: list[tuple[int, ...]] = [()] * k
+        left = [0] * k  # candidates not yet tried, per depth
+        left[0] = windows[0]
+        d = 0
+        while True:
+            cand = left[d]
+            if not cand:
+                if memo:
+                    failed.add(keys[d])
+                d -= 1
+                if d < 0:
+                    return None
+                continue
+            low = cand & -cand
+            left[d] = cand ^ low
+            img[free[d]] = low.bit_length() - 1
+            d += 1
+            if d == k:
+                return tuple(img[1 : n + 1])
+            p = free[d]
+            lo = img[p - 1] + 1
+            cand = windows[d] >> lo << lo
+            for q in placed_nbrs[d]:
+                cand &= host_adj[img[q]]
+            if memo:
+                key = (p, img[p - 1], *[img[q] for q in frontier[d]])
+                keys[d] = key
+                if key in failed:
+                    cand = 0
+            left[d] = cand
+
+
+class _PinPlan:
+    """The tables of a compiled pattern that depend on its pinned positions.
+
+    Per free (unpinned) position, in increasing order: the nearest pinned
+    positions below and above it (0 and n + 1 stand for the host's ends),
+    its pinned neighbors, its free earlier neighbors, and its memo frontier
+    (free earlier positions with a free neighbor at or after it).
+    """
+
+    __slots__ = ("pinned", "pin_edges", "free", "bounds", "placed_nbrs", "frontier")
+
+    def __init__(self, nbrs: list[int], pinned: list[int]):
+        n = len(nbrs) - 1
+        pin_mask = 0
+        for q in pinned:
+            pin_mask |= 1 << q
+        self.pinned = tuple(pinned) + (n + 1,)  # ends with the upper sentinel
+        self.pin_edges = tuple(
+            (a, b) for a in pinned for b in pinned if a < b and (nbrs[a] >> b) & 1
+        )
+        free = [p for p in range(1, n + 1) if not (pin_mask >> p) & 1]
+        last_free_nbr = {p: (nbrs[p] & ~pin_mask).bit_length() - 1 for p in free}
+        bounds, placed_nbrs, frontier = [], [], []
+        below, above_at = 0, 0  # above_at indexes self.pinned
+        active: list[int] = []
+        for p in free:
+            while self.pinned[above_at] < p:
+                below = self.pinned[above_at]
+                above_at += 1
+            bounds.append((p, below, self.pinned[above_at], _bits(nbrs[p] & pin_mask)))
+            placed_nbrs.append(_bits(nbrs[p] & ~pin_mask & ((1 << p) - 1)))
+            active = [q for q in active if last_free_nbr[q] >= p]
+            frontier.append(tuple(active))
+            if last_free_nbr[p] > p:
+                active.append(p)
+        self.free = tuple(free)
+        self.bounds = tuple(bounds)
+        self.placed_nbrs = tuple(placed_nbrs)
+        self.frontier = tuple(frontier)
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of `mask`, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def search_embedding(
     pattern_n: int,
     pattern_edges: Iterable[tuple[int, int]],
@@ -509,72 +673,10 @@ def search_embedding(
     pins: Optional[dict[int, int]] = None,
     memo: bool = True,
 ) -> Optional[tuple[int, ...]]:
-    """Leftmost order-preserving embedding of a pattern into a host adjacency.
-
-    Pattern positions are placed in increasing order; each candidate is
-    restricted to the window left by the previous image and the number of
-    positions still to place, and must be adjacent (in `host_adj` bitmasks)
-    to the images of all earlier pattern neighbors.  `pins` fixes images of
-    selected pattern positions.  With `memo`, subtrees proven infeasible are
-    cached by (next position, image of the frontier), which only prunes
-    provable failures and never changes the found/none answer.
-    """
-    if pattern_n == 0:
-        return ()
-    if pattern_n > host_n:
-        return None
-    earlier: list[list[int]] = [[] for _ in range(pattern_n + 1)]
-    later_max = [0] * (pattern_n + 1)
-    for a, b in pattern_edges:
-        earlier[b].append(a)
-        if b > later_max[a]:
-            later_max[a] = b
-    for lst in earlier:
-        lst.sort()
-    # frontier[p]: placed positions whose images still constrain p..pattern_n
-    frontier = [
-        tuple(q for q in range(1, p) if later_max[q] >= p)
-        for p in range(pattern_n + 2)
-    ]
-    pins = pins or {}
-    for p, v in pins.items():
-        if not (1 <= p <= pattern_n and 1 <= v <= host_n):
-            return None
-
-    img = [0] * (pattern_n + 1)
-    failed: set[tuple] = set()
-
-    def place(p: int) -> bool:
-        if p > pattern_n:
-            return True
-        key = None
-        if memo:
-            key = (p, img[p - 1], tuple(img[q] for q in frontier[p]))
-            if key in failed:
-                return False
-        lo = img[p - 1] + 1
-        hi = host_n - (pattern_n - p)
-        if p in pins:
-            lo = max(lo, pins[p])
-            hi = min(hi, pins[p])
-        nbrs = earlier[p]
-        for c in range(lo, hi + 1):
-            ok = True
-            for q in nbrs:
-                if not (host_adj[c] >> img[q]) & 1:
-                    ok = False
-                    break
-            if ok:
-                img[p] = c
-                if place(p + 1):
-                    return True
-        if memo:
-            failed.add(key)
-        return False
-
-    if place(1):
-        return tuple(img[1:])
-    return None
+    """Leftmost order-preserving embedding of a pattern into a host adjacency;
+    see `CompiledPattern.search`.  Callers that search one pattern many times
+    compile it once instead."""
+    return CompiledPattern(pattern_n, pattern_edges).search(host_n, host_adj, pins, memo)
 
 
 def contains(host: OrderedGraph, pattern: OrderedGraph) -> Optional[Embedding]:

@@ -3,8 +3,12 @@
 The avoiding-coloring search colors the host's pairs in lexicographic order,
 checks after every assignment whether a monochromatic copy of the pattern
 was just completed, and breaks the global color-swap symmetry by fixing the
-first pair red.  Upper bounds are exhausted searches; lower bounds are
-concrete avoiding colorings, both re-checkable from their certificates.
+first pair red.  The pattern is compiled once per search (`CompiledPattern`)
+and each check is one bitset containment search with the newly colored pair
+pinned; the depth-first search keeps its C(N, 2) levels on an explicit
+stack, not the interpreter's.  Upper bounds are exhausted searches; lower
+bounds are concrete avoiding colorings, both re-checkable from their
+certificates.
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ from typing import Iterator, Optional
 
 from orl.core import (
     BLUE,
+    COLORS,
     Coloring,
+    CompiledPattern,
     OrderedGraph,
     RED,
     UnorderedGraph,
     pair_iter,
-    search_embedding,
 )
 from orl.embedder import find_monochromatic
 
@@ -87,47 +92,43 @@ def avoiding_coloring(
     if pattern.n > N:
         return Coloring(N, [RED] * len(pairs))
 
-    lexmax = max(pattern.edges)
+    # the pattern is compiled once; each node is one pinned memo-off search
+    engine = CompiledPattern(pattern.n, pattern.edges)
+    lo_pin, hi_pin = max(pattern.edges)
     red_adj = [0] * (N + 1)
     blue_adj = [0] * (N + 1)
     assignment: list[Optional[str]] = [None] * len(pairs)
-
-    def completes_copy(a: int, b: int, adj: list[int]) -> bool:
-        return (
-            search_embedding(
-                pattern.n,
-                pattern.edges,
-                N,
-                adj,
-                pins={lexmax[0]: a, lexmax[1]: b},
-                memo=False,
-            )
-            is not None
-        )
-
-    def extend(t: int) -> bool:
-        if t == len(pairs):
-            return True
+    # tried[t]: colors tried so far at pair t (RED first, then BLUE); the
+    # depth-first search runs on this explicit stack, C(N, 2) levels deep
+    tried = [0] * len(pairs)
+    nodes = prunes = 0
+    t = 0
+    while 0 <= t < len(pairs):
         a, b = pairs[t]
-        choices = (RED,) if t == 0 else (RED, BLUE)
-        for color in choices:
-            adj = red_adj if color == RED else blue_adj
-            stats.nodes += 1
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-            assignment[t] = color
-            if completes_copy(a, b, adj):
-                stats.prunes += 1
-            elif extend(t + 1):
-                return True
+        k = tried[t]
+        if k:
+            adj = red_adj if k == 1 else blue_adj
             adj[a] &= ~(1 << b)
             adj[b] &= ~(1 << a)
-            assignment[t] = None
-        return False
-
-    if extend(0):
-        return Coloring(N, assignment)  # type: ignore[arg-type]
-    return None
+        if k == (1 if t == 0 else 2):
+            tried[t] = 0
+            t -= 1
+            continue
+        tried[t] = k + 1
+        adj = red_adj if k == 0 else blue_adj
+        nodes += 1
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        assignment[t] = COLORS[k]
+        if engine.search(N, adj, {lo_pin: a, hi_pin: b}, False) is not None:
+            prunes += 1
+        else:
+            t += 1
+    stats.nodes += nodes
+    stats.prunes += prunes
+    if t < 0:
+        return None
+    return Coloring(N, assignment)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)

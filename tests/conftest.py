@@ -10,10 +10,19 @@ import pytest
 from orl.core import BLUE, Coloring, OrderedGraph, RED, pair_iter
 
 
-def brute_contains(host: OrderedGraph, pattern: OrderedGraph):
-    """First order-preserving embedding by exhaustive injection enumeration."""
+def brute_contains(host: OrderedGraph, pattern: OrderedGraph, pins=None):
+    """First order-preserving embedding by exhaustive injection enumeration.
+
+    `pins` maps pattern positions to the host positions their images must
+    equal; a pin outside 1..pattern.n or 1..host.n admits no embedding.
+    """
+    pins = pins or {}
+    if any(not (1 <= p <= pattern.n and 1 <= v <= host.n) for p, v in pins.items()):
+        return None
     for image in combinations(range(1, host.n + 1), pattern.n):
-        if all(host.has_edge(image[a - 1], image[b - 1]) for a, b in pattern.edges):
+        if all(image[p - 1] == v for p, v in pins.items()) and all(
+            host.has_edge(image[a - 1], image[b - 1]) for a, b in pattern.edges
+        ):
             return image
     return None
 

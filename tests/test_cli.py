@@ -257,6 +257,7 @@ def test_manifest_contents_and_replay(tmp_path, capsys):
     manifest_path = tmp_path / "m.og.manifest.json"
     manifest = json.loads(manifest_path.read_text())
     assert manifest["seed"] == 42
+    assert "threads" not in manifest
     assert manifest["outputs"][0]["path"] == str(out)
     replay_dir = tmp_path / "replay"
     code, out_text, _ = run(
@@ -288,3 +289,10 @@ def test_usage_errors(tmp_path, capsys):
     assert code == EXIT_USAGE and "line 2" in err
     code, _, err = run(capsys, "embed", "altpath", "--host", str(tmp_path / "nope.og"), "--n", "2")
     assert code == EXIT_USAGE
+
+
+def test_threads_option_is_gone(capsys):
+    # the search is single-process; a worker-count option would be ignored
+    assert dispatch(["--threads", "2", "construct", "altpath", "3"]) == EXIT_USAGE
+    code, _, err = run(capsys, "construct", "altpath", "3", "--threads", "2")
+    assert code == EXIT_USAGE and "unrecognized arguments: --threads" in err

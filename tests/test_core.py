@@ -21,6 +21,7 @@ from orl.core import (
     parse_coloring,
     parse_ordered_graph,
     parse_unordered_graph,
+    search_embedding,
     serialize_coloring,
     serialize_ordered_graph,
 )
@@ -225,6 +226,38 @@ def test_contains_agrees_with_brute_force_sampled(rng):
         assert (contains(host, pattern) is None) == (
             brute_contains(host, pattern) is None
         )
+
+
+def _random_graph(rng, n: int, density: float) -> OrderedGraph:
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return OrderedGraph(n, [p for p in pairs if rng.random() < density])
+
+
+@pytest.mark.parametrize("memo", [True, False])
+def test_search_embedding_is_the_leftmost_pinned_embedding(rng, memo):
+    # pins come from a found embedding, from anywhere, or from out of range
+    for _ in range(600):
+        pattern = _random_graph(rng, rng.randint(1, 7), rng.random())
+        host = _random_graph(rng, rng.randint(0, 12), rng.random())
+        free = brute_contains(host, pattern)
+        pins = {}
+        for _ in range(rng.randint(0, 3)):
+            p = rng.randint(1, pattern.n)
+            roll = rng.random()
+            if free is not None and roll < 0.5:
+                pins[p] = free[p - 1]
+            elif roll < 0.9:
+                pins[p] = rng.randint(1, max(host.n, 1))
+            else:
+                pins[rng.choice((0, pattern.n + 1, p))] = rng.choice((0, host.n + 1))
+        got = search_embedding(pattern.n, pattern.edges, host.n, host.adj, pins, memo)
+        assert got == brute_contains(host, pattern, pins), (pattern.edges, host.edges, pins)
+
+
+def test_search_embedding_depth_is_not_bounded_by_recursion():
+    n = 1500
+    path = OrderedGraph(n, [(i, i + 1) for i in range(1, n)])
+    assert search_embedding(n, path.edges, n, path.adj) == tuple(range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
