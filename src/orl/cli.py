@@ -6,7 +6,7 @@ first output (command line, seed, input hashes, output hashes, timings);
 with outputs redirected and checks byte-identical reproduction.
 
 Exit codes: 0 computed, 1 usage error, 2 capped/inconclusive/not found,
-3 internal invariant failure.
+3 internal fault.
 """
 
 from __future__ import annotations
@@ -103,6 +103,13 @@ def write_manifest(ctx: RunContext, override: Optional[str]) -> Optional[Path]:
 
 def _parse_fraction(text: str) -> Fraction:
     return Fraction(text)
+
+
+def _require(args, command: str, *flags: str) -> None:
+    """Raise ValueError naming the first of `flags` that was not given."""
+    for flag in flags:
+        if getattr(args, flag.lstrip("-").replace("-", "_")) is None:
+            raise ValueError(f"`{command}` requires {flag}")
 
 
 def _parse_parts(text: Optional[str], n: int) -> IntervalPartition:
@@ -297,6 +304,8 @@ def cmd_ramsey_count_regular(args, ctx: RunContext) -> int:
 
 def cmd_sample(args, ctx: RunContext) -> int:
     ctx.seed = args.seed
+    need = {"matching": ["--n"], "regular": ["--rho", "--n"], "coloring": ["--t", "--s"]}
+    _require(args, f"sample {args.what}", *need.get(args.what, []))
     if args.what == "matching":
         graph = stochastic.sample_permutation_matching(args.n, args.seed)
         text = serialize_ordered_graph(graph)
@@ -364,8 +373,10 @@ def cmd_experiment_coverage(args, ctx: RunContext) -> int:
     ctx.seed = args.seed
     if args.og:
         graph = parse_ordered_graph(ctx.read_text(args.og))
-    else:
+    elif args.graph:
         graph = parse_unordered_graph(ctx.read_text(args.graph))
+    else:
+        raise ValueError("`experiment coverage` requires --og or --graph")
     trials = stochastic.coverage_experiment(
         graph, args.parts, args.max_size, args.trials, args.seed
     )
@@ -430,6 +441,14 @@ def cmd_experiment_montecarlo(args, ctx: RunContext) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_matrix(args, ctx: RunContext) -> int:
+    need = {
+        "contains": ["--a", "--b"],
+        "complement": ["--a"],
+        "unavoid": ["--n", "--size"],
+        "from-matching": ["--og"],
+        "from-coloring": ["--col"],
+    }
+    _require(args, f"matrix {args.action}", *need.get(args.action, []))
     if args.action == "contains":
         a = patterns.parse_matrix(ctx.read_text(args.a))
         b = patterns.parse_matrix(ctx.read_text(args.b))
@@ -677,11 +696,16 @@ def dispatch(argv: list[str]) -> int:
         ctx.note_output_arg(getattr(args, output_opt, None))
     try:
         code = args.func(args, ctx)
-    except (FormatError, ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (FormatError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # anything else is a fault in orl, not in its input or arguments;
+        # traceback is imported only on this path to keep start-up lean
+        import traceback
+
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_INTERNAL
     if args.command != "replay":
         write_manifest(ctx, args.manifest)

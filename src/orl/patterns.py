@@ -2,17 +2,21 @@
 
 B is contained in A when deleting rows/columns of A and demoting some 1s
 to 0 leaves B; row and column order is preserved, mirroring the ordered
-subgraph search.  The matching/coloring converters translate avoidance
-certificates into matrices that dodge a permutation pattern both ways.
+subgraph search.  `CompiledMatrixPattern` compiles B once and searches
+hosts given as row bitmasks on an explicit stack; it is a separate engine
+from `orl.core.CompiledPattern` because its greedy column check after every
+row choice prunes far earlier than placing all rows before any column.
+The matching/coloring converters translate avoidance certificates into
+matrices that dodge a permutation pattern both ways.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from orl.core import Coloring, FormatError, OrderedGraph, RED
+from orl.core import Coloring, FormatError, OrderedGraph, RED, _content_lines
 from orl.rng import Xoshiro256StarStar
 
 
@@ -50,11 +54,7 @@ def complement(a: BinaryMatrix) -> BinaryMatrix:
 
 def parse_matrix(text: str) -> BinaryMatrix:
     """Parse the `mat` format: header `mat <rows> <cols>`, then 0/1 row strings."""
-    lines = [
-        (no, line.strip())
-        for no, line in enumerate(text.split("\n"), start=1)
-        if line.strip()
-    ]
+    lines = _content_lines(text)
     if not lines:
         raise FormatError(1, "missing `mat` header")
     no, head = lines[0]
@@ -87,46 +87,79 @@ def serialize_matrix(a: BinaryMatrix) -> str:
 # containment
 # ---------------------------------------------------------------------------
 
-def pattern_contained(a: BinaryMatrix, b: BinaryMatrix) -> bool:
-    """True iff some increasing row/column selections of A cover B's 1s.
+def row_masks(a: BinaryMatrix) -> list[int]:
+    """A's rows as column bitmasks: bit c of row r is entry (r, c)."""
+    return [sum(x << c for c, x in enumerate(row)) for row in a.entries]
 
-    Backtracks over pattern rows; after each row choice the column system is
-    re-checked greedily (smallest admissible host column per pattern column,
-    left to right), which prunes infeasible prefixes early.
+
+class CompiledMatrixPattern:
+    """A matrix pattern's containment search, compiled once.
+
+    Pattern rows are placed in increasing order on host rows.  Each pattern
+    column keeps a host-column candidate mask: its window (room for the
+    pattern columns on either side) ANDed with the masks of the host rows
+    chosen for the pattern rows that hold a 1 in that column.  After each
+    row choice the column system is checked greedily, left to right, taking
+    the lowest candidate above the previous column's choice; a failure
+    prunes the prefix, and success after the last row is a containment.
+    Row choices live on an explicit stack, so search depth is not bounded by
+    the interpreter's recursion limit.
     """
-    if b.rows > a.rows or b.cols > a.cols:
-        return False
 
-    # candidate host columns per pattern column given rows chosen so far
-    def columns_feasible(chosen_rows: list[int], complete: bool) -> bool:
-        prev = -1
-        for pc in range(b.cols):
-            constraints = [
-                chosen_rows[pr]
-                for pr in range(len(chosen_rows))
-                if b.entries[pr][pc] == 1
-            ]
-            found = False
-            for hc in range(prev + 1, a.cols - b.cols + pc + 1):
-                if all(a.entries[hr][hc] == 1 for hr in constraints):
-                    prev = hc
-                    found = True
+    __slots__ = ("rows", "cols", "row_cols")
+
+    def __init__(self, b: BinaryMatrix):
+        self.rows = b.rows
+        self.cols = b.cols
+        # the pattern columns holding a 1, per pattern row
+        self.row_cols = tuple(
+            tuple(pc for pc, x in enumerate(row) if x) for row in b.entries
+        )
+
+    def contained_in(self, host_rows: Sequence[int], host_cols: int) -> bool:
+        """True iff the pattern is contained in the host given by its row
+        masks (`row_masks`) and column count."""
+        rows, cols, row_cols = self.rows, self.cols, self.row_cols
+        slack = len(host_rows) - rows  # host rows a pattern row may skip
+        if slack < 0 or cols > host_cols:
+            return False
+        span = (1 << (host_cols - cols + 1)) - 1
+        cands = [[span << pc for pc in range(cols)]]  # per depth, per column
+        nxt = [0]  # per depth, the next host row to try
+        depth = 0
+        while True:
+            hr = nxt[depth]
+            if hr > slack + depth:
+                if depth == 0:
+                    return False
+                cands.pop()
+                nxt.pop()
+                depth -= 1
+                continue
+            nxt[depth] = hr + 1
+            cand = cands[depth][:]
+            mask = host_rows[hr]
+            for pc in row_cols[depth]:
+                cand[pc] &= mask
+            above = -1  # the columns right of the previous greedy choice
+            for m in cand:
+                m &= above
+                if not m:
                     break
-            if not found:
-                return False
-        return True
+                above = -((m & -m) << 1)
+            else:
+                depth += 1
+                if depth == rows:
+                    return True
+                cands.append(cand)
+                nxt.append(hr + 1)
 
-    def place(pr: int, start: int, chosen: list[int]) -> bool:
-        if pr == b.rows:
-            return columns_feasible(chosen, True)
-        for hr in range(start, a.rows - (b.rows - pr - 1)):
-            chosen.append(hr)
-            if columns_feasible(chosen, False) and place(pr + 1, hr + 1, chosen):
-                return True
-            chosen.pop()
-        return False
 
-    return place(0, 0, [])
+def pattern_contained(a: BinaryMatrix, b: BinaryMatrix) -> bool:
+    """True iff some increasing row/column selections of A cover B's 1s;
+    see `CompiledMatrixPattern`.  Callers that test one pattern many times
+    compile it once instead."""
+    return CompiledMatrixPattern(b).contained_in(row_masks(a), a.cols)
 
 
 def permutation_matrices(n: int) -> Iterator[BinaryMatrix]:
@@ -161,43 +194,43 @@ def permutation_unavoidable(
     Exhaustive mode scans all 2^(N^2) matrices and is limited to N <= 4 and
     n <= 2; sampling mode only reports counterexamples it happens to find.
     """
-    patterns = list(permutation_matrices(n))
+    patterns = [(p, CompiledMatrixPattern(p)) for p in permutation_matrices(n)]
+    if N < 1:
+        raise ValueError("dimensions must be at least 1x1")
+    full = (1 << N) - 1
 
-    def violates(a: BinaryMatrix) -> Optional[BinaryMatrix]:
-        abar = complement(a)
-        for p in patterns:
-            if not pattern_contained(a, p) and not pattern_contained(abar, p):
+    def violates(masks: list[int]) -> Optional[BinaryMatrix]:
+        flipped = None  # the complement's rows, built on the first miss
+        for p, compiled in patterns:
+            if compiled.contained_in(masks, N):
+                continue
+            if flipped is None:
+                flipped = [full ^ m for m in masks]
+            if not compiled.contained_in(flipped, N):
                 return p
         return None
+
+    def matrix(masks: list[int]) -> BinaryMatrix:
+        return BinaryMatrix(tuple(tuple((m >> c) & 1 for c in range(N)) for m in masks))
 
     if mode == "exhaustive":
         if N > 4 or n > 2:
             raise ValueError("exhaustive mode is limited to N <= 4 and n <= 2")
-        cells = N * N
-        for bits in range(1 << cells):
-            a = BinaryMatrix(
-                tuple(
-                    tuple((bits >> (r * N + c)) & 1 for c in range(N))
-                    for r in range(N)
-                )
-            )
-            bad = violates(a)
+        for bits in range(1 << (N * N)):
+            # entry (r, c) is bit r * N + c
+            masks = [(bits >> (r * N)) & full for r in range(N)]
+            bad = violates(masks)
             if bad is not None:
-                return UnavoidabilityReport(False, True, a, bad)
+                return UnavoidabilityReport(False, True, matrix(masks), bad)
         return UnavoidabilityReport(True, True)
     if mode != "sample":
         raise ValueError("mode must be 'exhaustive' or 'sample'")
     gen = Xoshiro256StarStar(seed)
     for _ in range(trials):
-        a = BinaryMatrix(
-            tuple(
-                tuple(gen.next_bit() for _ in range(N))
-                for _ in range(N)
-            )
-        )
-        bad = violates(a)
+        masks = [sum(gen.next_bit() << c for c in range(N)) for _ in range(N)]
+        bad = violates(masks)
         if bad is not None:
-            return UnavoidabilityReport(False, False, a, bad)
+            return UnavoidabilityReport(False, False, matrix(masks), bad)
     return UnavoidabilityReport(True, False)
 
 

@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from conftest import brute_matrix_contained
 from orl.cli import EXIT_OK, dispatch
 from orl.constructions import (
     TwoRegularSpec,
@@ -30,7 +31,7 @@ from orl.core import (
     pair_iter,
 )
 from orl.embedder import find_alternating_path
-from orl.patterns import complement, pattern_contained, permutation_unavoidable
+from orl.patterns import complement, permutation_unavoidable
 from orl.ramsey import (
     Certificate,
     count_rho_regular,
@@ -216,8 +217,8 @@ def test_criterion_9_permutation_unavoidability():
         report2 = permutation_unavoidable(2, 2)
         assert not report2.holds and report2.exhaustive
         a, p = report2.counterexample_matrix, report2.counterexample_pattern
-        assert not pattern_contained(a, p)
-        assert not pattern_contained(complement(a), p)
+        assert not brute_matrix_contained(a, p)
+        assert not brute_matrix_contained(complement(a), p)
 
 
 SEEDED_COMMANDS = [

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from orl.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, dispatch
+from orl import cli
+from orl.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, dispatch
 from orl.constructions import parse_blocks
 from orl.core import parse_coloring, parse_ordered_graph, parse_unordered_graph
 
@@ -289,6 +290,49 @@ def test_usage_errors(tmp_path, capsys):
     assert code == EXIT_USAGE and "line 2" in err
     code, _, err = run(capsys, "embed", "altpath", "--host", str(tmp_path / "nope.og"), "--n", "2")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["matrix", "unavoid", "--size", "4"], "--n"),
+        (["matrix", "unavoid", "--n", "2"], "--size"),
+        (["matrix", "contains", "--b", "b.mat"], "--a"),
+        (["matrix", "contains", "--a", "a.mat"], "--b"),
+        (["matrix", "complement"], "--a"),
+        (["matrix", "from-matching"], "--og"),
+        (["matrix", "from-coloring"], "--col"),
+        (["sample", "matching", "--seed", "1"], "--n"),
+        (["sample", "regular", "--n", "4", "--seed", "1"], "--rho"),
+        (["sample", "regular", "--rho", "2", "--seed", "1"], "--n"),
+        (["sample", "coloring", "--s", "2", "--seed", "1"], "--t"),
+        (["sample", "coloring", "--t", "2", "--seed", "1"], "--s"),
+        (["experiment", "coverage", "--parts", "2", "--max-size", "2", "--seed", "1"],
+         "--og or --graph"),
+    ],
+)
+def test_missing_option_is_a_usage_error(capsys, argv, flag):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and flag in err and "NoneType" not in err
+
+
+def test_unexpected_exception_is_an_internal_fault(monkeypatch, capsys):
+    def broken(args, ctx):
+        raise TypeError("not an input error")
+
+    monkeypatch.setattr(cli, "cmd_matrix", broken)
+    code, _, err = run(capsys, "matrix", "unavoid", "--n", "1", "--size", "1")
+    assert code == EXIT_INTERNAL
+    assert "Traceback" in err and "TypeError: not an input error" in err
+
+
+def test_matrix_contains_deep_pattern(tmp_path, capsys):
+    a = tmp_path / "a.mat"
+    a.write_text("mat 1500 1\n" + "1\n" * 1500)
+    b = tmp_path / "b.mat"
+    b.write_text("mat 1200 1\n" + "1\n" * 1200)
+    code, out, _ = run(capsys, "matrix", "contains", "--a", str(a), "--b", str(b))
+    assert code == EXIT_OK and out.strip() == "true"
 
 
 def test_threads_option_is_gone(capsys):

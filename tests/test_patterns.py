@@ -47,6 +47,34 @@ def test_contained_matches_brute_force(rng):
         a = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         b = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), density=0.4)
         assert pattern_contained(a, b) == brute_matrix_contained(a, b)
+    # patterns with an all-zero row and column, non-square shapes both ways,
+    # and hosts smaller than the pattern in exactly one dimension
+    hits = 0
+    for pr, pc in [(1, 4), (4, 1), (2, 5), (5, 2), (3, 3)]:
+        for _ in range(40):
+            b = random_matrix(rng, pr, pc, density=0.5)
+            if rng.random() < 0.5:
+                zr, zc = rng.randrange(pr), rng.randrange(pc)
+                b = BinaryMatrix(
+                    tuple(
+                        tuple(0 if r == zr or c == zc else x for c, x in enumerate(row))
+                        for r, row in enumerate(b.entries)
+                    )
+                )
+            shapes = [(pr - 1, pc + 2), (pr + 2, pc - 1), (pr + 1, pc + 3), (pr + 3, pc + 1)]
+            for hr, hc in shapes:
+                if hr < 1 or hc < 1:
+                    continue
+                a = random_matrix(rng, hr, hc, density=0.7)
+                got = pattern_contained(a, b)
+                assert got == brute_matrix_contained(a, b), (a.entries, b.entries)
+                hits += got
+    assert hits > 100
+
+
+def test_pattern_contained_depth_is_not_bounded_by_recursion():
+    # one stack level per pattern row: 1200 rows is past the recursion limit
+    assert pattern_contained(BinaryMatrix([[1]] * 1500), BinaryMatrix([[1]] * 1200))
 
 
 def test_contained_monotone(rng):
@@ -100,6 +128,19 @@ def test_unavoidable_2_2_false_with_verified_counterexample():
     p = report.counterexample_pattern
     assert not brute_matrix_contained(a, p)
     assert not brute_matrix_contained(complement(a), p)
+
+
+def test_unavoidable_counterexamples_golden():
+    # recorded before the containment search was compiled to row bitmasks
+    report = permutation_unavoidable(2, 2)
+    assert report.counterexample_matrix.entries == ((1, 0), (0, 0))
+    assert report.counterexample_pattern.entries == ((1, 0), (0, 1))
+    report = permutation_unavoidable(3, 4, mode="sample", trials=200, seed=5)
+    assert not report.holds and not report.exhaustive
+    assert report.counterexample_matrix.entries == (
+        (1, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1), (0, 0, 1, 1)
+    )
+    assert report.counterexample_pattern.entries == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
 
 
 def test_unavoidable_exhaustive_guard():
