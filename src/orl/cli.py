@@ -1,9 +1,12 @@
 """Single command-line entry point wiring all modules.
 
 Every run that writes files also writes a JSON run manifest beside its
-first output (command line, seed, input hashes, output hashes, timings);
-`orl replay <manifest> --outdir <dir>` re-executes the recorded command
-with outputs redirected and checks byte-identical reproduction.
+first output (command line, seed, input hashes, output hashes, timings).
+`orl replay <manifest> --outdir <dir>` re-runs the recorded argv verbatim
+and checks byte-identical reproduction. Only where files land changes: an
+output lands under `--outdir` at its path relative to the deepest common
+directory of the recorded outputs' parents, and replay looks for it there.
+A replay writes nothing outside `--outdir` and no manifest of its own.
 
 Exit codes: 0 computed, 1 usage error, 2 capped/inconclusive/not found,
 3 internal fault.
@@ -14,11 +17,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import orl
 from orl import constructions, embedder, patterns, ramsey, stochastic
@@ -42,14 +46,18 @@ EXIT_INTERNAL = 3
 
 
 class RunContext:
-    """Collects inputs/outputs of one invocation for the manifest."""
+    """Collects inputs/outputs of one invocation for the manifest.
 
-    def __init__(self, argv: list[str]):
+    `redirect`, set only by a replay, maps each output path to the file
+    actually written; `outputs` keeps the paths the command asked for.
+    """
+
+    def __init__(self, argv: list[str], redirect: Optional[Callable[[str], Path]] = None):
         self.argv = list(argv)
+        self.redirect = redirect
         self.seed: Optional[int] = None
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
-        self.output_args: list[str] = []  # argv tokens that are output locations
         self.started = time.time()
 
     def read_text(self, path: str) -> str:
@@ -58,15 +66,10 @@ class RunContext:
         return p.read_text(encoding="utf-8")
 
     def write_text(self, path: str, text: str) -> None:
-        p = Path(path)
-        if p.parent and not p.parent.exists():
-            p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(text, encoding="utf-8")
-        self.outputs.append(p)
-
-    def note_output_arg(self, value: Optional[str]) -> None:
-        if value is not None:
-            self.output_args.append(value)
+        target = self.redirect(path) if self.redirect else Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8")
+        self.outputs.append(Path(path))
 
 
 def _sha256(path: Path) -> str:
@@ -92,7 +95,6 @@ def write_manifest(ctx: RunContext, override: Optional[str]) -> Optional[Path]:
         "outputs": [
             {"path": str(p), "sha256": _sha256(p)} for p in ctx.outputs
         ],
-        "output_args": ctx.output_args,
         "wall_time_s": round(time.time() - ctx.started, 6),
         "timestamp": int(ctx.started),
     }
@@ -244,7 +246,6 @@ def cmd_ramsey_exact(args, ctx: RunContext) -> int:
     nmax = args.nmax if args.nmax is not None else ramsey.default_nmax(pattern)
     result = ramsey.ordered_ramsey(pattern, nmax)
     if args.emit_cert:
-        ctx.note_output_arg(args.emit_cert)
         _emit_ramsey_certs(ctx, args.emit_cert, result)
     print(result.describe())
     return EXIT_OK if result.exact else EXIT_INCONCLUSIVE
@@ -259,7 +260,6 @@ def cmd_ramsey_minmax(args, ctx: RunContext) -> int:
     print(f"minr {report.minr.describe()}")
     print(f"maxr {report.maxr.describe()}")
     if args.emit_cert:
-        ctx.note_output_arg(args.emit_cert)
         for idx, (_, _, res) in enumerate(report.results):
             sub = str(Path(args.emit_cert) / f"ordering{idx}")
             _emit_ramsey_certs(ctx, sub, res)
@@ -272,13 +272,19 @@ def cmd_verify(args, ctx: RunContext) -> int:
     cert_path = Path(args.cert)
     if cert_path.suffix == ".json":
         payload = json.loads(ctx.read_text(args.cert))
+        if not isinstance(payload, dict):
+            raise ValueError("json certificates must be a JSON object")
         if payload.get("kind") != "upper":
             raise ValueError("json certificates must have kind 'upper'")
+        if type(payload.get("N")) is not int:
+            raise ValueError("json certificate field `N` must be an integer")
+        if not isinstance(payload.get("pattern"), str):
+            raise ValueError("json certificate field `pattern` must be a string")
         stored = parse_ordered_graph(payload["pattern"])
         if stored != pattern:
             print("false")
             return EXIT_INCONCLUSIVE
-        cert = ramsey.Certificate("upper", pattern, int(payload["N"]))
+        cert = ramsey.Certificate("upper", pattern, payload["N"])
     else:
         coloring = parse_coloring(ctx.read_text(args.cert))
         cert = ramsey.Certificate("lower", pattern, coloring.n, coloring=coloring)
@@ -412,7 +418,6 @@ def cmd_experiment_montecarlo(args, ctx: RunContext) -> int:
     report = stochastic.monte_carlo_avoidance(pattern, t, s, args.trials, args.seed)
     cert_path = None
     if report.certificate is not None and args.emit_cert:
-        ctx.note_output_arg(args.emit_cert)
         cert_path = str(Path(args.emit_cert) / f"avoid_N{s * t}.col")
         ctx.write_text(cert_path, serialize_coloring(report.certificate.coloring))
     lines = [
@@ -494,41 +499,28 @@ def cmd_matrix(args, ctx: RunContext) -> int:
 
 def cmd_replay(args, ctx: RunContext) -> int:
     manifest = json.loads(ctx.read_text(args.manifest))
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     recorded = {entry["path"]: entry["sha256"] for entry in manifest["outputs"]}
-    mapping: dict[str, str] = {}
-    for token in manifest.get("output_args", []):
-        mapping[token] = str(outdir / Path(token).name)
-    for path in recorded:
-        if path not in mapping:
-            # rewrite only paths that appeared verbatim in argv; derived
-            # sidecars keep their derived names automatically
-            mapping.setdefault(path, str(outdir / Path(path).name))
-    new_argv = [mapping.get(tok, tok) for tok in manifest["argv"]]
-    code = dispatch(new_argv)
+    parents = [os.path.dirname(os.path.abspath(path)) for path in recorded]
+    base = Path(os.path.commonpath(parents)) if parents else None
+    outdir = Path(args.outdir)
+
+    def replayed(path: str) -> Path:
+        """Where the replay writes, and then looks for, the output `path`."""
+        absolute = Path(os.path.abspath(path))
+        if base is None or not absolute.is_relative_to(base):
+            raise ValueError(f"replay: {path} is not under the recorded outputs' directory")
+        return outdir / absolute.relative_to(base)
+
+    code = dispatch(manifest["argv"], redirect=replayed)
     if code not in (EXIT_OK, EXIT_INCONCLUSIVE):
         print(f"replay: command exited with {code}")
         return EXIT_INTERNAL
     mismatches = []
     for original, digest in recorded.items():
-        replay_root = mapping.get(original)
-        candidates = [replay_root] if replay_root else []
-        # derived outputs (sidecars, certificates) land under rewritten roots
-        if not candidates or not Path(candidates[0]).is_file():
-            candidates = [str(outdir / Path(original).name)]
-        found = None
-        for cand in candidates:
-            if Path(cand).is_file():
-                found = cand
-                break
-        if found is None:
-            target = _find_replayed(outdir, original, manifest)
-            if target is None:
-                mismatches.append((original, "missing"))
-                continue
-            found = target
-        if _sha256(Path(found)) != digest:
+        found = replayed(original)
+        if not found.is_file():
+            mismatches.append((original, "missing"))
+        elif _sha256(found) != digest:
             mismatches.append((original, found))
     if mismatches:
         for original, where in mismatches:
@@ -536,22 +528,6 @@ def cmd_replay(args, ctx: RunContext) -> int:
         return EXIT_INTERNAL
     print(f"replayed {len(recorded)} output(s) byte-identically")
     return EXIT_OK
-
-
-def _find_replayed(outdir: Path, original: str, manifest: dict) -> Optional[str]:
-    """Locate an output that was written under a rewritten directory arg."""
-    name = Path(original).name
-    for root in manifest.get("output_args", []):
-        base = Path(original)
-        try:
-            rel = base.relative_to(root)
-        except ValueError:
-            continue
-        cand = outdir / Path(root).name / rel
-        if cand.is_file():
-            return str(cand)
-    hits = list(outdir.rglob(name))
-    return str(hits[0]) if hits else None
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="+", help="integer parameters")
     p.add_argument("--bipartite", action="store_true", help="tworeg: even-cycle mode")
     p.add_argument("-o", "--out", default=None)
-    p.set_defaults(func=cmd_construct, output_opt="out")
+    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("embed", help="run a witness-extraction algorithm")
     p.add_argument("algo", choices=["altpath", "blowup", "tee"])
@@ -600,11 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--emit-cert", default=None)
     q.set_defaults(func=cmd_ramsey_minmax)
 
-    q = rsub.add_parser("verify")
-    q.add_argument("--cert", required=True)
-    q.add_argument("--pattern", required=True)
-    q.set_defaults(func=cmd_verify)
-
     q = rsub.add_parser("count-regular")
     q.add_argument("--rho", required=True, help="rational like 5/2")
     q.add_argument("--n", type=int, required=True)
@@ -619,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--out", default=None)
-    p.set_defaults(func=cmd_sample, output_opt="out")
+    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("experiment", help="seeded experiment drivers (JSON lines)")
     esub = p.add_subparsers(dest="what", required=True)
@@ -629,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--trials", type=int, default=20)
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--report", default=None)
-    q.set_defaults(func=cmd_experiment_pairprob, output_opt="report")
+    q.set_defaults(func=cmd_experiment_pairprob)
 
     q = esub.add_parser("coverage")
     q.add_argument("--og", default=None)
@@ -639,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--trials", type=int, default=20)
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--report", default=None)
-    q.set_defaults(func=cmd_experiment_coverage, output_opt="report")
+    q.set_defaults(func=cmd_experiment_coverage)
 
     q = esub.add_parser("montecarlo")
     q.add_argument("--pattern", required=True)
@@ -650,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--emit-cert", default=None)
     q.add_argument("--report", default=None)
-    q.set_defaults(func=cmd_experiment_montecarlo, output_opt="report")
+    q.set_defaults(func=cmd_experiment_montecarlo)
 
     p = sub.add_parser("matrix", help="binary matrix pattern operations")
     p.add_argument("action", choices=[
@@ -667,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", default=None)
-    p.set_defaults(func=cmd_matrix, output_opt="out")
+    p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("verify", help="verify a certificate against a pattern")
     p.add_argument("--cert", required=True)
@@ -682,18 +653,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(argv: list[str]) -> int:
+def dispatch(argv: list[str], redirect: Optional[Callable[[str], Path]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    ctx = RunContext(argv)
+    ctx = RunContext(argv, redirect)
     if getattr(args, "seed", None) is not None:
         ctx.seed = args.seed
-    output_opt = getattr(args, "output_opt", None)
-    if output_opt:
-        ctx.note_output_arg(getattr(args, output_opt, None))
     try:
         code = args.func(args, ctx)
     except (FormatError, ValueError, OSError, json.JSONDecodeError) as exc:
@@ -707,7 +675,7 @@ def dispatch(argv: list[str]) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
-    if args.command != "replay":
+    if args.command != "replay" and redirect is None:
         write_manifest(ctx, args.manifest)
     return code
 

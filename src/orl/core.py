@@ -364,10 +364,11 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     ]
 
 
-def _parse_edge_list(text: str, header: str) -> tuple[int, int, list[tuple[int, int, int]]]:
+def _parse_edge_list(text: str, header: str) -> tuple[int, set[tuple[int, int]]]:
     """Shared reader for `og`/`adj` files: header `<tag> n m`, then `e i j` lines.
 
-    Returns (n, m, [(line_no, i, j), ...]) without any range/duplicate checks.
+    Returns (n, edges) with each edge as (i, j), i < j; a self-loop, an
+    out-of-range endpoint or a duplicate edge is a FormatError at its line.
     """
     lines = _content_lines(text)
     if not lines:
@@ -387,7 +388,7 @@ def _parse_edge_list(text: str, header: str) -> tuple[int, int, list[tuple[int, 
             lines[-1][0] if len(lines) > 1 else no,
             f"expected {m} edge lines, found {len(lines) - 1}",
         )
-    edges = []
+    edges = set()
     for no, line in lines[1:]:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "e":
@@ -396,15 +397,6 @@ def _parse_edge_list(text: str, header: str) -> tuple[int, int, list[tuple[int, 
             i, j = int(parts[1]), int(parts[2])
         except ValueError:
             raise FormatError(no, "expected edge line `e <i> <j>`") from None
-        edges.append((no, i, j))
-    return n, m, edges
-
-
-def parse_ordered_graph(text: str) -> OrderedGraph:
-    """Parse the `og` format: header `og <n> <m>`, then `e <i> <j>` with i < j."""
-    n, _, raw = _parse_edge_list(text, "og")
-    edges = set()
-    for no, i, j in raw:
         if i == j:
             raise FormatError(no, f"self-loop at vertex {i}")
         if i > j:
@@ -414,7 +406,12 @@ def parse_ordered_graph(text: str) -> OrderedGraph:
         if (i, j) in edges:
             raise FormatError(no, f"duplicate edge ({i},{j})")
         edges.add((i, j))
-    return OrderedGraph(n, edges)
+    return n, edges
+
+
+def parse_ordered_graph(text: str) -> OrderedGraph:
+    """Parse the `og` format: header `og <n> <m>`, then `e <i> <j>` with i < j."""
+    return OrderedGraph(*_parse_edge_list(text, "og"))
 
 
 def serialize_ordered_graph(g: OrderedGraph) -> str:
@@ -425,19 +422,7 @@ def serialize_ordered_graph(g: OrderedGraph) -> str:
 
 def parse_unordered_graph(text: str) -> UnorderedGraph:
     """Parse the `adj` format (same shape as `og`, unordered semantics)."""
-    n, _, raw = _parse_edge_list(text, "adj")
-    edges = set()
-    for no, i, j in raw:
-        if i == j:
-            raise FormatError(no, f"self-loop at vertex {i}")
-        if i > j:
-            i, j = j, i
-        if i < 1 or j > n:
-            raise FormatError(no, f"endpoint out of range 1..{n}")
-        if (i, j) in edges:
-            raise FormatError(no, f"duplicate edge ({i},{j})")
-        edges.add((i, j))
-    return UnorderedGraph(n, edges)
+    return UnorderedGraph(*_parse_edge_list(text, "adj"))
 
 
 def serialize_unordered_graph(g: UnorderedGraph) -> str:

@@ -72,8 +72,11 @@ class TriangleStats:
 # alternating paths
 # ---------------------------------------------------------------------------
 
-def _run_removal_process(host: OrderedGraph, steps: int) -> tuple[set[tuple[int, int]], RemovalTrace]:
-    """Run `steps` simultaneous removal rounds; returns survivors and the trace."""
+def _run_removal_process(
+    host: OrderedGraph, steps: Optional[int]
+) -> tuple[set[tuple[int, int]], RemovalTrace]:
+    """Run `steps` simultaneous removal rounds, or with `steps=None` until no
+    edge survives; returns survivors and the trace (one entry per round)."""
     alive = {tuple(sorted(e)) for e in host.edges}
     left = [dict() for _ in range(host.n + 1)]  # left[v]: u < v adjacency
     right = [dict() for _ in range(host.n + 1)]
@@ -81,7 +84,9 @@ def _run_removal_process(host: OrderedGraph, steps: int) -> tuple[set[tuple[int,
         left[b][a] = True
         right[a][b] = True
     trace: list[dict[int, int]] = []
-    for step in range(1, steps + 1):
+    step = 0
+    while alive if steps is None else step < steps:
+        step += 1
         removals: dict[int, int] = {}
         if step % 2 == 1:
             for v in range(1, host.n + 1):
@@ -107,34 +112,10 @@ def longest_alternating_path_length(host: OrderedGraph) -> int:
     """
     if host.n == 0:
         return 0
-    if not host.edges:
-        return 1
-    alive = {tuple(sorted(e)) for e in host.edges}
-    left = [dict() for _ in range(host.n + 1)]
-    right = [dict() for _ in range(host.n + 1)]
-    for a, b in alive:
-        left[b][a] = True
-        right[a][b] = True
-    steps = 0
-    while alive:
-        steps += 1
-        removals = {}
-        if steps % 2 == 1:
-            for v in range(1, host.n + 1):
-                if left[v]:
-                    removals[v] = min(left[v])
-        else:
-            for v in range(1, host.n + 1):
-                if right[v]:
-                    removals[v] = max(right[v])
-        for center, u in removals.items():
-            a, b = (u, center) if u < center else (center, u)
-            alive.discard((a, b))
-            left[b].pop(a, None)
-            right[a].pop(b, None)
-    # the process emptied the graph after `steps` rounds, so an edge survived
-    # steps-1 rounds and supports a path on steps+1 vertices
-    return steps + 1
+    rounds = len(_run_removal_process(host, None)[1].steps)
+    # the process emptied the graph after `rounds` rounds, so an edge survived
+    # rounds-1 rounds and supports a path on rounds+1 vertices
+    return rounds + 1
 
 
 def find_alternating_path(host: OrderedGraph, n: int) -> Optional[Embedding]:

@@ -1,6 +1,7 @@
 """Command-line surface: round trips, exit codes, manifests, replay."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -74,10 +75,15 @@ def test_ramsey_exact_k3(tmp_path, capsys):
     )
     assert code == EXIT_OK and out.strip() == "6"
     code, out, _ = run(
-        capsys, "ramsey", "verify",
+        capsys, "verify",
         "--cert", str(certdir / "lower_N5.col"), "--pattern", str(pattern),
     )
     assert code == EXIT_OK and out.strip() == "true"
+    code, _, _ = run(
+        capsys, "ramsey", "verify",
+        "--cert", str(certdir / "lower_N5.col"), "--pattern", str(pattern),
+    )
+    assert code == EXIT_USAGE
     code, out, _ = run(
         capsys, "verify",
         "--cert", str(certdir / "upper_N6.json"), "--pattern", str(pattern),
@@ -101,6 +107,19 @@ def test_verify_rejects_bad_certificate(tmp_path, capsys):
     bad.write_text("col 3\nc 1 2 R\nc 1 3 R\nc 2 3 R\n")
     code, out, _ = run(capsys, "verify", "--cert", str(bad), "--pattern", str(pattern))
     assert code == EXIT_INCONCLUSIVE and out.strip() == "false"
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [('{"kind": "upper"}', "`N`"), ('{"kind": "upper", "N": 6}', "`pattern`"), ("[1, 2]", "object")],
+)
+def test_verify_rejects_malformed_upper_certificate(tmp_path, capsys, payload, field):
+    pattern = tmp_path / "k3.og"
+    pattern.write_text("og 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    cert = tmp_path / "upper_N6.json"
+    cert.write_text(payload)
+    code, _, err = run(capsys, "verify", "--cert", str(cert), "--pattern", str(pattern))
+    assert code == EXIT_USAGE and field in err
 
 
 def test_ramsey_minmax(tmp_path, capsys):
@@ -279,6 +298,90 @@ def test_replay_detects_tampering(tmp_path, capsys):
         capsys, "replay", str(manifest_path), "--outdir", str(tmp_path / "r2")
     )
     assert code == 3 and "MISMATCH" in out_text
+
+
+NESTED_3 = "og 6 3\ne 1 6\ne 2 5\ne 3 4\n"
+
+
+def replay(capsys, manifest_path, outdir):
+    code, out_text, _ = run(capsys, "replay", str(manifest_path), "--outdir", str(outdir))
+    return code, out_text
+
+
+def test_replay_montecarlo_with_certificate(tmp_path, capsys):
+    # benchmark shape: the report cites the certificate written beside it;
+    # N = t*s = 5 is below the pattern's 6 vertices, so every trial avoids
+    pattern = tmp_path / "nm3.og"
+    pattern.write_text(NESTED_3)
+    out = tmp_path / "out" / "c0"
+    assert dispatch([
+        "experiment", "montecarlo", "--pattern", str(pattern), "--t", "1", "--s", "5",
+        "--trials", "3", "--seed", "4", "--report", f"{out}/report.jsonl",
+        "--emit-cert", str(out),
+    ]) == EXIT_OK
+    report = (out / "report.jsonl").read_text()
+    assert f"{out}/avoid_N5.col" in report
+    replay_dir = tmp_path / "replay"
+    code, out_text = replay(capsys, out / "avoid_N5.col.manifest.json", replay_dir)
+    assert code == EXIT_OK and "replayed 2 output(s) byte-identically" in out_text
+    assert (replay_dir / "report.jsonl").read_text() == report
+    assert (replay_dir / "avoid_N5.col").read_bytes() == (out / "avoid_N5.col").read_bytes()
+
+
+def test_replay_outputs_with_the_same_basename(tmp_path, capsys):
+    pattern = tmp_path / "nm3.og"
+    pattern.write_text(NESTED_3)
+    assert dispatch([
+        "experiment", "montecarlo", "--pattern", str(pattern), "--t", "1", "--s", "5",
+        "--trials", "2", "--seed", "9", "--report", str(tmp_path / "a" / "x" / "r.jsonl"),
+        "--emit-cert", str(tmp_path / "b" / "x"),
+    ]) == EXIT_OK
+    replay_dir = tmp_path / "replay"
+    code, out_text = replay(capsys, tmp_path / "b" / "x" / "avoid_N5.col.manifest.json", replay_dir)
+    assert code == EXIT_OK and "replayed 2 output(s) byte-identically" in out_text
+    assert (replay_dir / "a" / "x" / "r.jsonl").is_file()
+    assert (replay_dir / "b" / "x" / "avoid_N5.col").is_file()
+
+
+def test_replay_keeps_an_explicit_manifest(tmp_path, capsys):
+    manifest_path = tmp_path / "run.json"
+    assert dispatch([
+        "--manifest", str(manifest_path), "sample", "matching", "--n", "6", "--seed", "3",
+        "-o", str(tmp_path / "m.og"),
+    ]) == EXIT_OK
+    recorded = manifest_path.read_bytes()
+    code, out_text = replay(capsys, manifest_path, tmp_path / "replay")
+    assert code == EXIT_OK and "byte-identically" in out_text
+    assert manifest_path.read_bytes() == recorded
+    assert sorted(p.name for p in (tmp_path / "replay").iterdir()) == ["m.og"]
+
+
+def test_replay_minmax_certificate_tree(tmp_path, capsys):
+    graph = tmp_path / "m4.adj"
+    graph.write_text("adj 4 2\ne 1 2\ne 3 4\n")
+    certs = tmp_path / "certs"
+    assert dispatch([
+        "ramsey", "minmax", "--graph", str(graph), "--nmax", "8", "--emit-cert", str(certs),
+    ]) == EXIT_OK
+    (manifest_path,) = certs.rglob("*.manifest.json")
+    recorded = json.loads(manifest_path.read_text())["outputs"]
+    replay_dir = tmp_path / "replay"
+    code, out_text = replay(capsys, manifest_path, replay_dir)
+    assert code == EXIT_OK
+    assert f"replayed {len(recorded)} output(s) byte-identically" in out_text
+    assert len({Path(entry["path"]).parent.name for entry in recorded}) == 3
+
+
+def test_replay_rejects_a_write_outside_the_recorded_directory(tmp_path, capsys):
+    out = tmp_path / "a" / "m.og"
+    dispatch(["sample", "matching", "--n", "6", "--seed", "42", "-o", str(out)])
+    manifest_path = tmp_path / "a" / "m.og.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["argv"][-1] = str(tmp_path / "b" / "m.og")
+    manifest_path.write_text(json.dumps(manifest))
+    code, _ = replay(capsys, manifest_path, tmp_path / "replay")
+    assert code == EXIT_INTERNAL
+    assert not (tmp_path / "b").exists()
 
 
 def test_usage_errors(tmp_path, capsys):
