@@ -8,6 +8,11 @@ output lands under `--outdir` at its path relative to the deepest common
 directory of the recorded outputs' parents, and replay looks for it there.
 A replay writes nothing outside `--outdir` and no manifest of its own.
 
+Each action (`matrix contains`, `construct tee`, ...) is its own argparse
+subparser that declares only the options it reads, so an option of another
+action is a usage error. The parser is built once per process, on the
+first `dispatch`.
+
 Exit codes: 0 computed, 1 usage error, 2 capped/inconclusive/not found,
 3 internal fault.
 """
@@ -15,6 +20,7 @@ Exit codes: 0 computed, 1 usage error, 2 capped/inconclusive/not found,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -104,88 +110,66 @@ def write_manifest(ctx: RunContext, override: Optional[str]) -> Optional[Path]:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
-def _require(args, command: str, *flags: str) -> None:
-    """Raise ValueError naming the first of `flags` that was not given."""
-    for flag in flags:
-        if getattr(args, flag.lstrip("-").replace("-", "_")) is None:
-            raise ValueError(f"`{command}` requires {flag}")
-
-
-def _parse_parts(text: Optional[str], n: int) -> IntervalPartition:
-    if text is None:
-        raise ValueError("--parts is required for this algorithm")
+def _parse_parts(text: str, n: int) -> IntervalPartition:
     sizes = tuple(int(tok) for tok in text.split(","))
     return IntervalPartition(n, sizes)
+
+
+def _emit(ctx: RunContext, path: Optional[str], text: str) -> None:
+    """Write `text` to `path`, or to stdout when no path was given."""
+    if path:
+        ctx.write_text(path, text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
 
+# kind -> (integer parameter names, builder); `tworeg` takes any number of
+# cycle lengths and is built in `cmd_construct`
+CONSTRUCTIONS = {
+    "altpath": (("n",), constructions.alternating_path),
+    "nestmatch": (("pairs",), constructions.nested_matching),
+    "kbip": (("r", "s"), constructions.complete_bipartite),
+    "altcycle": (("m",), constructions.alternating_cycle),
+    "blowup": (("n", "k"), constructions.blowup_path),
+    "tee": (("n", "k"), constructions.tee_graph),
+    "eff": (("n", "k"), constructions.eff_graph),
+    "quadlb": (("n",), constructions.quadratic_lb_instance),
+}
+
+
 def cmd_construct(args, ctx: RunContext) -> int:
-    kind = args.kind
-    params = args.params
-    blocked = None
-    coloring = None
-
-    def want(count: int) -> list[int]:
-        if len(params) != count:
-            raise ValueError(f"`{kind}` expects {count} integer parameter(s)")
-        return [int(p) for p in params]
-
-    if kind == "altpath":
-        (n,) = want(1)
-        graph = constructions.alternating_path(n)
-    elif kind == "nestmatch":
-        (pairs,) = want(1)
-        graph = constructions.nested_matching(pairs)
-    elif kind == "kbip":
-        r, s = want(2)
-        graph = constructions.complete_bipartite(r, s)
-    elif kind == "altcycle":
-        (m,) = want(1)
-        blocked = constructions.alternating_cycle(m)
-        graph = blocked.graph
-    elif kind == "blowup":
-        n, k = want(2)
-        blocked = constructions.blowup_path(n, k)
-        graph = blocked.graph
-    elif kind == "tee":
-        n, k = want(2)
-        blocked = constructions.tee_graph(n, k)
-        graph = blocked.graph
-    elif kind == "eff":
-        n, k = want(2)
-        blocked = constructions.eff_graph(n, k)
-        graph = blocked.graph
-    elif kind == "tworeg":
-        lengths = tuple(int(p) for p in params)
-        spec = constructions.TwoRegularSpec(lengths)
-        graph = constructions.order_two_regular(spec, bipartite_mode=args.bipartite)
-    elif kind == "quadlb":
-        (n,) = want(1)
-        graph, coloring = constructions.quadratic_lb_instance(n)
+    if args.kind == "tworeg":
+        spec = constructions.TwoRegularSpec(tuple(args.lengths))
+        built = constructions.order_two_regular(spec, bipartite_mode=args.bipartite)
     else:
-        raise ValueError(f"unknown construction `{kind}`")
-
-    text = serialize_ordered_graph(graph)
-    if args.out:
-        ctx.write_text(args.out, text)
-        if blocked is not None:
-            ctx.write_text(args.out + ".blocks", constructions.serialize_blocks(blocked))
-        if coloring is not None:
-            ctx.write_text(
-                str(Path(args.out).with_suffix(".col")), serialize_coloring(coloring)
-            )
+        names, build = CONSTRUCTIONS[args.kind]
+        built = build(*(getattr(args, name) for name in names))
+    blocked = coloring = None
+    if isinstance(built, constructions.BlockedOrderedGraph):
+        blocked, graph = built, built.graph
+    elif isinstance(built, tuple):  # quadlb: the graph and its interval coloring
+        graph, coloring = built
     else:
-        sys.stdout.write(text)
-        if blocked is not None:
-            sys.stdout.write(constructions.serialize_blocks(blocked))
-        if coloring is not None:
-            sys.stdout.write(serialize_coloring(coloring))
+        graph = built
+
+    out = args.out
+    outputs = [(out, serialize_ordered_graph(graph))]
+    if blocked is not None:
+        outputs.append((out and out + ".blocks", constructions.serialize_blocks(blocked)))
+    if coloring is not None:
+        outputs.append((out and str(Path(out).with_suffix(".col")), serialize_coloring(coloring)))
+    for path, text in outputs:
+        _emit(ctx, path, text)
     return EXIT_OK
 
 
@@ -198,17 +182,14 @@ def cmd_embed(args, ctx: RunContext) -> int:
     if args.algo == "altpath":
         emb = embedder.find_alternating_path(host, args.n)
         stage = None if emb else "no-surviving-edge"
-    elif args.algo == "blowup":
-        parts = _parse_parts(args.parts, host.n)
-        result = embedder.blowup_pipeline(host, parts, args.n, args.k)
-        emb, stage = result.embedding, result.failed_stage
-    elif args.algo == "tee":
-        parts = _parse_parts(args.parts, host.n)
-        eps = _parse_fraction(args.eps)
-        result = embedder.tee_pipeline(host, parts, args.n, args.k, eps)
-        emb, stage = result.embedding, result.failed_stage
     else:
-        raise ValueError(f"unknown embed algorithm `{args.algo}`")
+        parts = _parse_parts(args.parts, host.n)
+        if args.algo == "blowup":
+            result = embedder.blowup_pipeline(host, parts, args.n, args.k)
+        else:
+            eps = _parse_fraction(args.eps)
+            result = embedder.tee_pipeline(host, parts, args.n, args.k, eps)
+        emb, stage = result.embedding, result.failed_stage
     if emb is None:
         print(f"NONE {stage}")
         return EXIT_INCONCLUSIVE
@@ -309,9 +290,6 @@ def cmd_ramsey_count_regular(args, ctx: RunContext) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sample(args, ctx: RunContext) -> int:
-    ctx.seed = args.seed
-    need = {"matching": ["--n"], "regular": ["--rho", "--n"], "coloring": ["--t", "--s"]}
-    _require(args, f"sample {args.what}", *need.get(args.what, []))
     if args.what == "matching":
         graph = stochastic.sample_permutation_matching(args.n, args.seed)
         text = serialize_ordered_graph(graph)
@@ -320,15 +298,10 @@ def cmd_sample(args, ctx: RunContext) -> int:
             _parse_fraction(args.rho), args.n, args.seed, mode=args.mode
         )
         text = serialize_unordered_graph(graph)
-    elif args.what == "coloring":
+    else:
         coloring = stochastic.blown_up_random_coloring(args.t, args.s, args.seed)
         text = serialize_coloring(coloring)
-    else:
-        raise ValueError(f"unknown sample kind `{args.what}`")
-    if args.out:
-        ctx.write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(ctx, args.out, text)
     return EXIT_OK
 
 
@@ -338,14 +311,10 @@ def cmd_sample(args, ctx: RunContext) -> int:
 
 def _report_lines(args, ctx: RunContext, lines: list[dict]) -> None:
     payload = "\n".join(json.dumps(line, sort_keys=True) for line in lines) + "\n"
-    if args.report:
-        ctx.write_text(args.report, payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(ctx, args.report, payload)
 
 
 def cmd_experiment_pairprob(args, ctx: RunContext) -> int:
-    ctx.seed = args.seed
     n = args.n
     lines = []
     for k in range(args.trials):
@@ -376,7 +345,6 @@ def cmd_experiment_pairprob(args, ctx: RunContext) -> int:
 
 
 def cmd_experiment_coverage(args, ctx: RunContext) -> int:
-    ctx.seed = args.seed
     if args.og:
         graph = parse_ordered_graph(ctx.read_text(args.og))
     elif args.graph:
@@ -404,17 +372,18 @@ def cmd_experiment_coverage(args, ctx: RunContext) -> int:
 
 
 def cmd_experiment_montecarlo(args, ctx: RunContext) -> int:
-    ctx.seed = args.seed
-    pattern = parse_ordered_graph(ctx.read_text(args.pattern))
     if args.config_n is not None:
+        if args.t is not None or args.s is not None:
+            raise ValueError("--config-n is not allowed with --t or --s")
         cfg = stochastic.ExperimentConfig.for_matching(
             args.config_n, args.trials, args.seed
         )
         t, s = cfg.blowup_shape()
+    elif args.t is None or args.s is None:
+        raise ValueError("either --config-n or both --t and --s are required")
     else:
-        if args.t is None or args.s is None:
-            raise ValueError("either --config-n or both --t and --s are required")
         t, s = args.t, args.s
+    pattern = parse_ordered_graph(ctx.read_text(args.pattern))
     report = stochastic.monte_carlo_avoidance(pattern, t, s, args.trials, args.seed)
     cert_path = None
     if report.certificate is not None and args.emit_cert:
@@ -445,51 +414,37 @@ def cmd_experiment_montecarlo(args, ctx: RunContext) -> int:
 # matrix
 # ---------------------------------------------------------------------------
 
+def cmd_matrix_contains(args, ctx: RunContext) -> int:
+    a = patterns.parse_matrix(ctx.read_text(args.a))
+    b = patterns.parse_matrix(ctx.read_text(args.b))
+    ok = patterns.pattern_contained(a, b)
+    print("true" if ok else "false")
+    return EXIT_OK if ok else EXIT_INCONCLUSIVE
+
+
+def cmd_matrix_unavoid(args, ctx: RunContext) -> int:
+    report = patterns.permutation_unavoidable(
+        args.n, args.size, mode=args.mode, trials=args.trials, seed=args.seed
+    )
+    if report.holds:
+        print("true" if report.exhaustive else "true (sampled)")
+        return EXIT_OK if report.exhaustive else EXIT_INCONCLUSIVE
+    print("false")
+    sys.stdout.write(patterns.serialize_matrix(report.counterexample_matrix))
+    sys.stdout.write(patterns.serialize_matrix(report.counterexample_pattern))
+    return EXIT_OK
+
+
 def cmd_matrix(args, ctx: RunContext) -> int:
-    need = {
-        "contains": ["--a", "--b"],
-        "complement": ["--a"],
-        "unavoid": ["--n", "--size"],
-        "from-matching": ["--og"],
-        "from-coloring": ["--col"],
-    }
-    _require(args, f"matrix {args.action}", *need.get(args.action, []))
-    if args.action == "contains":
-        a = patterns.parse_matrix(ctx.read_text(args.a))
-        b = patterns.parse_matrix(ctx.read_text(args.b))
-        ok = patterns.pattern_contained(a, b)
-        print("true" if ok else "false")
-        return EXIT_OK if ok else EXIT_INCONCLUSIVE
+    """`complement`, `from-matching` and `from-coloring`: one matrix out."""
     if args.action == "complement":
-        a = patterns.parse_matrix(ctx.read_text(args.a))
-        text = patterns.serialize_matrix(patterns.complement(a))
-    elif args.action == "unavoid":
-        report = patterns.permutation_unavoidable(
-            args.n, args.size, mode=args.mode, trials=args.trials, seed=args.seed
-        )
-        if args.mode == "sample":
-            ctx.seed = args.seed
-        if report.holds:
-            print("true" if report.exhaustive else "true (sampled)")
-            return EXIT_OK if report.exhaustive else EXIT_INCONCLUSIVE
-        print("false")
-        sys.stdout.write(patterns.serialize_matrix(report.counterexample_matrix))
-        sys.stdout.write(patterns.serialize_matrix(report.counterexample_pattern))
-        return EXIT_OK
+        matrix = patterns.complement(patterns.parse_matrix(ctx.read_text(args.a)))
     elif args.action == "from-matching":
-        graph = parse_ordered_graph(ctx.read_text(args.og))
-        text = patterns.serialize_matrix(patterns.matching_matrix(graph))
-    elif args.action == "from-coloring":
+        matrix = patterns.matching_matrix(parse_ordered_graph(ctx.read_text(args.og)))
+    else:
         coloring = parse_coloring(ctx.read_text(args.col))
-        text = patterns.serialize_matrix(
-            patterns.coloring_matrix(coloring, args.color)
-        )
-    else:
-        raise ValueError(f"unknown matrix action `{args.action}`")
-    if getattr(args, "out", None):
-        ctx.write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+        matrix = patterns.coloring_matrix(coloring, args.color)
+    _emit(ctx, args.out, patterns.serialize_matrix(matrix))
     return EXIT_OK
 
 
@@ -535,6 +490,8 @@ def cmd_replay(args, ctx: RunContext) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `orl` parser: one subparser per action, declaring only the
+    options that action reads."""
     parser = argparse.ArgumentParser(
         prog="orl",
         description="ordered Ramsey constructions, searches, and certificates",
@@ -543,23 +500,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named ordered graph")
-    p.add_argument("kind", choices=[
-        "altpath", "nestmatch", "kbip", "altcycle", "blowup", "tee", "eff",
-        "tworeg", "quadlb",
-    ])
-    p.add_argument("params", nargs="+", help="integer parameters")
-    p.add_argument("--bipartite", action="store_true", help="tworeg: even-cycle mode")
-    p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_construct)
+    csub = p.add_subparsers(dest="kind", required=True)
+    for kind, (names, _) in CONSTRUCTIONS.items():
+        q = csub.add_parser(kind)
+        for name in names:
+            q.add_argument(name, type=int)
+    q = csub.add_parser("tworeg")
+    q.add_argument("lengths", nargs="+", type=int, help="cycle lengths")
+    q.add_argument("--bipartite", action="store_true", help="even-cycle mode")
+    for q in csub.choices.values():
+        q.add_argument("-o", "--out", default=None)
 
     p = sub.add_parser("embed", help="run a witness-extraction algorithm")
-    p.add_argument("algo", choices=["altpath", "blowup", "tee"])
-    p.add_argument("--host", required=True)
-    p.add_argument("--parts", default=None, help="comma-separated interval sizes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--eps", default="1/8", help="rational like 1/8")
     p.set_defaults(func=cmd_embed)
+    asub = p.add_subparsers(dest="algo", required=True)
+    for algo in ("altpath", "blowup", "tee"):
+        q = asub.add_parser(algo)
+        q.add_argument("--host", required=True)
+        q.add_argument("--n", type=int, required=True)
+        if algo != "altpath":
+            q.add_argument("--parts", required=True, help="comma-separated interval sizes")
+            q.add_argument("--k", type=int, default=1)
+        if algo == "tee":
+            q.add_argument("--eps", default="1/8", help="rational like 1/8")
 
     p = sub.add_parser("ramsey", help="exact ordered Ramsey computations")
     rsub = p.add_subparsers(dest="action", required=True)
@@ -582,15 +546,20 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_ramsey_count_regular)
 
     p = sub.add_parser("sample", help="seeded random models")
-    p.add_argument("what", choices=["matching", "regular", "coloring"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--rho", default=None)
-    p.add_argument("--mode", choices=["exact", "configuration"], default="configuration")
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_sample)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, required=True)
+    seeded.add_argument("-o", "--out", default=None)
+    ssub = p.add_subparsers(dest="what", required=True)
+    q = ssub.add_parser("matching", parents=[seeded])
+    q.add_argument("--n", type=int, required=True)
+    q = ssub.add_parser("regular", parents=[seeded])
+    q.add_argument("--rho", required=True, help="rational like 5/2")
+    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--mode", choices=["exact", "configuration"], default="configuration")
+    q = ssub.add_parser("coloring", parents=[seeded])
+    q.add_argument("--t", type=int, required=True)
+    q.add_argument("--s", type=int, required=True)
 
     p = sub.add_parser("experiment", help="seeded experiment drivers (JSON lines)")
     esub = p.add_subparsers(dest="what", required=True)
@@ -603,8 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_experiment_pairprob)
 
     q = esub.add_parser("coverage")
-    q.add_argument("--og", default=None)
-    q.add_argument("--graph", default=None)
+    source = q.add_mutually_exclusive_group()
+    source.add_argument("--og", default=None)
+    source.add_argument("--graph", default=None)
     q.add_argument("--parts", type=int, required=True)
     q.add_argument("--max-size", type=int, required=True)
     q.add_argument("--trials", type=int, default=20)
@@ -616,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--pattern", required=True)
     q.add_argument("--t", type=int, default=None)
     q.add_argument("--s", type=int, default=None)
-    q.add_argument("--config-n", type=int, default=None)
+    q.add_argument("--config-n", type=int, default=None, help="excludes --t and --s")
     q.add_argument("--trials", type=int, default=20)
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--emit-cert", default=None)
@@ -624,21 +594,29 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_experiment_montecarlo)
 
     p = sub.add_parser("matrix", help="binary matrix pattern operations")
-    p.add_argument("action", choices=[
-        "contains", "complement", "unavoid", "from-matching", "from-coloring",
-    ])
-    p.add_argument("--a", default=None)
-    p.add_argument("--b", default=None)
-    p.add_argument("--og", default=None)
-    p.add_argument("--col", default=None)
-    p.add_argument("--color", choices=[RED, BLUE], default=RED)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--size", type=int, default=None)
-    p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", default=None)
-    p.set_defaults(func=cmd_matrix)
+    msub = p.add_subparsers(dest="action", required=True)
+
+    q = msub.add_parser("contains")
+    q.add_argument("--a", required=True)
+    q.add_argument("--b", required=True)
+    q.set_defaults(func=cmd_matrix_contains)
+
+    q = msub.add_parser("unavoid")
+    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--size", type=int, required=True)
+    q.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
+    q.add_argument("--trials", type=int, default=1000)
+    q.add_argument("--seed", type=int, default=0)
+    q.set_defaults(func=cmd_matrix_unavoid)
+
+    for action, source in (("complement", "--a"), ("from-matching", "--og"),
+                           ("from-coloring", "--col")):
+        q = msub.add_parser(action)
+        q.add_argument(source, required=True)
+        if action == "from-coloring":
+            q.add_argument("--color", choices=[RED, BLUE], default=RED)
+        q.add_argument("-o", "--out", default=None)
+        q.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("verify", help="verify a certificate against a pattern")
     p.add_argument("--cert", required=True)
@@ -653,10 +631,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first `dispatch`."""
+    return build_parser()
+
+
 def dispatch(argv: list[str], redirect: Optional[Callable[[str], Path]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     ctx = RunContext(argv, redirect)

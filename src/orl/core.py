@@ -48,6 +48,29 @@ def pair_index(i: int, j: int, n: int) -> int:
 # graphs
 # ---------------------------------------------------------------------------
 
+def _normalized_edges(
+    n: int, edges: Iterable[tuple[int, int]], loops: bool = False
+) -> frozenset[tuple[int, int]]:
+    """The edges as pairs (a, b) with 1 <= a < b <= n (a <= b with `loops`).
+
+    Shared by the graph classes: each edge may be given in either order; a
+    self-loop (unless `loops`), an endpoint outside 1..n or a negative n is
+    a ValueError.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    norm = set()
+    for a, b in edges:
+        if a == b and not loops:
+            raise ValueError(f"self-loop at vertex {a}")
+        if a > b:
+            a, b = b, a
+        if a < 1 or b > n:
+            raise ValueError(f"edge ({a},{b}) out of range 1..{n}")
+        norm.add((a, b))
+    return frozenset(norm)
+
+
 class OrderedGraph:
     """An ordered graph on positions 1..n with a set of position-pair edges.
 
@@ -58,21 +81,10 @@ class OrderedGraph:
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        norm = set()
-        for a, b in edges:
-            if a == b:
-                raise ValueError(f"self-loop at vertex {a}")
-            if a > b:
-                a, b = b, a
-            if a < 1 or b > n:
-                raise ValueError(f"edge ({a},{b}) out of range 1..{n}")
-            norm.add((a, b))
         self.n = n
-        self.edges = frozenset(norm)
+        self.edges = _normalized_edges(n, edges)
         adj = [0] * (n + 1)
-        for a, b in norm:
+        for a, b in self.edges:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         self.adj = tuple(adj)
@@ -119,17 +131,8 @@ class LoopedOrderedGraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        norm = set()
-        for a, b in edges:
-            if a > b:
-                a, b = b, a
-            if a < 1 or b > n:
-                raise ValueError(f"edge ({a},{b}) out of range 1..{n}")
-            norm.add((a, b))
         self.n = n
-        self.edges = frozenset(norm)
+        self.edges = _normalized_edges(n, edges, loops=True)
 
     def __eq__(self, other) -> bool:
         return (
@@ -156,21 +159,10 @@ class UnorderedGraph:
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        norm = set()
-        for a, b in edges:
-            if a == b:
-                raise ValueError(f"self-loop at vertex {a}")
-            if a > b:
-                a, b = b, a
-            if a < 1 or b > n:
-                raise ValueError(f"edge ({a},{b}) out of range 1..{n}")
-            norm.add((a, b))
         self.n = n
-        self.edges = frozenset(norm)
+        self.edges = _normalized_edges(n, edges)
         adj: list[set[int]] = [set() for _ in range(n + 1)]
-        for a, b in norm:
+        for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
         self.adj = tuple(frozenset(s) for s in adj)

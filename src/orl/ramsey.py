@@ -178,6 +178,15 @@ def ordered_ramsey(pattern: OrderedGraph, N_max: Optional[int] = None) -> Ramsey
     return RamseyResult(pattern, N_max + 1, False, best_lower, None)
 
 
+def avoids(coloring: Coloring, pattern: OrderedGraph) -> bool:
+    """True iff the coloring has no monochromatic copy of the pattern in
+    either color; a pattern with more vertices than K_N is avoided vacuously."""
+    return pattern.n > coloring.n or (
+        find_monochromatic(coloring, pattern, RED) is None
+        and find_monochromatic(coloring, pattern, BLUE) is None
+    )
+
+
 def verify_certificate(cert: Certificate) -> bool:
     """Re-check a certificate from scratch.
 
@@ -186,12 +195,7 @@ def verify_certificate(cert: Certificate) -> bool:
     """
     if cert.kind == "lower":
         assert cert.coloring is not None
-        if cert.pattern.n > cert.N:
-            return True
-        return (
-            find_monochromatic(cert.coloring, cert.pattern, RED) is None
-            and find_monochromatic(cert.coloring, cert.pattern, BLUE) is None
-        )
+        return avoids(cert.coloring, cert.pattern)
     return avoiding_coloring(cert.pattern, cert.N) is None
 
 

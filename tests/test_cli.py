@@ -1,6 +1,7 @@
 """Command-line surface: round trips, exit codes, manifests, replay."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -419,11 +420,77 @@ def test_missing_option_is_a_usage_error(capsys, argv, flag):
     assert code == EXIT_USAGE and flag in err and "NoneType" not in err
 
 
+FOREIGN_OPTION_CASES = [
+    (["matrix", "contains", "--a", "{d}/a.mat", "--b", "{d}/a.mat", "--seed", "5"], "--seed"),
+    (["matrix", "contains", "--a", "{d}/a.mat", "--b", "{d}/a.mat", "-o", "{d}/x.mat"], "-o"),
+    (["embed", "altpath", "--host", "{d}/h.og", "--n", "3", "--eps", "9"], "--eps"),
+    (["sample", "matching", "--n", "3", "--seed", "1", "--mode", "exact"], "--mode"),
+    (["construct", "altpath", "3", "--bipartite"], "--bipartite"),
+    (["experiment", "montecarlo", "--pattern", "{d}/m.og", "--config-n", "4", "--t", "3",
+      "--seed", "1"], "--t"),
+    (["experiment", "coverage", "--og", "{d}/m.og", "--graph", "{d}/m.adj", "--parts", "2",
+      "--max-size", "2", "--seed", "1"], "--graph"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", FOREIGN_OPTION_CASES)
+def test_option_of_another_action_is_a_usage_error(tmp_path, capsys, argv, flag):
+    # every input exists, so only the option that this action does not read can fail
+    (tmp_path / "a.mat").write_text("mat 2 2\n11\n11\n")
+    (tmp_path / "h.og").write_text("og 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
+    (tmp_path / "m.og").write_text("og 4 2\ne 1 4\ne 2 3\n")
+    (tmp_path / "m.adj").write_text("adj 4 2\ne 1 4\ne 2 3\n")
+    code, _, err = run(capsys, *(arg.format(d=tmp_path) for arg in argv))
+    assert code == EXIT_USAGE and flag in err
+
+
+def test_manifest_records_no_seed_for_an_unseeded_action(tmp_path, capsys):
+    a = tmp_path / "a.mat"
+    a.write_text("mat 2 2\n10\n01\n")
+    out = tmp_path / "c.mat"
+    assert dispatch(["matrix", "complement", "--a", str(a), "-o", str(out)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "c.mat.manifest.json").read_text())
+    assert manifest["seed"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", "tee", "--host", "{d}/h.og", "--parts", "2,2", "--n", "2", "--eps", "1/0"],
+        ["ramsey", "count-regular", "--rho", "5/0", "--n", "4"],
+    ],
+)
+def test_zero_denominator_is_a_usage_error(tmp_path, capsys, argv):
+    (tmp_path / "h.og").write_text("og 4 0\n")
+    code, _, err = run(capsys, *(arg.format(d=tmp_path) for arg in argv))
+    assert code == EXIT_USAGE and "zero denominator" in err
+
+
+def readme_commands() -> list[str]:
+    """The code lines of README "Command line", `\\` continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```")[1::2]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.strip() and not line.startswith("#")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 26 and all(line.startswith("orl ") for line in commands)
+    parser = cli.build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+
+
 def test_unexpected_exception_is_an_internal_fault(monkeypatch, capsys):
-    def broken(args, ctx):
+    def broken(*args, **kwargs):
         raise TypeError("not an input error")
 
-    monkeypatch.setattr(cli, "cmd_matrix", broken)
+    monkeypatch.setattr(cli.patterns, "permutation_unavoidable", broken)
     code, _, err = run(capsys, "matrix", "unavoid", "--n", "1", "--size", "1")
     assert code == EXIT_INTERNAL
     assert "Traceback" in err and "TypeError: not an input error" in err

@@ -1,5 +1,7 @@
 """Core data model, formats, containment search, and interval machinery."""
 
+import re
+
 import pytest
 
 from conftest import all_graphs, brute_contains, brute_interval_chromatic
@@ -12,6 +14,7 @@ from orl.core import (
     LoopedOrderedGraph,
     OrderedGraph,
     RED,
+    UnorderedGraph,
     complete_graph,
     contains,
     edges_between,
@@ -54,6 +57,23 @@ def test_looped_graph_allows_loops():
     assert (1, 1) in r.edges
     with pytest.raises(ValueError):
         LoopedOrderedGraph(2, [(1, 3)])
+
+
+@pytest.mark.parametrize("cls", [OrderedGraph, UnorderedGraph, LoopedOrderedGraph])
+def test_graph_classes_normalize_edges_alike(cls):
+    assert cls(4, [(3, 1), (1, 3), (2, 4)]).edges == frozenset({(1, 3), (2, 4)})
+    for n, edges, message in [
+        (-1, [], "vertex count must be non-negative"),
+        (3, [(0, 2)], "edge (0,2) out of range 1..3"),
+        (3, [(4, 2)], "edge (2,4) out of range 1..3"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(n, edges)
+    if cls is LoopedOrderedGraph:
+        assert cls(3, [(2, 2)]).edges == frozenset({(2, 2)})
+    else:
+        with pytest.raises(ValueError, match="self-loop at vertex 2"):
+            cls(3, [(2, 2)])
 
 
 def test_embedding_validation_and_composition():

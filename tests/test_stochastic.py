@@ -1,12 +1,17 @@
 """Seeded models, exact probability checks, and experiment drivers."""
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 import pytest
 
 from orl.constructions import nested_matching, quadratic_lb_instance
+from orl import embedder
 from orl.core import (
+    BLUE,
+    RED,
+    Coloring,
     OrderedGraph,
     complete_graph,
     interval_chromatic_number,
@@ -334,6 +339,28 @@ def test_monte_carlo_quadratic_injection():
     assert report.trials[0].avoided
     assert report.certificate is not None
     assert verify_certificate(report.certificate)
+
+
+def test_monte_carlo_searches_each_trial_once(monkeypatch):
+    # the check that finds the certificate is the one verify runs, so an
+    # avoiding trial costs two searches, not four
+    calls = []
+    real = embedder.find_monochromatic
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orl.") and getattr(module, "find_monochromatic", None) is real:
+            monkeypatch.setattr(module, "find_monochromatic", counted)
+    red = {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}
+    pentagon = Coloring.from_function(5, lambda i, j: RED if (i, j) in red else BLUE)
+    trials = 3
+    report = monte_carlo_avoidance(complete_graph(3), 5, 1, trials, 4, inject_first=pentagon)
+    assert report.trials[0].avoided and report.certificate.coloring is pentagon
+    assert len(calls) <= 2 * trials
+    assert [color for col, _, color in calls if col is pentagon] == [RED, BLUE]
 
 
 def test_monte_carlo_matching_experiment_certificates_verify():
