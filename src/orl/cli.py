@@ -28,13 +28,12 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import orl
 from orl import constructions, embedder, patterns, ramsey, stochastic
 from orl.core import (
     BLUE,
-    FormatError,
     IntervalPartition,
     RED,
     parse_coloring,
@@ -66,10 +65,16 @@ class RunContext:
         self.outputs: list[Path] = []
         self.started = time.time()
 
-    def read_text(self, path: str) -> str:
+    def read(self, path: str, parse: Callable[[str], Any]) -> Any:
+        """`parse` of the text of the file at `path`, the one way commands read
+        files; a ValueError (a FormatError, a JSON or decoding error) is raised
+        again with the path in front: `g.og: line 2: ...`."""
         p = Path(path)
         self.inputs.append(p)
-        return p.read_text(encoding="utf-8")
+        try:
+            return parse(p.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def write_text(self, path: str, text: str) -> None:
         target = self.redirect(path) if self.redirect else Path(path)
@@ -85,10 +90,7 @@ def _sha256(path: Path) -> str:
 def write_manifest(ctx: RunContext, override: Optional[str]) -> Optional[Path]:
     if not ctx.outputs and override is None:
         return None
-    if override is not None:
-        target = Path(override)
-    else:
-        target = Path(str(ctx.outputs[0]) + ".manifest.json")
+    target = Path(override if override is not None else f"{ctx.outputs[0]}.manifest.json")
     manifest = {
         "tool": "orl",
         "version": orl.__version__,
@@ -119,6 +121,17 @@ def _parse_fraction(text: str) -> Fraction:
 def _parse_parts(text: str, n: int) -> IntervalPartition:
     sizes = tuple(int(tok) for tok in text.split(","))
     return IntervalPartition(n, sizes)
+
+
+def _fields(record, label: str, **kinds: type) -> list:
+    """The named fields of the JSON object `record`, each checked to have its
+    type in `kinds` (a bool is not an int); else a ValueError naming it."""
+    if type(record) is not dict:
+        raise ValueError(f"{label} must be a JSON object")
+    for name, kind in kinds.items():
+        if type(record.get(name)) is not kind:
+            raise ValueError(f"{label} field `{name}` must be of type {kind.__name__}")
+    return [record[name] for name in kinds]
 
 
 def _emit(ctx: RunContext, path: Optional[str], text: str) -> None:
@@ -178,7 +191,7 @@ def cmd_construct(args, ctx: RunContext) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_embed(args, ctx: RunContext) -> int:
-    host = parse_ordered_graph(ctx.read_text(args.host))
+    host = ctx.read(args.host, parse_ordered_graph)
     if args.algo == "altpath":
         emb = embedder.find_alternating_path(host, args.n)
         stage = None if emb else "no-surviving-edge"
@@ -223,7 +236,7 @@ def _emit_ramsey_certs(ctx: RunContext, outdir: str, result) -> None:
 
 
 def cmd_ramsey_exact(args, ctx: RunContext) -> int:
-    pattern = parse_ordered_graph(ctx.read_text(args.pattern))
+    pattern = ctx.read(args.pattern, parse_ordered_graph)
     nmax = args.nmax if args.nmax is not None else ramsey.default_nmax(pattern)
     result = ramsey.ordered_ramsey(pattern, nmax)
     if args.emit_cert:
@@ -233,7 +246,7 @@ def cmd_ramsey_exact(args, ctx: RunContext) -> int:
 
 
 def cmd_ramsey_minmax(args, ctx: RunContext) -> int:
-    graph = parse_unordered_graph(ctx.read_text(args.graph))
+    graph = ctx.read(args.graph, parse_unordered_graph)
     report = ramsey.min_max_ordered_ramsey(graph, args.nmax)
     for pattern, order, res in report.results:
         edges = ",".join(f"{a}-{b}" for a, b in pattern.sorted_edges())
@@ -248,28 +261,23 @@ def cmd_ramsey_minmax(args, ctx: RunContext) -> int:
     return EXIT_INCONCLUSIVE if capped else EXIT_OK
 
 
+def _upper_certificate(text: str) -> ramsey.Certificate:
+    """An upper certificate as `_emit_ramsey_certs` writes it, with its own pattern."""
+    kind, n, pattern = _fields(json.loads(text), "json certificate", kind=str, N=int, pattern=str)
+    if kind != "upper":
+        raise ValueError("json certificate field `kind` must be 'upper'")
+    return ramsey.Certificate("upper", parse_ordered_graph(pattern), n)
+
+
 def cmd_verify(args, ctx: RunContext) -> int:
-    pattern = parse_ordered_graph(ctx.read_text(args.pattern))
-    cert_path = Path(args.cert)
-    if cert_path.suffix == ".json":
-        payload = json.loads(ctx.read_text(args.cert))
-        if not isinstance(payload, dict):
-            raise ValueError("json certificates must be a JSON object")
-        if payload.get("kind") != "upper":
-            raise ValueError("json certificates must have kind 'upper'")
-        if type(payload.get("N")) is not int:
-            raise ValueError("json certificate field `N` must be an integer")
-        if not isinstance(payload.get("pattern"), str):
-            raise ValueError("json certificate field `pattern` must be a string")
-        stored = parse_ordered_graph(payload["pattern"])
-        if stored != pattern:
-            print("false")
-            return EXIT_INCONCLUSIVE
-        cert = ramsey.Certificate("upper", pattern, payload["N"])
+    pattern = ctx.read(args.pattern, parse_ordered_graph)
+    if Path(args.cert).suffix == ".json":
+        cert = ctx.read(args.cert, _upper_certificate)
     else:
-        coloring = parse_coloring(ctx.read_text(args.cert))
+        coloring = ctx.read(args.cert, parse_coloring)
         cert = ramsey.Certificate("lower", pattern, coloring.n, coloring=coloring)
-    ok = ramsey.verify_certificate(cert)
+    # an upper certificate for another pattern is false without a search
+    ok = cert.pattern == pattern and ramsey.verify_certificate(cert)
     print("true" if ok else "false")
     return EXIT_OK if ok else EXIT_INCONCLUSIVE
 
@@ -346,9 +354,9 @@ def cmd_experiment_pairprob(args, ctx: RunContext) -> int:
 
 def cmd_experiment_coverage(args, ctx: RunContext) -> int:
     if args.og:
-        graph = parse_ordered_graph(ctx.read_text(args.og))
+        graph = ctx.read(args.og, parse_ordered_graph)
     elif args.graph:
-        graph = parse_unordered_graph(ctx.read_text(args.graph))
+        graph = ctx.read(args.graph, parse_unordered_graph)
     else:
         raise ValueError("`experiment coverage` requires --og or --graph")
     trials = stochastic.coverage_experiment(
@@ -383,7 +391,7 @@ def cmd_experiment_montecarlo(args, ctx: RunContext) -> int:
         raise ValueError("either --config-n or both --t and --s are required")
     else:
         t, s = args.t, args.s
-    pattern = parse_ordered_graph(ctx.read_text(args.pattern))
+    pattern = ctx.read(args.pattern, parse_ordered_graph)
     report = stochastic.monte_carlo_avoidance(pattern, t, s, args.trials, args.seed)
     cert_path = None
     if report.certificate is not None and args.emit_cert:
@@ -415,16 +423,21 @@ def cmd_experiment_montecarlo(args, ctx: RunContext) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_matrix_contains(args, ctx: RunContext) -> int:
-    a = patterns.parse_matrix(ctx.read_text(args.a))
-    b = patterns.parse_matrix(ctx.read_text(args.b))
+    a = ctx.read(args.a, patterns.parse_matrix)
+    b = ctx.read(args.b, patterns.parse_matrix)
     ok = patterns.pattern_contained(a, b)
     print("true" if ok else "false")
     return EXIT_OK if ok else EXIT_INCONCLUSIVE
 
 
 def cmd_matrix_unavoid(args, ctx: RunContext) -> int:
+    if args.mode == "sample" and args.seed is None:
+        raise ValueError("`matrix unavoid --mode sample` requires --seed")
+    if args.mode == "exhaustive" and (args.trials is not None or args.seed is not None):
+        raise ValueError("--trials and --seed need `--mode sample`")
     report = patterns.permutation_unavoidable(
-        args.n, args.size, mode=args.mode, trials=args.trials, seed=args.seed
+        args.n, args.size, mode=args.mode,
+        trials=1000 if args.trials is None else args.trials, seed=args.seed or 0,
     )
     if report.holds:
         print("true" if report.exhaustive else "true (sampled)")
@@ -438,11 +451,11 @@ def cmd_matrix_unavoid(args, ctx: RunContext) -> int:
 def cmd_matrix(args, ctx: RunContext) -> int:
     """`complement`, `from-matching` and `from-coloring`: one matrix out."""
     if args.action == "complement":
-        matrix = patterns.complement(patterns.parse_matrix(ctx.read_text(args.a)))
+        matrix = patterns.complement(ctx.read(args.a, patterns.parse_matrix))
     elif args.action == "from-matching":
-        matrix = patterns.matching_matrix(parse_ordered_graph(ctx.read_text(args.og)))
+        matrix = patterns.matching_matrix(ctx.read(args.og, parse_ordered_graph))
     else:
-        coloring = parse_coloring(ctx.read_text(args.col))
+        coloring = ctx.read(args.col, parse_coloring)
         matrix = patterns.coloring_matrix(coloring, args.color)
     _emit(ctx, args.out, patterns.serialize_matrix(matrix))
     return EXIT_OK
@@ -452,9 +465,23 @@ def cmd_matrix(args, ctx: RunContext) -> int:
 # replay
 # ---------------------------------------------------------------------------
 
+def _replay_manifest(text: str) -> tuple[list[str], dict[str, str]]:
+    """The recorded argv and output digests of a run manifest; the argv must
+    parse and must not be a replay, so a replay never runs itself."""
+    argv, outputs = _fields(json.loads(text), "manifest", argv=list, outputs=list)
+    if not all(type(arg) is str for arg in argv):
+        raise ValueError("manifest field `argv` must be a list of strings")
+    try:
+        command = _parser().parse_args(argv).command
+    except SystemExit:
+        raise ValueError("manifest field `argv` is not an orl command line") from None
+    if command == "replay":
+        raise ValueError("manifest field `argv` must not be a replay")
+    return argv, dict(_fields(out, "manifest output", path=str, sha256=str) for out in outputs)
+
+
 def cmd_replay(args, ctx: RunContext) -> int:
-    manifest = json.loads(ctx.read_text(args.manifest))
-    recorded = {entry["path"]: entry["sha256"] for entry in manifest["outputs"]}
+    argv, recorded = ctx.read(args.manifest, _replay_manifest)
     parents = [os.path.dirname(os.path.abspath(path)) for path in recorded]
     base = Path(os.path.commonpath(parents)) if parents else None
     outdir = Path(args.outdir)
@@ -466,20 +493,17 @@ def cmd_replay(args, ctx: RunContext) -> int:
             raise ValueError(f"replay: {path} is not under the recorded outputs' directory")
         return outdir / absolute.relative_to(base)
 
-    code = dispatch(manifest["argv"], redirect=replayed)
+    code = dispatch(argv, redirect=replayed)
     if code not in (EXIT_OK, EXIT_INCONCLUSIVE):
         print(f"replay: command exited with {code}")
         return EXIT_INTERNAL
-    mismatches = []
+    mismatches = 0
     for original, digest in recorded.items():
         found = replayed(original)
-        if not found.is_file():
-            mismatches.append((original, "missing"))
-        elif _sha256(found) != digest:
-            mismatches.append((original, found))
+        if not found.is_file() or _sha256(found) != digest:
+            print(f"MISMATCH {original} -> {found if found.is_file() else 'missing'}")
+            mismatches += 1
     if mismatches:
-        for original, where in mismatches:
-            print(f"MISMATCH {original} -> {where}")
         return EXIT_INTERNAL
     print(f"replayed {len(recorded)} output(s) byte-identically")
     return EXIT_OK
@@ -605,8 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--size", type=int, required=True)
     q.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
-    q.add_argument("--trials", type=int, default=1000)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--trials", type=int, default=None, help="sample mode only (default 1000)")
+    q.add_argument("--seed", type=int, default=None, help="sample mode only, and required there")
     q.set_defaults(func=cmd_matrix_unavoid)
 
     for action, source in (("complement", "--a"), ("from-matching", "--og"),
@@ -643,11 +667,10 @@ def dispatch(argv: list[str], redirect: Optional[Callable[[str], Path]] = None) 
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     ctx = RunContext(argv, redirect)
-    if getattr(args, "seed", None) is not None:
-        ctx.seed = args.seed
+    ctx.seed = getattr(args, "seed", None)
     try:
         code = args.func(args, ctx)
-    except (FormatError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -16,6 +16,7 @@ from orl.core import (
     OrderedGraph,
     RED,
     UnorderedGraph,
+    content_lines,
 )
 
 
@@ -472,15 +473,16 @@ def serialize_blocks(b: BlockedOrderedGraph) -> str:
 
 
 def parse_blocks(text: str, graph: OrderedGraph) -> BlockedOrderedGraph:
-    """Parse the sidecar emitted by serialize_blocks against its graph."""
-    line = text.strip()
-    if not line:
+    """Parse the one-line sidecar emitted by serialize_blocks against its graph."""
+    lines = content_lines(text)
+    if not lines:
         raise FormatError(1, "empty blocks line")
-    sections = [s.strip() for s in line.split("/")]
-    head = sections[0].split()
-    if head[0] != "blocks":
+    if len(lines) > 1:
+        raise FormatError(lines[1][0], "expected a single `blocks` line")
+    sections = [s.split() for s in lines[0][1].split("/")]
+    if sections[0][:1] != ["blocks"]:
         raise FormatError(1, "expected `blocks ...`")
-    head = head[1:]
+    head = sections[0][1:]
     start = 1
     if head[:1] == ["at"]:
         try:
@@ -496,17 +498,14 @@ def parse_blocks(text: str, graph: OrderedGraph) -> BlockedOrderedGraph:
     for s in sizes:
         blocks.append(tuple(range(start, start + s)))
         start += s
-    inner = outer = None
-    for section in sections[1:]:
-        parts = section.split()
+    markers = {}
+    for parts in sections[1:]:
         if len(parts) != 3 or parts[0] not in ("inner", "outer"):
             raise FormatError(1, "expected `inner i j` or `outer i j`")
         try:
-            edge = (int(parts[1]), int(parts[2]))
+            markers[parts[0]] = (int(parts[1]), int(parts[2]))
         except ValueError:
             raise FormatError(1, "marker endpoints must be integers") from None
-        if parts[0] == "inner":
-            inner = edge
-        else:
-            outer = edge
-    return BlockedOrderedGraph(graph, tuple(blocks), inner_edge=inner, outer_edge=outer)
+    return BlockedOrderedGraph(
+        graph, tuple(blocks), inner_edge=markers.get("inner"), outer_edge=markers.get("outer")
+    )

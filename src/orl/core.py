@@ -218,10 +218,6 @@ class Embedding:
         """The composite embedding: apply self, then `outer` to the result."""
         return Embedding(self.pattern_n, tuple(outer(v) for v in self.image))
 
-    @classmethod
-    def identity(cls, n: int) -> "Embedding":
-        return cls(n, tuple(range(1, n + 1)))
-
 
 def embedding_maps_edges(pattern: OrderedGraph, host: OrderedGraph, emb: Embedding) -> bool:
     """True iff `emb` sends every pattern edge to a host edge."""
@@ -348,12 +344,32 @@ class Coloring:
 # text formats
 # ---------------------------------------------------------------------------
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    return [
-        (no, line.strip())
-        for no, line in enumerate(text.split("\n"), start=1)
-        if line.strip()
-    ]
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each line that is not blank."""
+    lines = enumerate(text.split("\n"), start=1)
+    return [(no, stripped) for no, line in lines if (stripped := line.strip())]
+
+
+def parse_line_format(
+    text: str, tag: str, fields: tuple[str, ...], least: int, too_small: str
+) -> tuple[list[int], list[tuple[int, str]]]:
+    """The shared skeleton of the `og`, `adj`, `col` and `mat` readers: the
+    header `<tag> <field>...` holds an integer of at least `least` per field
+    (else `too_small`).  Returns them and all `content_lines`, header first."""
+    lines = content_lines(text)
+    if not lines:
+        raise FormatError(1, f"missing `{tag}` header")
+    no, head = lines[0][0], lines[0][1].split()
+    usage = f"expected header `{' '.join((tag, *fields))}`"
+    if len(head) != len(fields) + 1 or head[0] != tag:
+        raise FormatError(no, usage)
+    try:
+        values = [int(tok) for tok in head[1:]]
+    except ValueError:
+        raise FormatError(no, usage) from None
+    if min(values) < least:
+        raise FormatError(no, too_small)
+    return values, lines
 
 
 def _parse_edge_list(text: str, header: str) -> tuple[int, set[tuple[int, int]]]:
@@ -362,24 +378,11 @@ def _parse_edge_list(text: str, header: str) -> tuple[int, set[tuple[int, int]]]
     Returns (n, edges) with each edge as (i, j), i < j; a self-loop, an
     out-of-range endpoint or a duplicate edge is a FormatError at its line.
     """
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError(1, f"missing `{header}` header")
-    no, head = lines[0]
-    parts = head.split()
-    if len(parts) != 3 or parts[0] != header:
-        raise FormatError(no, f"expected header `{header} <n> <m>`")
-    try:
-        n, m = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise FormatError(no, f"expected header `{header} <n> <m>`") from None
-    if n < 0 or m < 0:
-        raise FormatError(no, "vertex and edge counts must be non-negative")
+    (n, m), lines = parse_line_format(
+        text, header, ("<n>", "<m>"), 0, "vertex and edge counts must be non-negative"
+    )
     if len(lines) - 1 != m:
-        raise FormatError(
-            lines[-1][0] if len(lines) > 1 else no,
-            f"expected {m} edge lines, found {len(lines) - 1}",
-        )
+        raise FormatError(lines[-1][0], f"expected {m} edge lines, found {len(lines) - 1}")
     edges = set()
     for no, line in lines[1:]:
         parts = line.split()
@@ -428,19 +431,7 @@ def parse_coloring(text: str) -> Coloring:
 
     Any line order is accepted; the coloring must be total.
     """
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError(1, "missing `col` header")
-    no, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2 or parts[0] != "col":
-        raise FormatError(no, "expected header `col <N>`")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise FormatError(no, "expected header `col <N>`") from None
-    if n < 0:
-        raise FormatError(no, "vertex count must be non-negative")
+    (n,), lines = parse_line_format(text, "col", ("<N>",), 0, "vertex count must be non-negative")
     colors: list[Optional[str]] = [None] * pair_count(n)
     for no, line in lines[1:]:
         parts = line.split()

@@ -60,10 +60,6 @@ class TriangleStats:
         return self.triangle[0], self.triangle[1]
 
     @property
-    def right_leg(self) -> tuple[int, int]:
-        return self.triangle[1], self.triangle[2]
-
-    @property
     def right_leg_length(self) -> int:
         return self.triangle[2] - self.triangle[1]
 

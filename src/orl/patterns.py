@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
-from orl.core import Coloring, FormatError, OrderedGraph, RED, _content_lines
+from orl.core import Coloring, FormatError, OrderedGraph, RED, parse_line_format
 from orl.rng import Xoshiro256StarStar
 
 
@@ -54,19 +54,9 @@ def complement(a: BinaryMatrix) -> BinaryMatrix:
 
 def parse_matrix(text: str) -> BinaryMatrix:
     """Parse the `mat` format: header `mat <rows> <cols>`, then 0/1 row strings."""
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError(1, "missing `mat` header")
-    no, head = lines[0]
-    parts = head.split()
-    if len(parts) != 3 or parts[0] != "mat":
-        raise FormatError(no, "expected header `mat <rows> <cols>`")
-    try:
-        rows, cols = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise FormatError(no, "expected header `mat <rows> <cols>`") from None
-    if rows < 1 or cols < 1:
-        raise FormatError(no, "dimensions must be at least 1x1")
+    (rows, cols), lines = parse_line_format(
+        text, "mat", ("<rows>", "<cols>"), 1, "dimensions must be at least 1x1"
+    )
     if len(lines) - 1 != rows:
         raise FormatError(lines[-1][0], f"expected {rows} row lines")
     grid = []

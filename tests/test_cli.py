@@ -396,6 +396,61 @@ def test_usage_errors(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+K3 = "og 3 3\ne 1 2\ne 1 3\ne 2 3\n"
+
+MALFORMED_FILE_CASES = [
+    # (argv with {f} the malformed file, its text, the message after the path)
+    (["embed", "altpath", "--host", "{f}", "--n", "2"], "og 2 1\ne 2 2\n",
+     "line 2: self-loop at vertex 2"),
+    (["ramsey", "minmax", "--graph", "{f}", "--nmax", "5"], "adj 3 1\ne 1 4\n",
+     "line 2: endpoint out of range 1..3"),
+    (["verify", "--cert", "{f}.col", "--pattern", "{d}/k3.og"], "col 2\nc 1 2 G\n",
+     "line 2: color must be R or B"),
+    (["matrix", "contains", "--a", "{f}", "--b", "{d}/one.mat"], "mat 2 2\n01\n\n1\n",
+     "line 4: expected a row of 2 0/1 characters"),
+    (["verify", "--cert", "{f}.json", "--pattern", "{d}/k3.og"], '{"kind": "upper",\n"N": }',
+     "Expecting value: line 2 column 6 (char 23)"),
+    (["verify", "--cert", "{f}.json", "--pattern", "{d}/k3.og"],
+     '{"kind": "upper", "N": 6, "pattern": "og 3 1\\ne 1 1\\n"}',
+     "line 2: self-loop at vertex 1"),
+]
+
+
+@pytest.mark.parametrize("argv, text, message", MALFORMED_FILE_CASES)
+def test_malformed_file_error_names_the_path(tmp_path, capsys, argv, text, message):
+    (tmp_path / "k3.og").write_text(K3)
+    (tmp_path / "one.mat").write_text("mat 1 1\n1\n")
+    argv = [arg.format(f=tmp_path / "bad", d=tmp_path) for arg in argv]
+    bad = next(arg for arg in argv if "bad" in arg)
+    Path(bad).write_text(text)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "manifest, field",
+    [
+        ({}, "`argv`"),
+        ([1], "manifest must be a JSON object"),
+        ({"argv": ["construct", 3], "outputs": []}, "`argv`"),
+        ({"argv": ["construct", "altpath", "3", "--seed", "1"], "outputs": []}, "`argv`"),
+        ({"argv": ["construct", "altpath", "3"]}, "`outputs`"),
+        ({"argv": ["construct", "altpath", "3"], "outputs": [1]}, "manifest output"),
+        ({"argv": ["construct", "altpath", "3"], "outputs": [{"path": "p.og"}]}, "`sha256`"),
+        ({"argv": ["replay", "{m}", "--outdir", "{d}"], "outputs": []}, "`argv`"),
+        ({"argv": ["--manifest", "{d}/x.json", "replay", "{m}", "--outdir", "{d}"],
+          "outputs": []}, "`argv`"),
+    ],
+)
+def test_replay_rejects_a_malformed_manifest(tmp_path, capsys, manifest, field):
+    path = tmp_path / "m.json"
+    text = json.dumps(manifest).replace("{m}", str(path)).replace("{d}", str(tmp_path / "r"))
+    path.write_text(text)
+    code, _, err = run(capsys, "replay", str(path), "--outdir", str(tmp_path / "r"))
+    assert code == EXIT_USAGE and f"{path}: " in err and field in err
+    assert "RecursionError" not in err and "internal error" not in err
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -413,6 +468,7 @@ def test_usage_errors(tmp_path, capsys):
         (["sample", "coloring", "--t", "2", "--seed", "1"], "--s"),
         (["experiment", "coverage", "--parts", "2", "--max-size", "2", "--seed", "1"],
          "--og or --graph"),
+        (["matrix", "unavoid", "--n", "2", "--size", "3", "--mode", "sample"], "--seed"),
     ],
 )
 def test_missing_option_is_a_usage_error(capsys, argv, flag):
@@ -430,6 +486,8 @@ FOREIGN_OPTION_CASES = [
       "--seed", "1"], "--t"),
     (["experiment", "coverage", "--og", "{d}/m.og", "--graph", "{d}/m.adj", "--parts", "2",
       "--max-size", "2", "--seed", "1"], "--graph"),
+    (["matrix", "unavoid", "--n", "1", "--size", "1", "--trials", "5"], "--trials"),
+    (["matrix", "unavoid", "--n", "1", "--size", "1", "--seed", "3"], "--seed"),
 ]
 
 
@@ -451,6 +509,13 @@ def test_manifest_records_no_seed_for_an_unseeded_action(tmp_path, capsys):
     assert dispatch(["matrix", "complement", "--a", str(a), "-o", str(out)]) == EXIT_OK
     manifest = json.loads((tmp_path / "c.mat.manifest.json").read_text())
     assert manifest["seed"] is None
+    # the exhaustive scan reads no seed; the sampled one records its seed
+    m = tmp_path / "u.json"
+    assert dispatch(["--manifest", str(m), "matrix", "unavoid", "--n", "1", "--size", "1"]) == EXIT_OK
+    assert json.loads(m.read_text())["seed"] is None
+    assert dispatch(["--manifest", str(m), "matrix", "unavoid", "--n", "1", "--size", "1",
+                     "--mode", "sample", "--trials", "2", "--seed", "3"]) == EXIT_INCONCLUSIVE
+    assert json.loads(m.read_text())["seed"] == 3
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,188 @@
+"""Golden table of the line-format readers on malformed and edge-case input.
+
+Each row is (format, text, outcome): the exception's type name, message and
+`.line` (None for an exception without one), or ("ok", canonical
+re-serialization, None) for text that parses.  The rows were recorded
+before the readers shared `orl.core.parse_line_format`, and every reader
+must keep them, except the last two `.blocks` rows: there the old reader
+raised IndexError for `/ inner 1 2` and, for `blocks\nblocks 2`, merged
+the two lines into `line 1: block sizes must be integers`.
+"""
+
+import pytest
+
+from orl.constructions import parse_blocks, serialize_blocks
+from orl.core import (
+    OrderedGraph,
+    parse_coloring,
+    parse_ordered_graph,
+    parse_unordered_graph,
+    serialize_coloring,
+    serialize_ordered_graph,
+    serialize_unordered_graph,
+)
+from orl.patterns import parse_matrix, serialize_matrix
+
+BLOCKS_GRAPH = OrderedGraph(6, [(1, 2), (2, 3), (4, 6)])
+
+READERS = {
+    "og": (parse_ordered_graph, serialize_ordered_graph),
+    "adj": (parse_unordered_graph, serialize_unordered_graph),
+    "col": (parse_coloring, serialize_coloring),
+    "mat": (parse_matrix, serialize_matrix),
+    "blocks": (lambda text: parse_blocks(text, BLOCKS_GRAPH), serialize_blocks),
+}
+
+GOLDEN = [
+    ('og', '', ('FormatError', 'line 1: missing `og` header', 1)),
+    ('og', '\n\n  \n\t\n', ('FormatError', 'line 1: missing `og` header', 1)),
+    ('og', 'og', ('FormatError', 'line 1: expected header `og <n> <m>`', 1)),
+    ('og', 'og 3', ('FormatError', 'line 1: expected header `og <n> <m>`', 1)),
+    ('og', 'og 3 1 2', ('FormatError', 'line 1: expected header `og <n> <m>`', 1)),
+    ('og', 'adj 3 0', ('FormatError', 'line 1: expected header `og <n> <m>`', 1)),
+    ('og', 'OG 3 0', ('FormatError', 'line 1: expected header `og <n> <m>`', 1)),
+    ('og', 'og x 0', ('FormatError', 'line 1: expected header `og <n> <m>`', 1)),
+    ('og', 'og 3 y', ('FormatError', 'line 1: expected header `og <n> <m>`', 1)),
+    ('og', 'og 3.0 0', ('FormatError', 'line 1: expected header `og <n> <m>`', 1)),
+    ('og', 'og -1 0', ('FormatError', 'line 1: vertex and edge counts must be non-negative', 1)),
+    ('og', 'og 3 -1', ('FormatError', 'line 1: vertex and edge counts must be non-negative', 1)),
+    ('og', 'og 0 0', ('ok', 'og 0 0\n', None)),
+    ('og', 'og 3 0\n', ('ok', 'og 3 0\n', None)),
+    ('og', 'og 03 +1\ne 1 2\n', ('ok', 'og 3 1\ne 1 2\n', None)),
+    ('og', 'og\t3\t1\ne\t1\t2', ('ok', 'og 3 1\ne 1 2\n', None)),
+    ('og', 'og\xa03 0', ('ok', 'og 3 0\n', None)),
+    ('og', 'og 3 0\x0c\n', ('ok', 'og 3 0\n', None)),
+    ('og', 'e 1 2\nog 2 1', ('FormatError', 'line 1: expected header `og <n> <m>`', 1)),
+    ('og', 'og 3 1', ('FormatError', 'line 1: expected 1 edge lines, found 0', 1)),
+    ('og', 'og 3 2\ne 1 2', ('FormatError', 'line 2: expected 2 edge lines, found 1', 2)),
+    ('og', 'og 3 0\ne 1 2', ('FormatError', 'line 2: expected 0 edge lines, found 1', 2)),
+    ('og', 'og 3 1\ne 1 2\ne 2 3', ('FormatError', 'line 3: expected 1 edge lines, found 2', 3)),
+    ('og', 'og 3 2\ne 1 2\n\n\n', ('FormatError', 'line 2: expected 2 edge lines, found 1', 2)),
+    ('og', 'og 3 1\ne 1 1', ('FormatError', 'line 2: self-loop at vertex 1', 2)),
+    ('og', 'og 5 3\ne 1 2\ne 3 3\ne 4 5', ('FormatError', 'line 3: self-loop at vertex 3', 3)),
+    ('og', 'og 3 1\ne 0 1', ('FormatError', 'line 2: endpoint out of range 1..3', 2)),
+    ('og', 'og 3 1\ne 1 4', ('FormatError', 'line 2: endpoint out of range 1..3', 2)),
+    ('og', 'og 3 1\ne -1 2', ('FormatError', 'line 2: endpoint out of range 1..3', 2)),
+    ('og', 'og 3 1\ne 1 -2', ('FormatError', 'line 2: endpoint out of range 1..3', 2)),
+    ('og', 'og 3 1\ne 1_0 2', ('FormatError', 'line 2: endpoint out of range 1..3', 2)),
+    ('og', 'og 3 2\ne 1 2\ne 2 1', ('FormatError', 'line 3: duplicate edge (1,2)', 3)),
+    ('og', 'og 3 2\ne 1 2\ne 1 2', ('FormatError', 'line 3: duplicate edge (1,2)', 3)),
+    ('og', 'og 3 1\ne 1', ('FormatError', 'line 2: expected edge line `e <i> <j>`', 2)),
+    ('og', 'og 3 1\ne 1 2 3', ('FormatError', 'line 2: expected edge line `e <i> <j>`', 2)),
+    ('og', 'og 3 1\nf 1 2', ('FormatError', 'line 2: expected edge line `e <i> <j>`', 2)),
+    ('og', 'og 3 1\nE 1 2', ('FormatError', 'line 2: expected edge line `e <i> <j>`', 2)),
+    ('og', 'og 3 1\ne a 2', ('FormatError', 'line 2: expected edge line `e <i> <j>`', 2)),
+    ('og', 'og 3 1\ne 2 1', ('ok', 'og 3 1\ne 1 2\n', None)),
+    ('og', '\n  og 3 2\n\n   e 1 2  \n\n\te 2 3\n', ('ok', 'og 3 2\ne 1 2\ne 2 3\n', None)),
+    ('og', 'og 3 1\r\ne 1 3\r\n', ('ok', 'og 3 1\ne 1 3\n', None)),
+    ('og', 'og 4 3\ne 3 4\ne 1 2\ne 2 4\n', ('ok', 'og 4 3\ne 1 2\ne 2 4\ne 3 4\n', None)),
+    ('adj', '', ('FormatError', 'line 1: missing `adj` header', 1)),
+    ('adj', 'og 3 0', ('FormatError', 'line 1: expected header `adj <n> <m>`', 1)),
+    ('adj', 'adj 3', ('FormatError', 'line 1: expected header `adj <n> <m>`', 1)),
+    ('adj', 'adj -2 0', ('FormatError', 'line 1: vertex and edge counts must be non-negative', 1)),
+    ('adj', 'adj 3 1\ne 2 2', ('FormatError', 'line 2: self-loop at vertex 2', 2)),
+    ('adj', 'adj 2 1\ne 1 3', ('FormatError', 'line 2: endpoint out of range 1..2', 2)),
+    ('adj', 'adj 3 2\ne 1 2\ne 2 1', ('FormatError', 'line 3: duplicate edge (1,2)', 3)),
+    ('adj', 'adj 3 2\ne 1 2', ('FormatError', 'line 2: expected 2 edge lines, found 1', 2)),
+    ('adj', 'adj 3 1\ne 2 1\n', ('ok', 'adj 3 1\ne 1 2\n', None)),
+    ('adj', ' adj 4 2 \n\ne 1 4\n  e 2 3\n', ('ok', 'adj 4 2\ne 1 4\ne 2 3\n', None)),
+    ('col', '', ('FormatError', 'line 1: missing `col` header', 1)),
+    ('col', 'col', ('FormatError', 'line 1: expected header `col <N>`', 1)),
+    ('col', 'col 3 3', ('FormatError', 'line 1: expected header `col <N>`', 1)),
+    ('col', 'mat 3', ('FormatError', 'line 1: expected header `col <N>`', 1)),
+    ('col', 'col x', ('FormatError', 'line 1: expected header `col <N>`', 1)),
+    ('col', 'col -1', ('FormatError', 'line 1: vertex count must be non-negative', 1)),
+    ('col', 'col 0', ('ok', 'col 0\n', None)),
+    ('col', 'col 1', ('ok', 'col 1\n', None)),
+    ('col', 'col 2', ('FormatError', 'line 1: coloring is not total: 1 pairs missing', 1)),
+    ('col', 'col 3\nc 1 2 R\nc 1 3 B', ('FormatError', 'line 3: coloring is not total: 1 pairs missing', 3)),
+    ('col', 'col 3\nc 1 2 R\nc 1 3 B\n\n', ('FormatError', 'line 3: coloring is not total: 1 pairs missing', 3)),
+    ('col', 'col 2\nc 1 2 R', ('ok', 'col 2\nc 1 2 R\n', None)),
+    ('col', 'col 2\nc 2 1 B', ('ok', 'col 2\nc 1 2 B\n', None)),
+    ('col', 'col 2\nc 1 2 G', ('FormatError', 'line 2: color must be R or B', 2)),
+    ('col', 'col 2\nc 1 2 r', ('FormatError', 'line 2: color must be R or B', 2)),
+    ('col', 'col 2\nc 1 2 RB', ('FormatError', 'line 2: color must be R or B', 2)),
+    ('col', 'col 2\nc 1 1 R', ('FormatError', 'line 2: pair out of range for K_2', 2)),
+    ('col', 'col 2\nc 1 3 R', ('FormatError', 'line 2: pair out of range for K_2', 2)),
+    ('col', 'col 2\nc 0 1 R', ('FormatError', 'line 2: pair out of range for K_2', 2)),
+    ('col', 'col 2\nc 1 5 G', ('FormatError', 'line 2: pair out of range for K_2', 2)),
+    ('col', 'col 2\nc 1 2 R\nc 1 2 B', ('FormatError', 'line 3: duplicate pair (1,2)', 3)),
+    ('col', 'col 2\nc 1 2 R\nc 2 1 R', ('FormatError', 'line 3: duplicate pair (1,2)', 3)),
+    ('col', 'col 2\nc 1 2', ('FormatError', 'line 2: expected color line `c <i> <j> <R|B>`', 2)),
+    ('col', 'col 2\nc 1 2 R B', ('FormatError', 'line 2: expected color line `c <i> <j> <R|B>`', 2)),
+    ('col', 'col 2\nd 1 2 R', ('FormatError', 'line 2: expected color line `c <i> <j> <R|B>`', 2)),
+    ('col', 'col 2\nc a 2 R', ('FormatError', 'line 2: expected color line `c <i> <j> <R|B>`', 2)),
+    ('col', 'col 3\nc 1 2 X\nc 1 2 R', ('FormatError', 'line 2: color must be R or B', 2)),
+    ('col', '\n col 2 \n\n\tc 1 2 R\n', ('ok', 'col 2\nc 1 2 R\n', None)),
+    ('col', 'col 3\nc 2 3 R\nc 1 3 B\nc 1 2 R\n', ('ok', 'col 3\nc 1 2 R\nc 1 3 B\nc 2 3 R\n', None)),
+    ('mat', '', ('FormatError', 'line 1: missing `mat` header', 1)),
+    ('mat', 'mat', ('FormatError', 'line 1: expected header `mat <rows> <cols>`', 1)),
+    ('mat', 'mat 2', ('FormatError', 'line 1: expected header `mat <rows> <cols>`', 1)),
+    ('mat', 'mat 2 2 2', ('FormatError', 'line 1: expected header `mat <rows> <cols>`', 1)),
+    ('mat', 'col 2 2', ('FormatError', 'line 1: expected header `mat <rows> <cols>`', 1)),
+    ('mat', 'mat a 2', ('FormatError', 'line 1: expected header `mat <rows> <cols>`', 1)),
+    ('mat', 'mat 0 2', ('FormatError', 'line 1: dimensions must be at least 1x1', 1)),
+    ('mat', 'mat 2 0', ('FormatError', 'line 1: dimensions must be at least 1x1', 1)),
+    ('mat', 'mat -1 2', ('FormatError', 'line 1: dimensions must be at least 1x1', 1)),
+    ('mat', 'mat 1 1', ('FormatError', 'line 1: expected 1 row lines', 1)),
+    ('mat', 'mat 2 2\n01', ('FormatError', 'line 2: expected 2 row lines', 2)),
+    ('mat', 'mat 1 2\n01\n10', ('FormatError', 'line 3: expected 1 row lines', 3)),
+    ('mat', 'mat 1 1\n1', ('ok', 'mat 1 1\n1\n', None)),
+    ('mat', 'mat 2 2\n01\n12', ('FormatError', 'line 3: expected a row of 2 0/1 characters', 3)),
+    ('mat', 'mat 2 2\n01\n1', ('FormatError', 'line 3: expected a row of 2 0/1 characters', 3)),
+    ('mat', 'mat 2 2\n01\n100', ('FormatError', 'line 3: expected a row of 2 0/1 characters', 3)),
+    ('mat', 'mat 2 3\n0 1\n101', ('FormatError', 'line 2: expected a row of 3 0/1 characters', 2)),
+    ('mat', 'mat 2 2\n0 1\n10', ('FormatError', 'line 2: expected a row of 2 0/1 characters', 2)),
+    ('mat', 'mat 1 3\n0x1', ('FormatError', 'line 2: expected a row of 3 0/1 characters', 2)),
+    ('mat', 'mat 2 2\n 01 \n\n10\n', ('ok', 'mat 2 2\n01\n10\n', None)),
+    ('mat', 'mat 2 2\n01\r\n10\r\n', ('ok', 'mat 2 2\n01\n10\n', None)),
+    ('blocks', '', ('FormatError', 'line 1: empty blocks line', 1)),
+    ('blocks', '\n \n', ('FormatError', 'line 1: empty blocks line', 1)),
+    ('blocks', 'blocks', ('ok', 'blocks\n', None)),
+    ('blocks', 'blocks 2 2\n', ('ok', 'blocks 2 2\n', None)),
+    ('blocks', '  blocks at 3 2 2  \n', ('ok', 'blocks at 3 2 2\n', None)),
+    ('blocks', 'blocks at 1 2', ('ok', 'blocks 2\n', None)),
+    ('blocks', 'blocks at', ('FormatError', 'line 1: expected `at <start>`', 1)),
+    ('blocks', 'blocks at x 2', ('FormatError', 'line 1: expected `at <start>`', 1)),
+    ('blocks', 'blocks x', ('FormatError', 'line 1: block sizes must be integers', 1)),
+    ('blocks', 'blocks 2 x', ('FormatError', 'line 1: block sizes must be integers', 1)),
+    ('blocks', 'block 2', ('FormatError', 'line 1: expected `blocks ...`', 1)),
+    ('blocks', '\n\nblocks x', ('FormatError', 'line 1: block sizes must be integers', 1)),
+    ('blocks', 'blocks 0', ('ValueError', 'blocks must be non-empty', None)),
+    ('blocks', 'blocks -1', ('ValueError', 'blocks must be non-empty', None)),
+    ('blocks', 'blocks 7', ('ValueError', 'block exceeds the vertex range', None)),
+    ('blocks', 'blocks at 0 2', ('ValueError', 'blocks must be disjoint and left to right', None)),
+    ('blocks', 'blocks 2 / inner 1 2', ('ok', 'blocks 2 / inner 1 2\n', None)),
+    ('blocks', 'blocks 2 / inner 2 1 / outer 4 6', ('ok', 'blocks 2 / inner 2 1 / outer 4 6\n', None)),
+    ('blocks', 'blocks/inner 1 2', ('ok', 'blocks / inner 1 2\n', None)),
+    ('blocks', 'blocks 2 / inner 1', ('FormatError', 'line 1: expected `inner i j` or `outer i j`', 1)),
+    ('blocks', 'blocks 2 / middle 1 2', ('FormatError', 'line 1: expected `inner i j` or `outer i j`', 1)),
+    ('blocks', 'blocks 2 / inner a 2', ('FormatError', 'line 1: marker endpoints must be integers', 1)),
+    ('blocks', 'blocks 2 / inner 1 3', ('ValueError', 'marker (1, 3) is not an edge', None)),
+    ('blocks', 'blocks 2 /', ('FormatError', 'line 1: expected `inner i j` or `outer i j`', 1)),
+    ('blocks', 'blocks 2 // inner 1 2', ('FormatError', 'line 1: expected `inner i j` or `outer i j`', 1)),
+    # fixed: see the module docstring
+    ('blocks', '/ inner 1 2', ('FormatError', 'line 1: expected `blocks ...`', 1)),
+    ('blocks', 'blocks\nblocks 2', ('FormatError', 'line 2: expected a single `blocks` line', 2)),
+]
+
+
+def outcome(fmt, text):
+    parse, serialize = READERS[fmt]
+    try:
+        obj = parse(text)
+    except Exception as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return "ok", serialize(obj), None
+
+
+@pytest.mark.parametrize("fmt, text, expected", GOLDEN)
+def test_reader_golden(fmt, text, expected):
+    assert outcome(fmt, text) == expected
+
+
+def test_blocks_sidecar_is_one_line():
+    # a marker section on its own line was once merged into the first line
+    assert outcome("blocks", "blocks 2 /\ninner 1 2") == (
+        "FormatError", "line 2: expected a single `blocks` line", 2
+    )
