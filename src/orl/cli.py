@@ -237,8 +237,7 @@ def _emit_ramsey_certs(ctx: RunContext, outdir: str, result) -> None:
 
 def cmd_ramsey_exact(args, ctx: RunContext) -> int:
     pattern = ctx.read(args.pattern, parse_ordered_graph)
-    nmax = args.nmax if args.nmax is not None else ramsey.default_nmax(pattern)
-    result = ramsey.ordered_ramsey(pattern, nmax)
+    result = ramsey.ordered_ramsey(pattern, args.nmax)
     if args.emit_cert:
         _emit_ramsey_certs(ctx, args.emit_cert, result)
     print(result.describe())
@@ -324,6 +323,8 @@ def _report_lines(args, ctx: RunContext, lines: list[dict]) -> None:
 
 def cmd_experiment_pairprob(args, ctx: RunContext) -> int:
     n = args.n
+    if n < 2:
+        raise ValueError("--n must be at least 2")
     lines = []
     for k in range(args.trials):
         gen = stochastic.stream_for_trial(args.seed, k)
@@ -353,6 +354,8 @@ def cmd_experiment_pairprob(args, ctx: RunContext) -> int:
 
 
 def cmd_experiment_coverage(args, ctx: RunContext) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     if args.og:
         graph = ctx.read(args.og, parse_ordered_graph)
     elif args.graph:

@@ -479,21 +479,22 @@ def parse_blocks(text: str, graph: OrderedGraph) -> BlockedOrderedGraph:
         raise FormatError(1, "empty blocks line")
     if len(lines) > 1:
         raise FormatError(lines[1][0], "expected a single `blocks` line")
-    sections = [s.split() for s in lines[0][1].split("/")]
+    no, line = lines[0]
+    sections = [s.split() for s in line.split("/")]
     if sections[0][:1] != ["blocks"]:
-        raise FormatError(1, "expected `blocks ...`")
+        raise FormatError(no, "expected `blocks ...`")
     head = sections[0][1:]
     start = 1
     if head[:1] == ["at"]:
         try:
             start = int(head[1])
         except (IndexError, ValueError):
-            raise FormatError(1, "expected `at <start>`") from None
+            raise FormatError(no, "expected `at <start>`") from None
         head = head[2:]
     try:
         sizes = [int(tok) for tok in head]
     except ValueError:
-        raise FormatError(1, "block sizes must be integers") from None
+        raise FormatError(no, "block sizes must be integers") from None
     blocks = []
     for s in sizes:
         blocks.append(tuple(range(start, start + s)))
@@ -501,11 +502,11 @@ def parse_blocks(text: str, graph: OrderedGraph) -> BlockedOrderedGraph:
     markers = {}
     for parts in sections[1:]:
         if len(parts) != 3 or parts[0] not in ("inner", "outer"):
-            raise FormatError(1, "expected `inner i j` or `outer i j`")
+            raise FormatError(no, "expected `inner i j` or `outer i j`")
         try:
             markers[parts[0]] = (int(parts[1]), int(parts[2]))
         except ValueError:
-            raise FormatError(1, "marker endpoints must be integers") from None
+            raise FormatError(no, "marker endpoints must be integers") from None
     return BlockedOrderedGraph(
         graph, tuple(blocks), inner_edge=markers.get("inner"), outer_edge=markers.get("outer")
     )

@@ -1,9 +1,9 @@
 """Witness-extraction algorithms for dense ordered hosts.
 
-Each find_* operation runs the constructive procedure behind the
-corresponding density statement and re-verifies any witness before
-returning it; None always means the procedure (not just luck) failed,
-and the pipeline variants report which stage gave out.
+Each find_* operation and pipeline runs the constructive procedure behind
+the corresponding density statement and re-verifies any witness before
+returning it; None always means the procedure (not just luck) failed, and
+a pipeline's `failed_stage` says which stage gave out.
 """
 
 from __future__ import annotations
@@ -34,71 +34,41 @@ class WitnessError(AssertionError):
     """An internally constructed witness failed re-verification."""
 
 
-@dataclass(frozen=True)
-class RemovalTrace:
-    """Edges removed per step of the alternating-path process.
-
-    steps[k] maps a center vertex to the neighbor it lost in step k+1; odd
-    steps remove each center's leftmost neighbor, even steps the rightmost,
-    all computed against the graph state at the start of the step.
-    """
-
-    steps: tuple[dict[int, int], ...]
-
-    def removed_neighbor(self, step: int, center: int) -> Optional[int]:
-        return self.steps[step - 1].get(center)
-
-
-@dataclass(frozen=True)
-class TriangleStats:
-    """A host triangle u < v < w with its legs."""
-
-    triangle: tuple[int, int, int]
-
-    @property
-    def left_leg(self) -> tuple[int, int]:
-        return self.triangle[0], self.triangle[1]
-
-    @property
-    def right_leg_length(self) -> int:
-        return self.triangle[2] - self.triangle[1]
-
-
 # ---------------------------------------------------------------------------
 # alternating paths
 # ---------------------------------------------------------------------------
 
 def _run_removal_process(
     host: OrderedGraph, steps: Optional[int]
-) -> tuple[set[tuple[int, int]], RemovalTrace]:
-    """Run `steps` simultaneous removal rounds, or with `steps=None` until no
-    edge survives; returns survivors and the trace (one entry per round)."""
-    alive = {tuple(sorted(e)) for e in host.edges}
-    left = [dict() for _ in range(host.n + 1)]  # left[v]: u < v adjacency
-    right = [dict() for _ in range(host.n + 1)]
-    for a, b in alive:
-        left[b][a] = True
-        right[a][b] = True
-    trace: list[dict[int, int]] = []
-    step = 0
-    while alive if steps is None else step < steps:
-        step += 1
+) -> tuple[set[tuple[int, int]], tuple[dict[int, int], ...]]:
+    """Run `steps` simultaneous removal rounds on a copy of `host.adj`, or
+    with `steps=None` until no edge survives.  Odd rounds remove each
+    centre's leftmost neighbour (lowest set bit below it), even rounds its
+    rightmost (highest set bit above it), all picked from the graph as the
+    round began; a centre is the upper end of its removed edge in odd rounds
+    and the lower end in even ones, so no edge goes twice.  Returns the
+    surviving edges and one {centre: lost neighbour} dict per round."""
+    adj = list(host.adj)
+    alive = len(host.edges)
+    rounds: list[dict[int, int]] = []
+    while alive if steps is None else len(rounds) < steps:
         removals: dict[int, int] = {}
-        if step % 2 == 1:
+        if len(rounds) % 2 == 0:
             for v in range(1, host.n + 1):
-                if left[v]:
-                    removals[v] = min(left[v])
+                below = adj[v] & ((1 << v) - 1)
+                if below:
+                    removals[v] = (below & -below).bit_length() - 1
         else:
             for v in range(1, host.n + 1):
-                if right[v]:
-                    removals[v] = max(right[v])
+                above = adj[v] >> (v + 1)
+                if above:
+                    removals[v] = v + above.bit_length()
         for center, u in removals.items():
-            a, b = (u, center) if u < center else (center, u)
-            alive.discard((a, b))
-            left[b].pop(a, None)
-            right[a].pop(b, None)
-        trace.append(removals)
-    return alive, RemovalTrace(tuple(trace))
+            adj[center] ^= 1 << u
+            adj[u] ^= 1 << center
+        alive -= len(removals)
+        rounds.append(removals)
+    return {(a, b) for a, b in host.edges if (adj[a] >> b) & 1}, tuple(rounds)
 
 
 def longest_alternating_path_length(host: OrderedGraph) -> int:
@@ -108,7 +78,7 @@ def longest_alternating_path_length(host: OrderedGraph) -> int:
     """
     if host.n == 0:
         return 0
-    rounds = len(_run_removal_process(host, None)[1].steps)
+    rounds = len(_run_removal_process(host, None)[1])
     # the process emptied the graph after `rounds` rounds, so an edge survived
     # rounds-1 rounds and supports a path on rounds+1 vertices
     return rounds + 1
@@ -141,7 +111,7 @@ def find_alternating_path(host: OrderedGraph, n: int) -> Optional[Embedding]:
     path_vertex[n] = v_n
     path_vertex[n - 1] = v_prev
     for i in range(n - 2, 0, -1):
-        u = trace.removed_neighbor(i, path_vertex[i + 1])
+        u = trace[i - 1].get(path_vertex[i + 1])
         if u is None:
             raise WitnessError(
                 f"no removal recorded in step {i} for center {path_vertex[i + 1]}"
@@ -186,9 +156,7 @@ def largest_nested_matching(g: OrderedGraph) -> list[tuple[int, int]]:
         pairs = nested_matching_pairs(path)
     m = len(pairs) + 1
     while 2 * m <= g.n and m <= g.m:
-        emb = search_embedding(
-            2 * m, nested_matching(m).edges, g.n, g.adj
-        )
+        emb = search_embedding(2 * m, nested_matching(m).edges, g.n, g.adj)
         if emb is None:
             break
         pairs = [(emb[i - 1], emb[2 * m - i]) for i in range(1, m + 1)]
@@ -256,16 +224,12 @@ def blowup_pipeline(
     if not found:
         return BlowupSearchResult(None, "bipartite-cliques", 0, 0)
 
-    best_type = min(
-        classes, key=lambda key: (-len(classes[key]), key)
-    )
+    best_type = min(classes, key=lambda key: (-len(classes[key]), key))
     class_edges = classes[best_type]
     reduced = OrderedGraph(t, class_edges)
     path = find_alternating_path(reduced, n)
     if path is None:
-        return BlowupSearchResult(
-            None, "alternating-path", found, len(class_edges)
-        )
+        return BlowupSearchResult(None, "alternating-path", found, len(class_edges))
 
     # expand: the first ceil(n/2) pattern blocks are left classes of their
     # path edges, the rest right classes
@@ -283,12 +247,6 @@ def blowup_pipeline(
     if not is_block_respecting(emb, pattern.blocks, parts):
         raise WitnessError("expanded blow-up witness does not respect the partition")
     return BlowupSearchResult(emb, None, found, len(class_edges))
-
-
-def find_blowup_path(
-    host: OrderedGraph, parts: IntervalPartition, n: int, k: int
-) -> Optional[Embedding]:
-    return blowup_pipeline(host, parts, n, k).embedding
 
 
 def is_block_respecting(
@@ -321,13 +279,14 @@ def count_triangles(host: OrderedGraph) -> int:
     return total
 
 
-def enumerate_triangles(host: OrderedGraph) -> list[TriangleStats]:
+def enumerate_triangles(host: OrderedGraph) -> list[tuple[int, int, int]]:
+    """Every triangle u < v < w of the host, in lexicographic order."""
     out = []
     for a, b in sorted(host.edges):
         common = host.adj[a] & host.adj[b]
         for w in range(b + 1, host.n + 1):
             if (common >> w) & 1:
-                out.append(TriangleStats((a, b, w)))
+                out.append((a, b, w))
     return out
 
 
@@ -366,24 +325,24 @@ def tee_pipeline(
     if not triangles:
         return TeeSearchResult(None, "triangles")
 
-    long_legged = [t for t in triangles if t.right_leg_length >= epsilon * big_n / 2]
+    long_legged = [t for t in triangles if t[2] - t[1] >= epsilon * big_n / 2]
     if not long_legged:
         return TeeSearchResult(None, "long-right-legs")
 
     # split index j: triangles with two vertices <= j and the apex beyond
     best_j, best_tj = 0, -1
     for j in range(2, big_n):
-        tj = sum(1 for t in long_legged if t.triangle[1] <= j < t.triangle[2])
+        tj = sum(1 for t in long_legged if t[1] <= j < t[2])
         if tj > best_tj:
             best_j, best_tj = j, tj
     if best_tj <= 0:
         return TeeSearchResult(None, "split-index")
     j = best_j
-    t_j = [t for t in long_legged if t.triangle[1] <= j < t.triangle[2]]
+    t_j = [t for t in long_legged if t[1] <= j < t[2]]
 
     support: dict[tuple[int, int], int] = {}
-    for t in t_j:
-        support[t.left_leg] = support.get(t.left_leg, 0) + 1
+    for u, v, _ in t_j:
+        support[u, v] = support.get((u, v), 0) + 1
     threshold = epsilon * epsilon * big_n / 4
     legs = sorted(leg for leg, cnt in support.items() if cnt >= threshold)
     if not legs:
@@ -453,16 +412,6 @@ def tee_pipeline(
     if not is_block_respecting(emb, pattern.blocks, parts):
         raise WitnessError("assembled tee witness does not respect the partition")
     return TeeSearchResult(emb, None)
-
-
-def find_tee(
-    host: OrderedGraph,
-    parts: IntervalPartition,
-    n: int,
-    k: int,
-    epsilon: Fraction,
-) -> Optional[Embedding]:
-    return tee_pipeline(host, parts, n, k, epsilon).embedding
 
 
 # ---------------------------------------------------------------------------

@@ -145,11 +145,6 @@ class RamseyResult:
         return str(self.value) if self.exact else f">= {self.value}"
 
 
-def default_nmax(pattern: OrderedGraph) -> int:
-    """Cap from the classical exponential bound; callers usually pass less."""
-    return 2 ** (2 * pattern.n)
-
-
 def ordered_ramsey(pattern: OrderedGraph, N_max: Optional[int] = None) -> RamseyResult:
     """Smallest N <= N_max such that no coloring of K_N avoids the pattern.
 
@@ -157,8 +152,8 @@ def ordered_ramsey(pattern: OrderedGraph, N_max: Optional[int] = None) -> Ramsey
     result at N_max + 1 when every size up to the cap still admits an
     avoiding coloring.
     """
-    if N_max is None:
-        N_max = default_nmax(pattern)
+    if N_max is None:  # the classical exponential bound; callers usually pass less
+        N_max = 2 ** (2 * pattern.n)
     if N_max < pattern.n:
         raise ValueError("N_max must be at least the pattern size")
     best_lower: Optional[Certificate] = None
@@ -255,6 +250,9 @@ def min_max_ordered_ramsey(g: UnorderedGraph, N_max: int) -> MinMaxReport:
 # ---------------------------------------------------------------------------
 # almost-regular graph counting
 # ---------------------------------------------------------------------------
+
+EXACT_COUNT_LIMIT = 10  # largest n that count_rho_regular enumerates
+
 
 def rho_regular_degree_data(rho: Fraction, n: int) -> tuple[int, int, int]:
     """(d, surplus, edge count) for rho-regular graphs on n vertices.
@@ -359,22 +357,26 @@ def regular_count_formula(rho: Fraction, n: int) -> float:
     return numerator / denominator / math.exp(d * d)
 
 
-def count_rho_regular(rho: Fraction, n: int, exact_limit: int = 10) -> RegularCountReport:
-    """Exact count of rho-regular graphs on [n] plus the formula estimate.
-
-    Enumerates over the choice of degree-(d+1) vertices and counts labeled
-    graphs per degree sequence; exactness is required, speed is not.
-    """
-    rho = Fraction(rho)
-    if n > exact_limit:
-        raise ValueError(f"exact enumeration is limited to n <= {exact_limit}")
+def _rho_regular_degree_sequences(rho: Fraction, n: int) -> Iterator[tuple[int, ...]]:
+    """The degree sequence of each choice of the degree-(d+1) vertices."""
     d, surplus, _ = rho_regular_degree_data(rho, n)
-    total = 0
     for subset in combinations(range(n), surplus):
         degrees = [d] * n
         for v in subset:
             degrees[v] = d + 1
-        total += count_labeled_graphs_with_degrees(tuple(degrees))
+        yield tuple(degrees)
+
+
+def count_rho_regular(rho: Fraction, n: int) -> RegularCountReport:
+    """Exact count of rho-regular graphs on [n] plus the formula estimate.
+
+    Sums the labeled graphs of each degree sequence; exactness is required,
+    speed is not.
+    """
+    rho = Fraction(rho)
+    if n > EXACT_COUNT_LIMIT:
+        raise ValueError(f"exact enumeration is limited to n <= {EXACT_COUNT_LIMIT}")
+    total = sum(map(count_labeled_graphs_with_degrees, _rho_regular_degree_sequences(rho, n)))
     formula = regular_count_formula(rho, n) if rho >= 2 else None
     return RegularCountReport(rho, n, total, formula)
 
@@ -416,11 +418,4 @@ def enumerate_rho_regular(rho: Fraction, n: int) -> list[frozenset]:
     rho = Fraction(rho)
     if n > 8:
         raise ValueError("exhaustive listing is limited to n <= 8")
-    d, surplus, _ = rho_regular_degree_data(rho, n)
-    out: list[frozenset] = []
-    for subset in combinations(range(n), surplus):
-        degrees = [d] * n
-        for v in subset:
-            degrees[v] = d + 1
-        out.extend(graphs_with_degrees(tuple(degrees)))
-    return out
+    return [g for seq in _rho_regular_degree_sequences(rho, n) for g in graphs_with_degrees(seq)]

@@ -60,6 +60,39 @@ def brute_triangles(g: OrderedGraph) -> int:
     )
 
 
+def brute_removal_process(host: OrderedGraph, steps):
+    """The alternating-path removal process on an edge set and per-vertex
+    left/right neighbour dicts: `steps` rounds, or until no edge survives
+    with `steps=None`.  Returns the surviving edges and one
+    {centre: lost neighbour} dict per round."""
+    alive = {tuple(sorted(e)) for e in host.edges}
+    left = [dict() for _ in range(host.n + 1)]  # left[v]: u < v adjacency
+    right = [dict() for _ in range(host.n + 1)]
+    for a, b in alive:
+        left[b][a] = True
+        right[a][b] = True
+    trace = []
+    step = 0
+    while alive if steps is None else step < steps:
+        step += 1
+        removals = {}
+        if step % 2 == 1:
+            for v in range(1, host.n + 1):
+                if left[v]:
+                    removals[v] = min(left[v])
+        else:
+            for v in range(1, host.n + 1):
+                if right[v]:
+                    removals[v] = max(right[v])
+        for center, u in removals.items():
+            a, b = (u, center) if u < center else (center, u)
+            alive.discard((a, b))
+            left[b].pop(a, None)
+            right[a].pop(b, None)
+        trace.append(removals)
+    return alive, tuple(trace)
+
+
 def all_graphs(n: int):
     """Every ordered graph on n vertices (2^C(n,2) of them)."""
     pairs = list(pair_iter(n))

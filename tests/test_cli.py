@@ -476,6 +476,22 @@ def test_missing_option_is_a_usage_error(capsys, argv, flag):
     assert code == EXIT_USAGE and flag in err and "NoneType" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["experiment", "pairprob", "--n", "1", "--seed", "1"], "--n"),
+        (["experiment", "pairprob", "--n", "0", "--seed", "1"], "--n"),
+        (["experiment", "coverage", "--og", "{d}/k3.og", "--parts", "2", "--max-size", "2",
+          "--seed", "1", "--trials", "0"], "--trials"),
+    ],
+)
+def test_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv, flag):
+    (tmp_path / "k3.og").write_text("og 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    code, _, err = run(capsys, *(a.replace("{d}", str(tmp_path)) for a in argv))
+    assert code == EXIT_USAGE and flag in err
+    assert "Traceback" not in err and "internal error" not in err
+
+
 FOREIGN_OPTION_CASES = [
     (["matrix", "contains", "--a", "{d}/a.mat", "--b", "{d}/a.mat", "--seed", "5"], "--seed"),
     (["matrix", "contains", "--a", "{d}/a.mat", "--b", "{d}/a.mat", "-o", "{d}/x.mat"], "-o"),

@@ -1,11 +1,12 @@
 """Witness extraction: alternating paths, blow-ups, tees, monochromatic copies."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import brute_monochromatic_exists, brute_triangles
+from conftest import brute_monochromatic_exists, brute_removal_process, brute_triangles
 from orl.constructions import (
     alternating_cycle,
     alternating_path,
@@ -30,9 +31,7 @@ from orl.embedder import (
     blowup_pipeline,
     count_triangles,
     find_alternating_path,
-    find_blowup_path,
     find_monochromatic,
-    find_tee,
     is_block_respecting,
     largest_nested_matching,
     longest_alternating_path_length,
@@ -54,11 +53,20 @@ def test_removal_process_manual_trace():
     # K_4: the first (odd) step strips every leftmost-neighbor edge {1, v}
     survivors, trace = _run_removal_process(complete_graph(4), 1)
     assert survivors == {(2, 3), (2, 4), (3, 4)}
-    assert trace.steps[0] == {2: 1, 3: 1, 4: 1}
+    assert trace[0] == {2: 1, 3: 1, 4: 1}
     # the second (even) step strips every rightmost-neighbor edge {v, 4}
     survivors2, trace2 = _run_removal_process(complete_graph(4), 2)
     assert survivors2 == {(2, 3)}
-    assert trace2.steps[1] == {2: 4, 3: 4}
+    assert trace2[1] == {2: 4, 3: 4}
+
+
+@pytest.mark.parametrize("steps", [None, 0, 1, 2, 3, 4, 5])
+def test_removal_process_matches_brute_force(steps):
+    gen = random.Random(160605628)
+    for _ in range(1000):
+        n, density = gen.randint(0, 14), gen.random()
+        g = OrderedGraph(n, [e for e in pair_iter(n) if gen.random() < density])
+        assert _run_removal_process(g, steps) == brute_removal_process(g, steps), (g.edges, steps)
 
 
 def test_find_alternating_path_k4():
@@ -123,7 +131,7 @@ def test_largest_nested_matching(rng):
 def test_blowup_identity_host():
     b = blowup_path(3, 2)
     parts = IntervalPartition.equal(3, 2)
-    emb = find_blowup_path(b.graph, parts, 3, 2)
+    emb = blowup_pipeline(b.graph, parts, 3, 2).embedding
     assert emb is not None and emb.image == tuple(range(1, 7))
 
 
@@ -138,11 +146,13 @@ def test_blowup_complete_host():
 
 def test_blowup_empty_host_and_validation():
     parts = IntervalPartition.equal(6, 2)
-    assert find_blowup_path(OrderedGraph(12), parts, 3, 2) is None
+    assert blowup_pipeline(OrderedGraph(12), parts, 3, 2).embedding is None
     with pytest.raises(ValueError):
-        find_blowup_path(complete_graph(12), IntervalPartition(12, (4, 4, 2, 2)), 3, 2)
+        blowup_pipeline(complete_graph(12), IntervalPartition(12, (4, 4, 2, 2)), 3, 2).embedding
     # equal intervals of a different size are a legal search space
-    assert find_blowup_path(complete_graph(12), IntervalPartition.equal(3, 4), 3, 2) is not None
+    assert blowup_pipeline(
+        complete_graph(12), IntervalPartition.equal(3, 4), 3, 2
+    ).embedding is not None
 
 
 def test_blowup_witnesses_on_random_dense_hosts(rng):
@@ -181,7 +191,7 @@ def test_count_triangles_matches_brute_force(rng):
 
 def test_tee_complete_host():
     parts = IntervalPartition.equal(9, 2)
-    emb = find_tee(complete_graph(18), parts, 2, 1, Fraction(1, 8))
+    emb = tee_pipeline(complete_graph(18), parts, 2, 1, Fraction(1, 8)).embedding
     assert emb is not None
     pattern = tee_graph(2, 1)
     assert embedding_maps_edges(pattern.graph, complete_graph(18), emb)
@@ -198,17 +208,17 @@ def test_tee_triangle_free_host():
 def test_tee_verbatim_host():
     f = eff_graph(3, 2)
     parts = IntervalPartition.equal(6, 2)
-    emb = find_tee(f.graph, parts, 3, 2, Fraction(1, 8))
+    emb = tee_pipeline(f.graph, parts, 3, 2, Fraction(1, 8)).embedding
     assert emb is not None and emb.image == tuple(range(1, 13))
 
 
 def test_tee_validation():
     with pytest.raises(ValueError):
-        find_tee(complete_graph(6), IntervalPartition(6, (4, 2)), 1, 1, Fraction(1, 8))
+        tee_pipeline(complete_graph(6), IntervalPartition(6, (4, 2)), 1, 1, Fraction(1, 8)).embedding
     with pytest.raises(ValueError):
-        find_tee(complete_graph(6), IntervalPartition.equal(3, 2), 1, 1, Fraction(3, 2))
+        tee_pipeline(complete_graph(6), IntervalPartition.equal(3, 2), 1, 1, Fraction(3, 2)).embedding
     with pytest.raises(ValueError):
-        find_tee(complete_graph(6), IntervalPartition.equal(3, 2), 1, 1, Fraction(0))
+        tee_pipeline(complete_graph(6), IntervalPartition.equal(3, 2), 1, 1, Fraction(0)).embedding
 
 
 def test_tee_witnesses_verify_on_random_dense_hosts(rng):

@@ -4,9 +4,11 @@ Each row is (format, text, outcome): the exception's type name, message and
 `.line` (None for an exception without one), or ("ok", canonical
 re-serialization, None) for text that parses.  The rows were recorded
 before the readers shared `orl.core.parse_line_format`, and every reader
-must keep them, except the last two `.blocks` rows: there the old reader
-raised IndexError for `/ inner 1 2` and, for `blocks\nblocks 2`, merged
-the two lines into `line 1: block sizes must be integers`.
+must keep them, except the `.blocks` rows marked fixed: there the old reader
+raised IndexError for `/ inner 1 2`, for `blocks\nblocks 2` merged the two
+lines into `line 1: block sizes must be integers`, and reported an error
+after blank lines (`\n\nblocks x`) at line 1 instead of the line it is on.
+The last three rows were added with that fix.
 """
 
 import pytest
@@ -147,7 +149,7 @@ GOLDEN = [
     ('blocks', 'blocks x', ('FormatError', 'line 1: block sizes must be integers', 1)),
     ('blocks', 'blocks 2 x', ('FormatError', 'line 1: block sizes must be integers', 1)),
     ('blocks', 'block 2', ('FormatError', 'line 1: expected `blocks ...`', 1)),
-    ('blocks', '\n\nblocks x', ('FormatError', 'line 1: block sizes must be integers', 1)),
+    ('blocks', '\n\nblocks x', ('FormatError', 'line 3: block sizes must be integers', 3)),  # fixed
     ('blocks', 'blocks 0', ('ValueError', 'blocks must be non-empty', None)),
     ('blocks', 'blocks -1', ('ValueError', 'blocks must be non-empty', None)),
     ('blocks', 'blocks 7', ('ValueError', 'block exceeds the vertex range', None)),
@@ -164,6 +166,9 @@ GOLDEN = [
     # fixed: see the module docstring
     ('blocks', '/ inner 1 2', ('FormatError', 'line 1: expected `blocks ...`', 1)),
     ('blocks', 'blocks\nblocks 2', ('FormatError', 'line 2: expected a single `blocks` line', 2)),
+    ('blocks', '\n  \nblock 2', ('FormatError', 'line 3: expected `blocks ...`', 3)),
+    ('blocks', '\nblocks 2 / middle 1 2\n', ('FormatError', 'line 2: expected `inner i j` or `outer i j`', 2)),
+    ('blocks', '\n\n\nblocks 2 / inner a 2', ('FormatError', 'line 4: marker endpoints must be integers', 4)),
 ]
 
 
