@@ -6,13 +6,11 @@ from orl.core import (
     Embedding,
     FormatError,
     IntervalPartition,
-    LoopedOrderedGraph,
     OrderedGraph,
     RED,
     UnorderedGraph,
     complete_graph,
     contains,
-    edges_between,
     interval_chromatic_number,
     parse_coloring,
     parse_ordered_graph,

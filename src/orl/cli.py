@@ -119,8 +119,22 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_parts(text: str, n: int) -> IntervalPartition:
-    sizes = tuple(int(tok) for tok in text.split(","))
-    return IntervalPartition(n, sizes)
+    """The `--parts` interval sizes; a ValueError names the option."""
+    try:
+        return IntervalPartition(n, tuple(int(tok) for tok in text.split(",")))
+    except ValueError as exc:
+        raise ValueError(f"--parts {text}: {exc}") from None
+
+
+def _count(text: str) -> int:
+    """The argparse type of a count option: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _fields(record, label: str, **kinds: type) -> list:
@@ -354,8 +368,6 @@ def cmd_experiment_pairprob(args, ctx: RunContext) -> int:
 
 
 def cmd_experiment_coverage(args, ctx: RunContext) -> int:
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
     if args.og:
         graph = ctx.read(args.og, parse_ordered_graph)
     elif args.graph:
@@ -386,10 +398,7 @@ def cmd_experiment_montecarlo(args, ctx: RunContext) -> int:
     if args.config_n is not None:
         if args.t is not None or args.s is not None:
             raise ValueError("--config-n is not allowed with --t or --s")
-        cfg = stochastic.ExperimentConfig.for_matching(
-            args.config_n, args.trials, args.seed
-        )
-        t, s = cfg.blowup_shape()
+        t, s = stochastic.matching_blowup_shape(args.config_n)
     elif args.t is None or args.s is None:
         raise ValueError("either --config-n or both --t and --s are required")
     else:
@@ -593,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = esub.add_parser("pairprob")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--trials", type=int, default=20)
+    q.add_argument("--trials", type=_count, default=20)
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--report", default=None)
     q.set_defaults(func=cmd_experiment_pairprob)
@@ -602,9 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
     source = q.add_mutually_exclusive_group()
     source.add_argument("--og", default=None)
     source.add_argument("--graph", default=None)
-    q.add_argument("--parts", type=int, required=True)
-    q.add_argument("--max-size", type=int, required=True)
-    q.add_argument("--trials", type=int, default=20)
+    q.add_argument("--parts", type=_count, required=True)
+    q.add_argument("--max-size", type=_count, required=True)
+    q.add_argument("--trials", type=_count, default=20)
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--report", default=None)
     q.set_defaults(func=cmd_experiment_coverage)
@@ -614,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--t", type=int, default=None)
     q.add_argument("--s", type=int, default=None)
     q.add_argument("--config-n", type=int, default=None, help="excludes --t and --s")
-    q.add_argument("--trials", type=int, default=20)
+    q.add_argument("--trials", type=_count, default=20)
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--emit-cert", default=None)
     q.add_argument("--report", default=None)
@@ -632,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--size", type=int, required=True)
     q.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
-    q.add_argument("--trials", type=int, default=None, help="sample mode only (default 1000)")
+    q.add_argument("--trials", type=_count, default=None, help="sample mode only (default 1000)")
     q.add_argument("--seed", type=int, default=None, help="sample mode only, and required there")
     q.set_defaults(func=cmd_matrix_unavoid)
 

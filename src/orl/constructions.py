@@ -390,32 +390,6 @@ def _alternating_cycle_walk(m: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# greedy proper-coloring ordering
-# ---------------------------------------------------------------------------
-
-def order_by_proper_coloring(g: UnorderedGraph, max_degree: int) -> OrderedGraph:
-    """Order a bounded-degree graph by greedy color classes placed as intervals.
-
-    The greedy proper coloring uses at most max_degree + 1 colors, so the
-    resulting ordering has interval chromatic number at most max_degree + 1.
-    """
-    if g.max_degree() > max_degree:
-        raise ValueError(
-            f"graph has maximum degree {g.max_degree()} > {max_degree}"
-        )
-    color: dict[int, int] = {}
-    for v in range(1, g.n + 1):
-        used = {color[u] for u in g.adj[v] if u in color}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-    by_class = sorted(range(1, g.n + 1), key=lambda v: (color[v], v))
-    position = {v: p for p, v in enumerate(by_class, start=1)}
-    return OrderedGraph(g.n, [(position[a], position[b]) for a, b in g.edges])
-
-
-# ---------------------------------------------------------------------------
 # the quadratic lower-bound instance
 # ---------------------------------------------------------------------------
 

@@ -48,20 +48,17 @@ def pair_index(i: int, j: int, n: int) -> int:
 # graphs
 # ---------------------------------------------------------------------------
 
-def _normalized_edges(
-    n: int, edges: Iterable[tuple[int, int]], loops: bool = False
-) -> frozenset[tuple[int, int]]:
-    """The edges as pairs (a, b) with 1 <= a < b <= n (a <= b with `loops`).
+def _normalized_edges(n: int, edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    """The edges as pairs (a, b) with 1 <= a < b <= n.
 
     Shared by the graph classes: each edge may be given in either order; a
-    self-loop (unless `loops`), an endpoint outside 1..n or a negative n is
-    a ValueError.
+    self-loop, an endpoint outside 1..n or a negative n is a ValueError.
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     norm = set()
     for a, b in edges:
-        if a == b and not loops:
+        if a == b:
             raise ValueError(f"self-loop at vertex {a}")
         if a > b:
             a, b = b, a
@@ -123,34 +120,6 @@ class OrderedGraph:
 def complete_graph(n: int) -> OrderedGraph:
     """The ordered complete graph on n positions."""
     return OrderedGraph(n, pair_iter(n))
-
-
-class LoopedOrderedGraph:
-    """An ordered graph that additionally allows loops: edges {i, j} with i <= j."""
-
-    __slots__ = ("n", "edges")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        self.n = n
-        self.edges = _normalized_edges(n, edges, loops=True)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LoopedOrderedGraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash(("looped", self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"LoopedOrderedGraph(n={self.n}, m={len(self.edges)})"
-
-
-def complete_with_loops(n: int) -> LoopedOrderedGraph:
-    edges = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    return LoopedOrderedGraph(n, edges)
 
 
 class UnorderedGraph:
@@ -659,25 +628,8 @@ def contains(host: OrderedGraph, pattern: OrderedGraph) -> Optional[Embedding]:
 
 
 # ---------------------------------------------------------------------------
-# edge counting and interval chromatic number
+# interval chromatic number
 # ---------------------------------------------------------------------------
-
-def edges_between(g: OrderedGraph | UnorderedGraph, a: Iterable[int], b: Iterable[int]) -> int:
-    """Number of edges with one endpoint in `a` and one in `b`.
-
-    With a == b this is the edge count of the induced subgraph; overlapping
-    sets count each qualifying edge once.
-    """
-    sa, sb = set(a), set(b)
-    for v in sa | sb:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    return sum(
-        1
-        for u, v in g.edges
-        if (u in sa and v in sb) or (u in sb and v in sa)
-    )
-
 
 def interval_chromatic_number(g: OrderedGraph) -> int:
     """Minimum number of intervals partitioning 1..n with no internal edge.

@@ -13,14 +13,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Optional
 
-from orl.core import (
-    BLUE,
-    Coloring,
-    OrderedGraph,
-    RED,
-    UnorderedGraph,
-    complete_with_loops,
-)
+from orl.core import BLUE, Coloring, OrderedGraph, RED, UnorderedGraph
 from orl.ramsey import (
     Certificate,
     avoids,
@@ -88,23 +81,22 @@ def sample_rho_regular(
 
 
 def blown_up_random_coloring(t: int, s: int, seed: int) -> Coloring:
-    """Color the complete looped order on t interval indices uniformly, then
-    expand to the complete order on s*t positions: an edge inherits the color
-    of its interval-index pair, loops covering the within-interval pairs."""
+    """Color each pair a <= b of t interval indices uniformly, loops (a, a)
+    included, then expand to the complete order on s*t positions: an edge
+    inherits the color of its interval-index pair, loops covering the
+    within-interval pairs."""
     if t < 1 or s < 1:
         raise ValueError("t and s must be positive")
     gen = Xoshiro256StarStar(seed)
-    base = complete_with_loops(t)
-    loop_color: dict[tuple[int, int], str] = {}
-    for pair in sorted(base.edges):  # lexicographic draw order is contractual
-        loop_color[pair] = RED if gen.next_bit() else BLUE
-
-    def interval_of(v: int) -> int:
-        return (v - 1) // s + 1
+    # lexicographic draw order is contractual
+    pair_color = {
+        (a, b): RED if gen.next_bit() else BLUE
+        for a in range(1, t + 1)
+        for b in range(a, t + 1)
+    }
 
     def color(i: int, j: int) -> str:
-        a, b = interval_of(i), interval_of(j)
-        return loop_color[(a, b) if a <= b else (b, a)]
+        return pair_color[((i - 1) // s + 1, (j - 1) // s + 1)]
 
     return Coloring.from_function(s * t, color)
 
@@ -200,71 +192,6 @@ def pair_coverage_stats(
     return len(covered)
 
 
-def cross_pair_coverage(
-    g: OrderedGraph | UnorderedGraph,
-    left_sets: Iterable[Iterable[int]],
-    right_sets: Iterable[Iterable[int]],
-) -> int:
-    """Number of (left, right) set pairs joined by at least one edge."""
-    from orl.core import edges_between
-
-    lefts = [frozenset(s) for s in left_sets]
-    rights = [frozenset(s) for s in right_sets]
-    return sum(
-        1 for x in lefts for y in rights if x and y and edges_between(g, x, y) > 0
-    )
-
-
-def interval_pair_event_frequency(
-    n: int,
-    left_sets: Iterable[Iterable[int]],
-    right_sets: Iterable[Iterable[int]],
-    threshold: int,
-) -> tuple[Fraction, int, int]:
-    """Over all n! matchings, how often the covered cross-pair count exceeds
-    `threshold`; returns (frequency, min count, max count).
-
-    This evaluates the two-sided interval statements at exhaustive scale
-    (n <= 7); it reports, never asserts.
-    """
-    if n > 7:
-        raise ValueError("exhaustive evaluation is limited to n <= 7")
-    lefts = [frozenset(s) for s in left_sets]
-    rights = [frozenset(s) for s in right_sets]
-    above = 0
-    lowest, highest = None, None
-    total = 0
-    for pi in permutations(range(1, n + 1)):
-        total += 1
-        g = OrderedGraph(2 * n, [(i, n + pi[i - 1]) for i in range(1, n + 1)])
-        covered = cross_pair_coverage(g, lefts, rights)
-        above += covered > threshold
-        lowest = covered if lowest is None else min(lowest, covered)
-        highest = covered if highest is None else max(highest, covered)
-    return Fraction(above, total), lowest or 0, highest or 0
-
-
-def set_partition_premise_ratio(
-    rho: Fraction, n: int, s: int, t: int, M: int
-) -> Fraction:
-    """Exact value of t^n * C(t^2, M) * C(s^2 M, e) / D, where e is the edge
-    count of rho-regular graphs on [n] and D their exact number.
-
-    The partition-coverage statement applies with failure probability below
-    any delta exceeding this ratio (and requires M <= C(t,2) + t).
-    """
-    from orl.ramsey import count_rho_regular, rho_regular_degree_data
-
-    if M > t * (t - 1) // 2 + t:
-        raise ValueError("M may not exceed the number of index pairs")
-    _, _, edge_count = rho_regular_degree_data(rho, n)
-    denominator = count_rho_regular(rho, n).exact_count
-    if denominator == 0:
-        raise ValueError("no graph realizes these parameters")
-    numerator = t**n * math.comb(t * t, M) * math.comb(s * s * M, edge_count)
-    return Fraction(numerator, denominator)
-
-
 @dataclass(frozen=True)
 class CoverageTrial:
     seed: int
@@ -301,23 +228,6 @@ def coverage_experiment(
     return out
 
 
-def configuration_bias_report(
-    rho: Fraction, n: int, trials: int, seed: int
-) -> Fraction:
-    """Total-variation distance between the configuration-model sampler and
-    the uniform distribution over all rho-regular graphs, measured
-    empirically at tiny n where the exact support is enumerable."""
-    support = enumerate_rho_regular(rho, n)
-    counts = {edges: 0 for edges in support}
-    for k in range(trials):
-        g = sample_rho_regular(rho, n, (seed ^ k) & ((1 << 64) - 1), mode="configuration")
-        counts[g.edges] += 1
-    uniform = Fraction(1, len(support))
-    return sum(
-        abs(Fraction(c, trials) - uniform) for c in counts.values()
-    ) / 2
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo avoidance
 # ---------------------------------------------------------------------------
@@ -339,8 +249,6 @@ class AvoidanceReport:
 
     @property
     def avoidance_fraction(self) -> Fraction:
-        if not self.trials:
-            return Fraction(0)
         return Fraction(sum(tr.avoided for tr in self.trials), len(self.trials))
 
 
@@ -379,137 +287,16 @@ def monte_carlo_avoidance(
     return AvoidanceReport(pattern, t, s, tuple(records), best)
 
 
-# ---------------------------------------------------------------------------
-# experiment parameter presets
-# ---------------------------------------------------------------------------
-
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Derived parameters for the random-matching experiments at a given n.
-
-    Raw values follow the base-2-log formulas; the rounded fields apply
-    round-half-up (recorded so reports can show the rounding error).
-    """
-
-    n: int
-    trials: int
-    seed: int
-    d_raw: float
-    S_raw: float
-    r_raw: float
-    M_raw: float
-    s_raw: float
-    t_raw: float
-
-    @classmethod
-    def for_matching(cls, n: int, trials: int, seed: int) -> "ExperimentConfig":
-        if n < 2:
-            raise ValueError("n must be at least 2")
-        log_n = math.log2(n)
-        return cls(
-            n=n,
-            trials=trials,
-            seed=seed,
-            d_raw=3 * log_n,
-            S_raw=2e4 * n,
-            r_raw=log_n * log_n / 4,
-            M_raw=n * math.log2(log_n) / (8 * log_n) if log_n > 1 else 0.0,
-            s_raw=n / (8 * log_n),
-            t_raw=n / (20 * log_n),
-        )
-
-    @property
-    def d(self) -> int:
-        return _round_half_up(self.d_raw)
-
-    @property
-    def S(self) -> int:
-        return _round_half_up(self.S_raw)
-
-    @property
-    def r(self) -> int:
-        return _round_half_up(self.r_raw)
-
-    @property
-    def M(self) -> int:
-        return _round_half_up(self.M_raw)
-
-    @property
-    def s(self) -> int:
-        return _round_half_up(self.s_raw)
-
-    @property
-    def t(self) -> int:
-        return _round_half_up(self.t_raw)
-
-    def blowup_shape(self) -> tuple[int, int]:
-        """(t, s) clamped to positive values with s*t >= 2n so the sampled
-        matching fits; tiny n make the raw formulas degenerate."""
-        t = max(1, self.t)
-        s = max(1, self.s)
-        if s * t < 2 * self.n:
-            s = -(-2 * self.n // t)
-        return t, s
-
-
-@dataclass(frozen=True)
-class RegularExperimentConfig:
-    """Parameter presets for the almost-regular lower-bound experiments."""
-
-    n: int
-    rho: float
-    epsilon: float
-    zeta: float
-
-    @classmethod
-    def preset_fixed_rho(cls, rho: float, n: int) -> "RegularExperimentConfig":
-        log_n = math.log2(n)
-        return cls(n=n, rho=rho, epsilon=0.5 - 1 / rho - 1 / log_n, zeta=1 / log_n)
-
-    @classmethod
-    def preset_slightly_above_two(cls, n: int) -> "RegularExperimentConfig":
-        log_n = math.log2(n)
-        loglog = math.log2(log_n)
-        return cls(
-            n=n,
-            rho=2 + 9 * loglog / log_n,
-            epsilon=2 * loglog / log_n,
-            zeta=1 / log_n,
-        )
-
-    @property
-    def M_raw(self) -> float:
-        return self.zeta * self.n
-
-    @property
-    def s_raw(self) -> float:
-        return self.n ** self.epsilon
-
-    @property
-    def t_raw(self) -> float:
-        return self.zeta * self.n / (2 * math.log2(1 / self.zeta))
-
-    @property
-    def delta_log2(self) -> float:
-        """Base-2 log of the failure-probability target."""
-        return (
-            (self.rho * (self.epsilon - 0.5) + 1 + self.zeta)
-            * self.n
-            * math.log2(self.n)
-        )
-
-    @property
-    def M(self) -> int:
-        return _round_half_up(self.M_raw)
-
-    @property
-    def s(self) -> int:
-        return _round_half_up(self.s_raw)
-
-    @property
-    def t(self) -> int:
-        return _round_half_up(self.t_raw)
+def matching_blowup_shape(n: int) -> tuple[int, int]:
+    """The blow-up shape (t, s) for a random matching on 2n vertices:
+    t = n / (20 log n) and s = n / (8 log n), rounded half up and clamped to
+    at least 1, then s raised so that s*t >= 2n and the matching fits; tiny
+    n make the raw formulas degenerate."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    log_n = math.log2(n)
+    t = max(1, math.floor(n / (20 * log_n) + 0.5))
+    s = max(1, math.floor(n / (8 * log_n) + 0.5))
+    if s * t < 2 * n:
+        s = -(-2 * n // t)
+    return t, s

@@ -483,6 +483,21 @@ def test_missing_option_is_a_usage_error(capsys, argv, flag):
         (["experiment", "pairprob", "--n", "0", "--seed", "1"], "--n"),
         (["experiment", "coverage", "--og", "{d}/k3.og", "--parts", "2", "--max-size", "2",
           "--seed", "1", "--trials", "0"], "--trials"),
+        (["experiment", "pairprob", "--n", "3", "--seed", "1", "--trials", "0"], "--trials"),
+        (["experiment", "montecarlo", "--pattern", "{d}/k3.og", "--t", "2", "--s", "2",
+          "--seed", "1", "--trials", "0"], "--trials"),
+        (["experiment", "montecarlo", "--pattern", "{d}/k3.og", "--t", "2", "--s", "2",
+          "--seed", "1", "--trials", "-3"], "--trials"),
+        (["matrix", "unavoid", "--n", "2", "--size", "3", "--mode", "sample", "--trials", "0",
+          "--seed", "1"], "--trials"),
+        (["matrix", "unavoid", "--n", "2", "--size", "3", "--mode", "sample", "--trials", "-4",
+          "--seed", "1"], "--trials"),
+        (["experiment", "coverage", "--og", "{d}/k3.og", "--parts", "-1", "--max-size", "-3",
+          "--seed", "1"], "--parts"),
+        (["experiment", "coverage", "--og", "{d}/k3.og", "--parts", "2", "--max-size", "0",
+          "--seed", "1"], "--max-size"),
+        (["embed", "blowup", "--host", "{d}/k3.og", "--n", "2", "--parts", "1,x"], "--parts"),
+        (["embed", "tee", "--host", "{d}/k3.og", "--n", "2", "--parts", "1,1"], "--parts"),
     ],
 )
 def test_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv, flag):

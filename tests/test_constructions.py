@@ -12,7 +12,6 @@ from orl.constructions import (
     complete_bipartite,
     eff_graph,
     nested_matching,
-    order_by_proper_coloring,
     order_max_degree_two,
     order_two_regular,
     parse_blocks,
@@ -26,7 +25,6 @@ from orl.core import (
     RED,
     UnorderedGraph,
     contains,
-    edges_between,
     interval_chromatic_number,
 )
 
@@ -80,8 +78,7 @@ def test_complete_bipartite():
     assert complete_bipartite(1, 1).edges == {(1, 2)}
     k43 = complete_bipartite(4, 3)
     assert k43.m == 12
-    assert edges_between(k43, set(range(1, 5)), set(range(1, 5))) == 0
-    assert edges_between(k43, set(range(5, 8)), set(range(5, 8))) == 0
+    assert k43.edges == {(a, b) for a in range(1, 5) for b in range(5, 8)}
     for r in range(1, 5):
         for s in range(1, 5):
             assert interval_chromatic_number(complete_bipartite(r, s)) == 2
@@ -268,33 +265,6 @@ def test_order_max_degree_two_output_embeds_in_eff():
     ordered = order_max_degree_two(g)
     # the supergraph uses at most 3 vertices per path, so eff(9, 2) suffices
     assert contains(eff_graph(9, 2).graph, ordered) is not None
-
-
-# ---------------------------------------------------------------------------
-# proper-coloring ordering
-# ---------------------------------------------------------------------------
-
-def test_order_by_proper_coloring_triangle():
-    tri = UnorderedGraph(3, [(1, 2), (1, 3), (2, 3)])
-    ordered = order_by_proper_coloring(tri, 2)
-    assert interval_chromatic_number(ordered) == 3
-
-
-def test_order_by_proper_coloring_path():
-    p3 = UnorderedGraph(3, [(1, 2), (2, 3)])
-    assert interval_chromatic_number(order_by_proper_coloring(p3, 2)) <= 3
-
-
-def test_order_by_proper_coloring_bound(rng):
-    for _ in range(25):
-        n = rng.randint(1, 8)
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        g = UnorderedGraph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
-        delta = g.max_degree()
-        ordered = order_by_proper_coloring(g, delta)
-        assert interval_chromatic_number(ordered) <= delta + 1
-    with pytest.raises(ValueError):
-        order_by_proper_coloring(UnorderedGraph(3, [(1, 2), (1, 3)]), 1)
 
 
 # ---------------------------------------------------------------------------

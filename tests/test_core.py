@@ -11,13 +11,11 @@ from orl.core import (
     Embedding,
     FormatError,
     IntervalPartition,
-    LoopedOrderedGraph,
     OrderedGraph,
     RED,
     UnorderedGraph,
     complete_graph,
     contains,
-    edges_between,
     interval_chromatic_number,
     pair_index,
     pair_iter,
@@ -52,14 +50,7 @@ def test_ordered_isomorphism_is_edge_set_equality():
     assert OrderedGraph(3, [(1, 2)]) != OrderedGraph(3, [(1, 3)])
 
 
-def test_looped_graph_allows_loops():
-    r = LoopedOrderedGraph(2, [(1, 1), (1, 2)])
-    assert (1, 1) in r.edges
-    with pytest.raises(ValueError):
-        LoopedOrderedGraph(2, [(1, 3)])
-
-
-@pytest.mark.parametrize("cls", [OrderedGraph, UnorderedGraph, LoopedOrderedGraph])
+@pytest.mark.parametrize("cls", [OrderedGraph, UnorderedGraph])
 def test_graph_classes_normalize_edges_alike(cls):
     assert cls(4, [(3, 1), (1, 3), (2, 4)]).edges == frozenset({(1, 3), (2, 4)})
     for n, edges, message in [
@@ -69,11 +60,8 @@ def test_graph_classes_normalize_edges_alike(cls):
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             cls(n, edges)
-    if cls is LoopedOrderedGraph:
-        assert cls(3, [(2, 2)]).edges == frozenset({(2, 2)})
-    else:
-        with pytest.raises(ValueError, match="self-loop at vertex 2"):
-            cls(3, [(2, 2)])
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        cls(3, [(2, 2)])
 
 
 def test_embedding_validation_and_composition():
@@ -281,29 +269,8 @@ def test_search_embedding_depth_is_not_bounded_by_recursion():
 
 
 # ---------------------------------------------------------------------------
-# edge counting and interval chromatic number
+# interval chromatic number
 # ---------------------------------------------------------------------------
-
-def test_edges_between_examples():
-    nm2 = OrderedGraph(4, [(1, 4), (2, 3)])
-    assert edges_between(nm2, {1, 2}, {3, 4}) == 2
-    assert edges_between(nm2, {1, 2}, {1, 2}) == 0
-    assert edges_between(complete_graph(4), {1, 2, 3}, {1, 2, 3}) == 3
-    with pytest.raises(ValueError):
-        edges_between(nm2, {0}, {1})
-
-
-def test_edges_between_properties(rng):
-    for _ in range(30):
-        n = rng.randint(1, 7)
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        g = OrderedGraph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
-        a = {v for v in range(1, n + 1) if rng.random() < 0.5}
-        b = {v for v in range(1, n + 1) if rng.random() < 0.5}
-        assert edges_between(g, a, b) == edges_between(g, b, a)
-        everything = set(range(1, n + 1))
-        assert edges_between(g, everything, everything) == g.m
-
 
 def test_interval_chromatic_examples():
     assert interval_chromatic_number(complete_graph(3)) == 3

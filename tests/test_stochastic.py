@@ -16,24 +16,19 @@ from orl.core import (
     complete_graph,
     interval_chromatic_number,
 )
-from orl.ramsey import verify_certificate
+from orl.ramsey import enumerate_rho_regular, verify_certificate
 from orl.rng import Xoshiro256StarStar, splitmix64_stream, stream_for_trial
 from orl.stochastic import (
-    ExperimentConfig,
     PairSetQuery,
-    RegularExperimentConfig,
     blown_up_random_coloring,
-    configuration_bias_report,
     coverage_experiment,
-    cross_pair_coverage,
-    interval_pair_event_frequency,
+    matching_blowup_shape,
     matching_pair_probability,
     monte_carlo_avoidance,
     pair_coverage_stats,
     pairset_avoidance_bound,
     sample_permutation_matching,
     sample_rho_regular,
-    set_partition_premise_ratio,
 )
 
 
@@ -174,6 +169,12 @@ def test_blown_up_coloring_hits_all_8_patterns():
     assert len(distinct) == 8
 
 
+def test_blown_up_coloring_golden_draw_order():
+    # t = 3 draws its 6 index pairs (1,1) (1,2) (1,3) (2,2) (2,3) (3,3) in
+    # lexicographic order, loops included; s = 2 expands them to K_6
+    assert "".join(blown_up_random_coloring(3, 2, 4).colors) == "RBBBBBBBBBRRRRB"
+
+
 def test_blown_up_coloring_determinism():
     assert (
         blown_up_random_coloring(3, 2, 4).colors
@@ -275,46 +276,17 @@ def test_pair_coverage_exhaustive_partitions_matching():
     assert lowest == 1
 
 
-def test_cross_pair_coverage():
-    nm2 = nested_matching(2)
-    assert cross_pair_coverage(nm2, [{1}, {2}], [{3}, {4}]) == 2
-    assert cross_pair_coverage(nm2, [{1, 2}], [{3, 4}]) == 1
-    assert cross_pair_coverage(nm2, [{1}], [{2}]) == 0
-
-
-def test_interval_pair_event_frequency_exhaustive_n2():
-    freq, lo, hi = interval_pair_event_frequency(2, [{1}, {2}], [{3}, {4}], 1)
-    assert freq == 1 and lo == hi == 2
-    freq2, _, _ = interval_pair_event_frequency(2, [{1}, {2}], [{3}, {4}], 2)
-    assert freq2 == 0
-    with pytest.raises(ValueError):
-        interval_pair_event_frequency(8, [{1}], [{9}], 0)
-
-
-def test_interval_pair_event_frequency_reports_fraction():
-    # at n = 3 with full singleton collections, every matching covers 3 pairs
-    freq, lo, hi = interval_pair_event_frequency(
-        3, [{1}, {2}, {3}], [{4}, {5}, {6}], 2
-    )
-    assert freq == 1 and lo == hi == 3
-
-
-def test_set_partition_premise_ratio():
-    # singleton parts force all 5 cycle edges into s^2 * M = 4 slots: impossible,
-    # so the premise ratio collapses to zero (certainty)
-    assert set_partition_premise_ratio(Fraction(2), 5, 1, 5, 4) == 0
-    # t^n * C(t^2, M) * C(s^2 M, e) / D with e = 5 edges and D = 12 cycles
-    ratio = set_partition_premise_ratio(Fraction(2), 5, 1, 5, 5)
-    assert ratio == Fraction(5**5 * math.comb(25, 5), 12)
-    with pytest.raises(ValueError):
-        set_partition_premise_ratio(Fraction(2), 5, 1, 2, 4)
-
-
 def test_configuration_bias_report_small():
-    tv = configuration_bias_report(Fraction(2), 4, 1200, 7)
-    assert 0 <= tv < Fraction(1, 10)
-    tv2 = configuration_bias_report(Fraction(3, 2), 4, 1200, 9)
-    assert 0 <= tv2 < Fraction(1, 5)
+    # total-variation distance between the configuration-model sampler and
+    # the uniform distribution over all rho-regular graphs on 4 vertices
+    trials = 1200
+    for rho, seed, bound in [(Fraction(2), 7, Fraction(1, 10)), (Fraction(3, 2), 9, Fraction(1, 5))]:
+        support = enumerate_rho_regular(rho, 4)
+        counts = Counter(sample_rho_regular(rho, 4, seed ^ k).edges for k in range(trials))
+        assert set(counts) <= set(support)
+        uniform = Fraction(1, len(support))
+        tv = sum(abs(Fraction(counts[edges], trials) - uniform) for edges in support) / 2
+        assert 0 <= tv < bound
 
 
 def test_coverage_experiment_deterministic():
@@ -364,8 +336,7 @@ def test_monte_carlo_searches_each_trial_once(monkeypatch):
 
 
 def test_monte_carlo_matching_experiment_certificates_verify():
-    cfg = ExperimentConfig.for_matching(8, trials=6, seed=31)
-    t, s = cfg.blowup_shape()
+    t, s = matching_blowup_shape(8)
     assert s * t >= 16
     pattern = sample_permutation_matching(8, 31)
     report = monte_carlo_avoidance(pattern, t, s, 6, 31)
@@ -389,38 +360,17 @@ def test_monte_carlo_determinism():
 
 
 # ---------------------------------------------------------------------------
-# experiment configs
+# the blow-up shape of `experiment montecarlo --config-n`
 # ---------------------------------------------------------------------------
 
-def test_experiment_config_formulas():
-    cfg = ExperimentConfig.for_matching(1024, trials=10, seed=1)
-    assert cfg.d_raw == pytest.approx(30.0)
-    assert cfg.S == 20480000
-    assert cfg.r_raw == pytest.approx(25.0)
-    assert cfg.s_raw == pytest.approx(1024 / 80)
-    assert cfg.t_raw == pytest.approx(1024 / 200)
-    assert cfg.M_raw == pytest.approx(1024 * math.log2(10) / 80)
-    assert cfg.d == 30 and cfg.r == 25
-    with pytest.raises(ValueError):
-        ExperimentConfig.for_matching(1, 1, 1)
+def test_matching_blowup_shape_golden():
+    shapes = [matching_blowup_shape(n) for n in (2, 3, 8, 100, 1024, 5000)]
+    assert shapes == [(1, 4), (1, 6), (1, 16), (1, 200), (5, 410), (20, 500)]
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        matching_blowup_shape(1)
 
 
 def test_experiment_config_blowup_shape_fits_matching():
     for n in (2, 4, 8, 32, 256):
-        cfg = ExperimentConfig.for_matching(n, 1, 0)
-        t, s = cfg.blowup_shape()
+        t, s = matching_blowup_shape(n)
         assert t >= 1 and s >= 1 and s * t >= 2 * n
-
-
-def test_regular_config_presets():
-    cfg = RegularExperimentConfig.preset_fixed_rho(3.0, 256)
-    assert cfg.epsilon == pytest.approx(0.5 - 1 / 3 - 1 / 8)
-    assert cfg.zeta == pytest.approx(1 / 8)
-    assert cfg.M == 32
-    cfg2 = RegularExperimentConfig.preset_slightly_above_two(256)
-    assert cfg2.rho == pytest.approx(2 + 9 * math.log2(8) / 8)
-    assert cfg2.epsilon == pytest.approx(2 * math.log2(8) / 8)
-    # the failure exponent follows the closed form; it only turns negative
-    # far beyond desk scale, so only the formula itself is asserted
-    expected = (cfg2.rho * (cfg2.epsilon - 0.5) + 1 + cfg2.zeta) * 256 * 8
-    assert cfg2.delta_log2 == pytest.approx(expected)
