@@ -554,10 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
     for algo in ("altpath", "blowup", "tee"):
         q = asub.add_parser(algo)
         q.add_argument("--host", required=True)
-        q.add_argument("--n", type=int, required=True)
+        q.add_argument("--n", type=_count, required=True)
         if algo != "altpath":
             q.add_argument("--parts", required=True, help="comma-separated interval sizes")
-            q.add_argument("--k", type=int, default=1)
+            q.add_argument("--k", type=_count, default=1)
         if algo == "tee":
             q.add_argument("--eps", default="1/8", help="rational like 1/8")
 
@@ -638,8 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_matrix_contains)
 
     q = msub.add_parser("unavoid")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--size", type=int, required=True)
+    q.add_argument("--n", type=_count, required=True)
+    q.add_argument("--size", type=_count, required=True)
     q.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
     q.add_argument("--trials", type=_count, default=None, help="sample mode only (default 1000)")
     q.add_argument("--seed", type=int, default=None, help="sample mode only, and required there")

@@ -8,16 +8,16 @@ a pipeline's `failed_stage` says which stage gave out.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 from orl.constructions import (
     alternating_path,
     alternating_path_order,
     blowup_path,
-    nested_matching,
     tee_graph,
 )
 from orl.core import (
@@ -34,26 +34,33 @@ class WitnessError(AssertionError):
     """An internally constructed witness failed re-verification."""
 
 
+@dataclass(frozen=True)
+class PipelineResult:
+    """A pipeline's witness, or None and the name of the stage that gave out."""
+
+    embedding: Optional[Embedding]
+    failed_stage: Optional[str]
+
+
 # ---------------------------------------------------------------------------
 # alternating paths
 # ---------------------------------------------------------------------------
 
 def _run_removal_process(
-    host: OrderedGraph, steps: Optional[int]
+    host: OrderedGraph, steps: int
 ) -> tuple[set[tuple[int, int]], tuple[dict[int, int], ...]]:
-    """Run `steps` simultaneous removal rounds on a copy of `host.adj`, or
-    with `steps=None` until no edge survives.  Odd rounds remove each
-    centre's leftmost neighbour (lowest set bit below it), even rounds its
-    rightmost (highest set bit above it), all picked from the graph as the
-    round began; a centre is the upper end of its removed edge in odd rounds
-    and the lower end in even ones, so no edge goes twice.  Returns the
-    surviving edges and one {centre: lost neighbour} dict per round."""
+    """Run `steps` simultaneous removal rounds on a copy of `host.adj`.  Odd
+    rounds remove each centre's leftmost neighbour (lowest set bit below it),
+    even rounds its rightmost (highest set bit above it), all picked from the
+    graph as the round began; a centre is the upper end of its removed edge
+    in odd rounds and the lower end in even ones, so no edge goes twice.
+    Returns the surviving edges and one {centre: lost neighbour} dict per
+    round."""
     adj = list(host.adj)
-    alive = len(host.edges)
     rounds: list[dict[int, int]] = []
-    while alive if steps is None else len(rounds) < steps:
+    for step in range(steps):
         removals: dict[int, int] = {}
-        if len(rounds) % 2 == 0:
+        if step % 2 == 0:
             for v in range(1, host.n + 1):
                 below = adj[v] & ((1 << v) - 1)
                 if below:
@@ -66,22 +73,8 @@ def _run_removal_process(
         for center, u in removals.items():
             adj[center] ^= 1 << u
             adj[u] ^= 1 << center
-        alive -= len(removals)
         rounds.append(removals)
     return {(a, b) for a, b in host.edges if (adj[a] >> b) & 1}, tuple(rounds)
-
-
-def longest_alternating_path_length(host: OrderedGraph) -> int:
-    """Largest n for which the removal process leaves a surviving edge.
-
-    Returns 1 for an edgeless host with a vertex, 0 for the empty host.
-    """
-    if host.n == 0:
-        return 0
-    rounds = len(_run_removal_process(host, None)[1])
-    # the process emptied the graph after `rounds` rounds, so an edge survived
-    # rounds-1 rounds and supports a path on rounds+1 vertices
-    return rounds + 1
 
 
 def find_alternating_path(host: OrderedGraph, n: int) -> Optional[Embedding]:
@@ -125,56 +118,44 @@ def find_alternating_path(host: OrderedGraph, n: int) -> Optional[Embedding]:
     return emb
 
 
-def nested_matching_pairs(path_emb: Embedding) -> list[tuple[int, int]]:
-    """Matching pairs hidden in an even alternating path witness.
+def largest_nested_matching(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """A longest chain of the pairs (x, y) with x strictly increasing and y
+    strictly decreasing, outermost first.  On the edges (a, b), a < b, of an
+    ordered graph it is a maximum nested matching a_1 < ... < a_m < b_m <
+    ... < b_1.
 
-    Pair i joins the witness images of path vertices 2i-1 and 2i; in host
-    order the pairs nest like the standard nested matching.
+    In descending order of (x, y), x never increases and pairs with equal x
+    come in descending y, so a chain read from the inside out is exactly a
+    subsequence whose y strictly increase.  Patience sorting finds a longest
+    one in O(m log m): keys[l] is the least last y of such a run of length
+    l + 1 so far, tails[l] the pair processed last that ends one, and each
+    pair links back to tails[l - 1] for its own length l + 1.  So the chain
+    starts at the least pair ending a run of length m and steps to the least
+    greater pair one length down.  That makes its x's lexicographically
+    first and, given them, each y the least: it is the lexicographically
+    first image of the nested matching on 2m vertices, the copy an
+    order-preserving search finds first.
     """
-    n = path_emb.pattern_n
-    if n % 2:
-        raise ValueError("an even path is required")
-    order = alternating_path_order(n)
-    host_of = {v: path_emb(k) for k, v in enumerate(order, start=1)}
-    return [(host_of[2 * i - 1], host_of[2 * i]) for i in range(1, n // 2 + 1)]
-
-
-def largest_nested_matching(g: OrderedGraph) -> list[tuple[int, int]]:
-    """Pairs (a_i, b_i) of a maximum nested matching, outermost first.
-
-    Starts from the matching inside the longest extractable alternating path
-    and extends by direct containment search; stopping at the first failing
-    size is exact because dropping the outermost pair embeds each nested
-    matching in the next larger one.
-    """
-    longest = longest_alternating_path_length(g)
-    longest -= longest % 2
-    pairs: list[tuple[int, int]] = []
-    if longest >= 2:
-        path = find_alternating_path(g, longest)
-        assert path is not None
-        pairs = nested_matching_pairs(path)
-    m = len(pairs) + 1
-    while 2 * m <= g.n and m <= g.m:
-        emb = search_embedding(2 * m, nested_matching(m).edges, g.n, g.adj)
-        if emb is None:
-            break
-        pairs = [(emb[i - 1], emb[2 * m - i]) for i in range(1, m + 1)]
-        m += 1
-    return pairs
+    ordered = sorted(pairs, reverse=True)
+    keys: list[int] = []
+    tails: list[int] = []
+    back: list[int] = []
+    for i, (_, y) in enumerate(ordered):
+        pos = bisect_left(keys, y)
+        back.append(tails[pos - 1] if pos else -1)
+        keys[pos:pos + 1] = [y]  # appends when pos == len(keys)
+        tails[pos:pos + 1] = [i]
+    chain = []
+    i = tails[-1] if tails else -1
+    while i >= 0:
+        chain.append(ordered[i])
+        i = back[i]
+    return chain
 
 
 # ---------------------------------------------------------------------------
 # blow-up extraction
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BlowupSearchResult:
-    embedding: Optional[Embedding]
-    failed_stage: Optional[str]
-    clique_count: int = 0
-    best_class_size: int = 0
-
 
 def _find_kkk_between(
     host: OrderedGraph, left: range, right: range, k: int
@@ -192,9 +173,11 @@ def _find_kkk_between(
 
 def blowup_pipeline(
     host: OrderedGraph, parts: IntervalPartition, n: int, k: int
-) -> BlowupSearchResult:
+) -> PipelineResult:
     """Harvest one k-by-k copy per interval pair, keep the largest same-type
     class, find an alternating path on the class graph, and expand it."""
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
     if parts.n != host.n:
         raise ValueError("partition must cover the host")
     sizes = set(parts.sizes)
@@ -202,13 +185,11 @@ def blowup_pipeline(
         raise ValueError("intervals must all have the same size")
     d = sizes.pop()
     if k > d:
-        return BlowupSearchResult(None, "bipartite-cliques")
+        return PipelineResult(None, "bipartite-cliques")
     bounds = parts.bounds()
     t = parts.count
 
     classes: dict[tuple, list[tuple[int, int]]] = {}
-    reps: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    found = 0
     for i in range(1, t + 1):
         for j in range(i + 1, t + 1):
             li = range(bounds[i - 1][0], bounds[i - 1][1] + 1)
@@ -216,20 +197,16 @@ def blowup_pipeline(
             rep = _find_kkk_between(host, li, rj, k)
             if rep is None:
                 continue
-            found += 1
-            reps[(i, j)] = rep
             ltype = tuple(v - bounds[i - 1][0] for v in rep[0])
             rtype = tuple(v - bounds[j - 1][0] for v in rep[1])
             classes.setdefault((ltype, rtype), []).append((i, j))
-    if not found:
-        return BlowupSearchResult(None, "bipartite-cliques", 0, 0)
+    if not classes:
+        return PipelineResult(None, "bipartite-cliques")
 
     best_type = min(classes, key=lambda key: (-len(classes[key]), key))
-    class_edges = classes[best_type]
-    reduced = OrderedGraph(t, class_edges)
-    path = find_alternating_path(reduced, n)
+    path = find_alternating_path(OrderedGraph(t, classes[best_type]), n)
     if path is None:
-        return BlowupSearchResult(None, "alternating-path", found, len(class_edges))
+        return PipelineResult(None, "alternating-path")
 
     # expand: the first ceil(n/2) pattern blocks are left classes of their
     # path edges, the rest right classes
@@ -246,7 +223,7 @@ def blowup_pipeline(
         raise WitnessError("expanded blow-up witness is invalid")
     if not is_block_respecting(emb, pattern.blocks, parts):
         raise WitnessError("expanded blow-up witness does not respect the partition")
-    return BlowupSearchResult(emb, None, found, len(class_edges))
+    return PipelineResult(emb, None)
 
 
 def is_block_respecting(
@@ -290,29 +267,26 @@ def enumerate_triangles(host: OrderedGraph) -> list[tuple[int, int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class TeeSearchResult:
-    embedding: Optional[Embedding]
-    failed_stage: Optional[str]
-
-
 def tee_pipeline(
     host: OrderedGraph,
     parts: IntervalPartition,
     n: int,
     k: int,
     epsilon: Fraction,
-) -> TeeSearchResult:
+) -> PipelineResult:
     """Stage-by-stage extraction of the tee gadget from a triangle-rich host.
 
     Stages: (a) enumerate triangles, (b) keep those with right legs of length
     at least eps*N/2, (c) pick the split index maximizing the triangles with
     two vertices on its left (ties toward smaller index), (d) keep left legs
-    supporting at least eps^2*N/4 of them, (e) extract the largest nested
-    matching of those legs, (f) link matched pairs to intervals holding at
-    least k shared triangle apexes, (g) extract a nested matching of n links
-    and assemble the witness.
+    supporting at least eps^2*N/4 of them, (e) take a longest chain of those
+    legs, a largest nested matching, (f) link matched pairs to intervals
+    holding at least k shared triangle apexes, (g) take n links (b, interval)
+    of a longest chain with b ascending and intervals descending, and
+    assemble the witness.
     """
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
     if parts.n != host.n:
         raise ValueError("partition must cover the host")
     if len(set(parts.sizes)) != 1:
@@ -323,11 +297,11 @@ def tee_pipeline(
 
     triangles = enumerate_triangles(host)
     if not triangles:
-        return TeeSearchResult(None, "triangles")
+        return PipelineResult(None, "triangles")
 
     long_legged = [t for t in triangles if t[2] - t[1] >= epsilon * big_n / 2]
     if not long_legged:
-        return TeeSearchResult(None, "long-right-legs")
+        return PipelineResult(None, "long-right-legs")
 
     # split index j: triangles with two vertices <= j and the apex beyond
     best_j, best_tj = 0, -1
@@ -336,7 +310,7 @@ def tee_pipeline(
         if tj > best_tj:
             best_j, best_tj = j, tj
     if best_tj <= 0:
-        return TeeSearchResult(None, "split-index")
+        return PipelineResult(None, "split-index")
     j = best_j
     t_j = [t for t in long_legged if t[1] <= j < t[2]]
 
@@ -346,20 +320,16 @@ def tee_pipeline(
     threshold = epsilon * epsilon * big_n / 4
     legs = sorted(leg for leg, cnt in support.items() if cnt >= threshold)
     if not legs:
-        return TeeSearchResult(None, "supported-left-legs")
+        return PipelineResult(None, "supported-left-legs")
 
-    # (e) largest nested matching among the supported legs on {1..j}
-    leg_graph = OrderedGraph(j, legs)
-    pairs = largest_nested_matching(leg_graph)  # (a_i, b_i), a's ascending, b's descending
-    if not pairs:
-        return TeeSearchResult(None, "first-matching")
+    # (e) largest nested matching among the supported legs on {1..j}; it is
+    # never empty, since legs is not
+    pairs = largest_nested_matching(legs)  # (a_i, b_i), a's ascending, b's descending
 
     # (f) link each pair to intervals beyond j holding >= k common apexes
     partner = {b: a for a, b in pairs}
     bounds = parts.bounds()
-    marked_intervals = sorted(
-        l for l, (start, end) in enumerate(bounds, start=1) if end > j
-    )
+    marked_intervals = [l for l, (_, end) in enumerate(bounds, start=1) if end > j]
     link_edges: dict[tuple[int, int], list[int]] = {}
     for a, b in pairs:
         common = host.adj[a] & host.adj[b]
@@ -371,47 +341,29 @@ def tee_pipeline(
             if len(apexes) >= k:
                 link_edges[(b, l)] = apexes[:k]
     if not link_edges:
-        return TeeSearchResult(None, "interval-links")
+        return PipelineResult(None, "interval-links")
 
-    # (g) nested matching of size n in the pair-to-interval link graph
-    rights = sorted({b for b, _ in link_edges})
-    right_index = {b: i for i, b in enumerate(rights, start=1)}
-    offset = len(rights)
-    linked = sorted({l for _, l in link_edges})
-    marker_index = {l: offset + i for i, l in enumerate(linked, start=1)}
-    link_graph = OrderedGraph(
-        offset + len(linked),
-        [(right_index[b], marker_index[l]) for b, l in link_edges],
-    )
-    link_emb = search_embedding(
-        2 * n, nested_matching(n).edges, link_graph.n, link_graph.adj
-    )
-    if link_emb is None:
-        return TeeSearchResult(None, "second-matching")
-    link_pairs = [(link_emb[i - 1], link_emb[2 * n - i]) for i in range(1, n + 1)]
+    # (g) n links, b's ascending and intervals descending, so that no b and
+    # no interval is used twice
+    link_pairs = largest_nested_matching(link_edges)[:n]
+    if len(link_pairs) < n:
+        return PipelineResult(None, "second-matching")
 
-    # assemble: stage-g pair s (s = 1..n, b's ascending, markers descending)
-    # realizes pattern matching pair n+1-s and its block
-    back_right = {v: b for b, v in right_index.items()}
-    back_marker = {v: l for l, v in marker_index.items()}
-    chosen = []
-    for x, y in link_pairs:
-        b = back_right[x]
-        l = back_marker[y]
-        chosen.append((partner[b], b, link_edges[(b, l)]))
-    # chosen[s-1] belongs to pattern pair t = n+1-s
-    by_pattern_pair = chosen[::-1]
-    u_class = [a for a, _, _ in by_pattern_pair]
-    v_class = [b for _, b, _ in by_pattern_pair][::-1]
-    block_images = [apexes for _, _, apexes in by_pattern_pair]
-    image = tuple(u_class + v_class + [w for apexes in block_images for w in apexes])
-    emb = Embedding((k + 2) * n, image)
+    # assemble: stage-g link s (s = 1..n) realizes pattern matching pair
+    # n+1-s and its block
+    by_pattern_pair = link_pairs[::-1]
+    image = (
+        [partner[b] for b, _ in by_pattern_pair]
+        + [b for b, _ in link_pairs]
+        + [w for b, l in by_pattern_pair for w in link_edges[b, l]]
+    )
+    emb = Embedding((k + 2) * n, tuple(image))
     pattern = tee_graph(n, k)
     if not embedding_maps_edges(pattern.graph, host, emb):
         raise WitnessError("assembled tee witness is invalid")
     if not is_block_respecting(emb, pattern.blocks, parts):
         raise WitnessError("assembled tee witness does not respect the partition")
-    return TeeSearchResult(emb, None)
+    return PipelineResult(emb, None)
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,6 @@ def sample_rho_regular(
     if mode != "configuration":
         raise ValueError("mode must be 'exact' or 'configuration'")
     d, surplus, _ = rho_regular_degree_data(rho, n)
-    if d >= n:
-        raise ValueError("degrees must be below the vertex count")
     high = set(gen.subset(n, surplus))
     degrees = [d + 1 if v in high else d for v in range(1, n + 1)]
     stubs_template = [v for v in range(1, n + 1) for _ in range(degrees[v - 1])]

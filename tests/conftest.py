@@ -60,11 +60,22 @@ def brute_triangles(g: OrderedGraph) -> int:
     )
 
 
-def brute_removal_process(host: OrderedGraph, steps):
+def brute_longest_chain(pairs) -> int:
+    """Length of a longest chain of pairs with x strictly increasing and y
+    strictly decreasing, by the O(m^2) dynamic program over pairs sorted by x."""
+    pairs = sorted(pairs)
+    best: list[int] = []
+    for x, y in pairs:
+        best.append(1 + max(
+            (length for (a, b), length in zip(pairs, best) if a < x and b > y), default=0
+        ))
+    return max(best, default=0)
+
+
+def brute_removal_process(host: OrderedGraph, steps: int):
     """The alternating-path removal process on an edge set and per-vertex
-    left/right neighbour dicts: `steps` rounds, or until no edge survives
-    with `steps=None`.  Returns the surviving edges and one
-    {centre: lost neighbour} dict per round."""
+    left/right neighbour dicts, run for `steps` rounds.  Returns the surviving
+    edges and one {centre: lost neighbour} dict per round."""
     alive = {tuple(sorted(e)) for e in host.edges}
     left = [dict() for _ in range(host.n + 1)]  # left[v]: u < v adjacency
     right = [dict() for _ in range(host.n + 1)]
@@ -72,9 +83,7 @@ def brute_removal_process(host: OrderedGraph, steps):
         left[b][a] = True
         right[a][b] = True
     trace = []
-    step = 0
-    while alive if steps is None else step < steps:
-        step += 1
+    for step in range(1, steps + 1):
         removals = {}
         if step % 2 == 1:
             for v in range(1, host.n + 1):

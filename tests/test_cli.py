@@ -498,6 +498,14 @@ def test_missing_option_is_a_usage_error(capsys, argv, flag):
           "--seed", "1"], "--max-size"),
         (["embed", "blowup", "--host", "{d}/k3.og", "--n", "2", "--parts", "1,x"], "--parts"),
         (["embed", "tee", "--host", "{d}/k3.og", "--n", "2", "--parts", "1,1"], "--parts"),
+        (["embed", "altpath", "--host", "{d}/k3.og", "--n", "0"], "--n"),
+        (["embed", "blowup", "--host", "{d}/k3.og", "--n", "2", "--parts", "1,1,1", "--k", "-1"],
+         "--k"),
+        (["embed", "tee", "--host", "{d}/k3.og", "--n", "3", "--k", "-2", "--parts", "1,1,1"],
+         "--k"),
+        (["embed", "tee", "--host", "{d}/k3.og", "--n", "0", "--parts", "1,1,1"], "--n"),
+        (["matrix", "unavoid", "--n", "0", "--size", "3"], "--n"),
+        (["matrix", "unavoid", "--n", "2", "--size", "-1"], "--size"),
     ],
 )
 def test_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv, flag):

@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_monochromatic_exists, brute_removal_process, brute_triangles
+from conftest import (
+    brute_contains,
+    brute_longest_chain,
+    brute_monochromatic_exists,
+    brute_removal_process,
+    brute_triangles,
+)
 from orl.constructions import (
     alternating_cycle,
     alternating_path,
@@ -34,7 +40,6 @@ from orl.embedder import (
     find_monochromatic,
     is_block_respecting,
     largest_nested_matching,
-    longest_alternating_path_length,
     tee_pipeline,
     _run_removal_process,
 )
@@ -60,7 +65,7 @@ def test_removal_process_manual_trace():
     assert trace2[1] == {2: 4, 3: 4}
 
 
-@pytest.mark.parametrize("steps", [None, 0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 4, 5])
 def test_removal_process_matches_brute_force(steps):
     gen = random.Random(160605628)
     for _ in range(1000):
@@ -99,29 +104,57 @@ def test_find_alternating_path_threshold_property(rng):
                 assert embedding_maps_edges(pattern, host, emb)
 
 
-def test_longest_alternating_path_length(rng):
-    assert longest_alternating_path_length(OrderedGraph(0)) == 0
-    assert longest_alternating_path_length(OrderedGraph(3)) == 1
-    assert longest_alternating_path_length(nested_matching(3)) == 2
+def test_find_alternating_path_is_monotone(rng):
+    # once the removal process leaves no edge, longer paths fail too
     for _ in range(40):
         n = rng.randint(2, 9)
         pairs = [(i, j) for i, j in pair_iter(n)]
         g = OrderedGraph(n, rng.sample(pairs, rng.randint(1, len(pairs))))
-        longest = longest_alternating_path_length(g)
-        assert find_alternating_path(g, longest) is not None
-        assert find_alternating_path(g, longest + 1) is None
+        for length in range(1, n + 1):
+            if find_alternating_path(g, length) is None:
+                assert find_alternating_path(g, length + 1) is None
 
+
+# ---------------------------------------------------------------------------
+# nested matchings
+# ---------------------------------------------------------------------------
 
 def test_largest_nested_matching(rng):
     # a bare nested matching is recovered whole
-    pairs = largest_nested_matching(nested_matching(3))
+    pairs = largest_nested_matching(nested_matching(3).edges)
     assert pairs == [(1, 6), (2, 5), (3, 4)]
     # in a complete graph the matching uses n // 2 pairs
-    pairs = largest_nested_matching(complete_graph(7))
+    pairs = largest_nested_matching(complete_graph(7).edges)
     assert len(pairs) == 3
     for (a, b), (c, d) in zip(pairs, pairs[1:]):
         assert a < c < d < b
-    assert largest_nested_matching(OrderedGraph(4)) == []
+    assert largest_nested_matching(OrderedGraph(4).edges) == []
+
+
+def test_largest_nested_matching_matches_brute_force():
+    # pairs with x >= y and repeated x or y included, as tee stage (g) passes
+    gen = random.Random(19351975)
+    for _ in range(2000):
+        size = gen.randint(1, 12)
+        pairs = [(gen.randint(1, size), gen.randint(1, size)) for _ in range(gen.randint(0, 30))]
+        chain = largest_nested_matching(iter(pairs))
+        assert len(chain) == brute_longest_chain(pairs), pairs
+        assert set(chain) <= set(pairs)
+        assert all(a < c and b > d for (a, b), (c, d) in zip(chain, chain[1:])), chain
+
+
+def test_largest_nested_matching_is_maximum():
+    gen = random.Random(1606)
+    for _ in range(300):
+        n, density = gen.randint(0, 9), gen.random()
+        g = OrderedGraph(n, [e for e in pair_iter(n) if gen.random() < density])
+        chain = largest_nested_matching(g.edges)
+        m = len(chain)
+        if m:
+            # the lexicographically first copy, which brute_contains returns
+            image = brute_contains(g, nested_matching(m))
+            assert chain == [(image[i], image[2 * m - 1 - i]) for i in range(m)], g.edges
+        assert brute_contains(g, nested_matching(m + 1)) is None, g.edges
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +245,15 @@ def test_tee_verbatim_host():
     assert emb is not None and emb.image == tuple(range(1, 13))
 
 
+@pytest.mark.parametrize("n, k", [(0, 1), (3, 0), (-1, 2), (3, -2)])
+def test_pipelines_reject_non_positive_n_and_k(n, k):
+    host, parts = eff_graph(3, 2).graph, IntervalPartition.equal(6, 2)
+    with pytest.raises(ValueError, match="n and k must be positive"):
+        tee_pipeline(host, parts, n, k, Fraction(1, 8))
+    with pytest.raises(ValueError, match="n and k must be positive"):
+        blowup_pipeline(host, parts, n, k)
+
+
 def test_tee_validation():
     with pytest.raises(ValueError):
         tee_pipeline(complete_graph(6), IntervalPartition(6, (4, 2)), 1, 1, Fraction(1, 8)).embedding
@@ -219,6 +261,36 @@ def test_tee_validation():
         tee_pipeline(complete_graph(6), IntervalPartition.equal(3, 2), 1, 1, Fraction(3, 2)).embedding
     with pytest.raises(ValueError):
         tee_pipeline(complete_graph(6), IntervalPartition.equal(3, 2), 1, 1, Fraction(0)).embedding
+
+
+# the stage tee_pipeline(host, parts of size 2, 3, 2, 1/2) gives out at on each
+# host of test_tee_pipeline_stages_golden: five hosts, N = 16..24, per density
+TEE_GOLDEN_STAGES = [
+    "triangles", "triangles", "second-matching", "supported-left-legs", "long-right-legs",
+    "interval-links", "supported-left-legs", "supported-left-legs", "supported-left-legs",
+    "supported-left-legs",
+    "interval-links", "interval-links", "interval-links", "interval-links",
+    "supported-left-legs",
+    "interval-links", "second-matching", "second-matching", "second-matching", "interval-links",
+    "second-matching", "second-matching", "second-matching", "second-matching", None,
+    None, None, None, None, None,
+]
+
+
+def test_tee_pipeline_stages_golden():
+    gen = random.Random(5628)
+    pattern = tee_graph(3, 2)
+    stages = []
+    for i in range(30):
+        big_n, density = 16 + 2 * (i % 5), (0.1, 0.2, 0.3, 0.5, 0.7, 0.9)[i // 5]
+        host = OrderedGraph(big_n, [e for e in pair_iter(big_n) if gen.random() < density])
+        parts = IntervalPartition.equal(big_n // 2, 2)
+        result = tee_pipeline(host, parts, 3, 2, Fraction(1, 2))
+        stages.append(result.failed_stage)
+        if result.embedding is not None:
+            assert embedding_maps_edges(pattern.graph, host, result.embedding)
+            assert is_block_respecting(result.embedding, pattern.blocks, parts)
+    assert stages == TEE_GOLDEN_STAGES
 
 
 def test_tee_witnesses_verify_on_random_dense_hosts(rng):

@@ -143,6 +143,12 @@ def test_sample_rho_regular_configuration_valid_degrees():
         sample_rho_regular(Fraction(2), 5, 0, mode="bogus")
 
 
+def test_sample_rho_regular_degree_at_least_vertex_count():
+    for seed in range(3):
+        with pytest.raises(ValueError, match="degrees must be below the vertex count"):
+            sample_rho_regular(Fraction(2), 2, seed)
+
+
 def test_blown_up_coloring_monochromatic_single_interval():
     col = blown_up_random_coloring(1, 4, 17)
     assert len(set(col.colors)) == 1
