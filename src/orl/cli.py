@@ -111,11 +111,20 @@ def write_manifest(ctx: RunContext, override: Optional[str]) -> Optional[Path]:
     return target
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(option: str, text: str, at_most: Optional[int] = None) -> Fraction:
+    """A positive fraction option, at most `at_most` when given; a
+    ValueError names the option."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"{text!r} has a zero denominator") from None
+        raise ValueError(f"{option} {text}: zero denominator") from None
+    except ValueError as exc:
+        raise ValueError(f"{option} {text}: {exc}") from None
+    if value <= 0:
+        raise ValueError(f"{option} {text}: must be positive")
+    if at_most is not None and value > at_most:
+        raise ValueError(f"{option} {text}: must lie in (0, {at_most}]")
+    return value
 
 
 def _parse_parts(text: str, n: int) -> IntervalPartition:
@@ -214,7 +223,7 @@ def cmd_embed(args, ctx: RunContext) -> int:
         if args.algo == "blowup":
             result = embedder.blowup_pipeline(host, parts, args.n, args.k)
         else:
-            eps = _parse_fraction(args.eps)
+            eps = _parse_fraction("--eps", args.eps, at_most=1)
             result = embedder.tee_pipeline(host, parts, args.n, args.k, eps)
         emb, stage = result.embedding, result.failed_stage
     if emb is None:
@@ -296,7 +305,7 @@ def cmd_verify(args, ctx: RunContext) -> int:
 
 
 def cmd_ramsey_count_regular(args, ctx: RunContext) -> int:
-    rho = _parse_fraction(args.rho)
+    rho = _parse_fraction("--rho", args.rho)
     report = ramsey.count_rho_regular(rho, args.n)
     print(f"exact {report.exact_count}")
     if report.formula_lower_bound is not None:
@@ -316,7 +325,7 @@ def cmd_sample(args, ctx: RunContext) -> int:
         text = serialize_ordered_graph(graph)
     elif args.what == "regular":
         graph = stochastic.sample_rho_regular(
-            _parse_fraction(args.rho), args.n, args.seed, mode=args.mode
+            _parse_fraction("--rho", args.rho), args.n, args.seed, mode=args.mode
         )
         text = serialize_unordered_graph(graph)
     else:

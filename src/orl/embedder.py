@@ -8,6 +8,7 @@ a pipeline's `failed_stage` says which stage gave out.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -299,14 +300,20 @@ def tee_pipeline(
     if not triangles:
         return PipelineResult(None, "triangles")
 
-    long_legged = [t for t in triangles if t[2] - t[1] >= epsilon * big_n / 2]
+    min_leg = math.ceil(epsilon * big_n / 2)  # legs are integers
+    long_legged = [t for t in triangles if t[2] - t[1] >= min_leg]
     if not long_legged:
         return PipelineResult(None, "long-right-legs")
 
-    # split index j: triangles with two vertices <= j and the apex beyond
-    best_j, best_tj = 0, -1
+    # split index j: triangles with two vertices <= j and the apex beyond,
+    # counted for every j at once from where each triangle enters and leaves
+    delta = [0] * (big_n + 1)
+    for _, v, w in long_legged:
+        delta[v] += 1
+        delta[w] -= 1
+    best_j, best_tj, tj = 0, -1, delta[1]
     for j in range(2, big_n):
-        tj = sum(1 for t in long_legged if t[1] <= j < t[2])
+        tj += delta[j]
         if tj > best_tj:
             best_j, best_tj = j, tj
     if best_tj <= 0:

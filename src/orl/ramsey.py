@@ -1,14 +1,14 @@
 """Exact ordered Ramsey numbers, certificates, and almost-regular graph counts.
 
-The avoiding-coloring search colors the host's pairs in lexicographic order,
-checks after every assignment whether a monochromatic copy of the pattern
-was just completed, and breaks the global color-swap symmetry by fixing the
-first pair red.  The pattern is compiled once per search (`CompiledPattern`)
-and each check is one bitset containment search with the newly colored pair
-pinned; the depth-first search keeps its C(N, 2) levels on an explicit
-stack, not the interpreter's.  Upper bounds are exhausted searches; lower
-bounds are concrete avoiding colorings, both re-checkable from their
-certificates.
+The avoiding-coloring search is a DPLL-style search over an explicit table
+of the pattern's copies in K_N.  It keeps, per copy and color, the number of
+the copy's pairs in that color; a copy all in one color is a conflict, and
+a copy one pair short of that forces its last pair to the other color (unit
+propagation: the other color is the only one any avoiding extension can
+give it).  It branches on the pair that lies in the most nearly complete
+copies, and breaks the global color-swap symmetry by making the first
+decision red.  Upper bounds are exhausted searches; lower bounds are
+concrete avoiding colorings, both re-checkable from their certificates.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from orl.core import (
     BLUE,
     COLORS,
     Coloring,
-    CompiledPattern,
     OrderedGraph,
     RED,
     UnorderedGraph,
+    pair_count,
     pair_iter,
 )
 from orl.embedder import find_monochromatic
@@ -66,69 +66,144 @@ class Certificate:
 # avoiding-coloring search
 # ---------------------------------------------------------------------------
 
+MAX_COPIES = 100_000  # largest copy table, C(N, n) rows, that avoiding_coloring builds
+
+
 def avoiding_coloring(
     pattern: OrderedGraph, N: int, stats: Optional[SearchStats] = None
 ) -> Optional[Coloring]:
     """A total coloring of K_N with no monochromatic copy of the pattern, or
-    None once the depth-first search over lexicographic pair assignments is
-    exhausted.
+    None once the propagating depth-first search is exhausted.
 
-    After each assignment only copies completed by the newly colored pair are
-    tested: a strictly increasing embedding preserves the lexicographic order
-    of pairs, so the copy's last-colored edge is the image of the pattern's
-    lexicographically largest edge, and pinning that image makes the
-    incremental check complete.
+    The search works on a table of the pattern's C(N, n) copies in K_N, each
+    the tuple of pair indices its edges map to, with one counter per copy and
+    color of the pairs it has in that color.  Coloring a pair bumps the
+    counters of the copies through it:
+    - a copy with all m pairs in one color is a conflict;
+    - a copy with m - 1 pairs in color c and none in the other color forces
+      its last uncolored pair to the other color, since c there would
+      complete the copy.  Forcing is sound (every avoiding extension of the
+      partial coloring agrees with it), so the forced pairs are colored at
+      once and undone with the decision that caused them.
+    A decision goes to the uncolored pair of highest score, the sum over its
+    copies that are not yet bichromatic of 8 ** (colored pairs in the copy),
+    ties to the lowest lexicographic index; red is tried before blue.  The
+    first decision is red only: nothing is colored before it, and swapping
+    the colors maps the search below a blue first decision, forced pairs
+    included, onto the one below red.  Once no uncolored pair lies in a
+    copy that is not bichromatic, no copy can become monochromatic, so the
+    rest is colored red.  `stats.nodes` counts the decisions tried and
+    `stats.prunes` those whose propagation hit a conflict.
     """
     if N < 0:
         raise ValueError("N must be non-negative")
     if stats is None:
         stats = SearchStats()
-    pairs = list(pair_iter(N))
+    n_pairs = pair_count(N)
     if not pattern.edges:
         # an edgeless pattern embeds in any total coloring that can hold it
         if pattern.n <= N:
             return None
-        return Coloring(N, [RED] * len(pairs))
+        return Coloring(N, [RED] * n_pairs)
     if pattern.n > N:
-        return Coloring(N, [RED] * len(pairs))
+        return Coloring(N, [RED] * n_pairs)
+    n_copies = math.comb(N, pattern.n)
+    if n_copies > MAX_COPIES:
+        raise ValueError(
+            f"C({N}, {pattern.n}) = {n_copies} copies exceed MAX_COPIES = {MAX_COPIES}"
+        )
 
-    # the pattern is compiled once; each node is one pinned memo-off search
-    engine = CompiledPattern(pattern.n, pattern.edges)
-    lo_pin, hi_pin = max(pattern.edges)
-    red_adj = [0] * (N + 1)
-    blue_adj = [0] * (N + 1)
-    assignment: list[Optional[str]] = [None] * len(pairs)
-    # tried[t]: colors tried so far at pair t (RED first, then BLUE); the
-    # depth-first search runs on this explicit stack, C(N, 2) levels deep
-    tried = [0] * len(pairs)
+    index = {pair: t for t, pair in enumerate(pair_iter(N))}
+    edges = pattern.sorted_edges()
+    copies = list(dict.fromkeys(
+        tuple(index[image[a - 1], image[b - 1]] for a, b in edges)
+        for image in combinations(range(1, N + 1), pattern.n)
+    ))  # isolated pattern vertices repeat copies; each is kept once
+    through: list[list[int]] = [[] for _ in range(n_pairs)]
+    for x, copy in enumerate(copies):
+        for t in copy:
+            through[t].append(x)
+    m = len(edges)
+    weight = [8 ** k for k in range(m + 1)]
+    counts = ([0] * len(copies), [0] * len(copies))  # per color, per copy
+    color: list[Optional[int]] = [None] * n_pairs  # 0 red, 1 blue
+    trail: list[int] = []  # colored pairs, in the order they were colored
+
+    def propagate(t: int, c: int) -> bool:
+        """Color pair t with c and every pair that forces; False on a conflict."""
+        queue = [(t, c)]
+        while queue:
+            t, c = queue.pop()
+            if color[t] is not None:
+                if color[t] != c:
+                    return False
+                continue
+            color[t] = c
+            trail.append(t)
+            mine, other = counts[c], counts[1 - c]
+            conflict = False
+            for x in through[t]:
+                k = mine[x] = mine[x] + 1
+                if k >= m - 1 and not other[x]:
+                    if k == m:
+                        conflict = True  # finish the bumps, so undo stays exact
+                    else:
+                        last = next(u for u in copies[x] if color[u] is None)
+                        queue.append((last, 1 - c))
+            if conflict:
+                return False
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            t = trail.pop()
+            cnt = counts[color[t]]
+            color[t] = None
+            for x in through[t]:
+                cnt[x] -= 1
+
+    red, blue = counts
+
+    def choose() -> Optional[int]:
+        best, best_score = None, 0
+        for t in range(n_pairs):
+            if color[t] is None:
+                score = sum(
+                    weight[red[x] + blue[x]]
+                    for x in through[t]
+                    if not (red[x] and blue[x])
+                )
+                if score > best_score:
+                    best, best_score = t, score
+        return best
+
+    # decisions: (pair, color, trail length before it) of each decision on
+    # the trail; the depth-first search runs on this explicit stack
+    decisions: list[tuple[int, int, int]] = []
     nodes = prunes = 0
-    t = 0
-    while 0 <= t < len(pairs):
-        a, b = pairs[t]
-        k = tried[t]
-        if k:
-            adj = red_adj if k == 1 else blue_adj
-            adj[a] &= ~(1 << b)
-            adj[b] &= ~(1 << a)
-        if k == (1 if t == 0 else 2):
-            tried[t] = 0
-            t -= 1
-            continue
-        tried[t] = k + 1
-        adj = red_adj if k == 0 else blue_adj
+    t, c = choose(), 0
+    while t is not None:
+        mark = len(trail)
         nodes += 1
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-        assignment[t] = COLORS[k]
-        if engine.search(N, adj, {lo_pin: a, hi_pin: b}, False) is not None:
-            prunes += 1
-        else:
-            t += 1
+        if propagate(t, c):
+            decisions.append((t, c, mark))
+            t, c = choose(), 0
+            continue
+        prunes += 1
+        undo(mark)
+        # back to the deepest red decision below the one that failed, and
+        # blue there; the first decision has no blue
+        while decisions and c == 1:
+            t, c, mark = decisions.pop()
+            undo(mark)
+        if not decisions:
+            break
+        c = 1
     stats.nodes += nodes
     stats.prunes += prunes
-    if t < 0:
+    if not decisions:  # the first decision is popped only when exhausted
         return None
-    return Coloring(N, assignment)  # type: ignore[arg-type]
+    return Coloring(N, [COLORS[k or 0] for k in color])
 
 
 @dataclass(frozen=True)
@@ -149,8 +224,9 @@ def ordered_ramsey(pattern: OrderedGraph, N_max: Optional[int] = None) -> Ramsey
     """Smallest N <= N_max such that no coloring of K_N avoids the pattern.
 
     Returns the exact value with both certificates, or a lower-bound-only
-    result at N_max + 1 when every size up to the cap still admits an
-    avoiding coloring.
+    result when every size up to the cap still admits an avoiding coloring:
+    at N_max + 1, or at the first N whose copy table would exceed
+    MAX_COPIES.
     """
     if N_max is None:  # the classical exponential bound; callers usually pass less
         N_max = 2 ** (2 * pattern.n)
@@ -159,6 +235,8 @@ def ordered_ramsey(pattern: OrderedGraph, N_max: Optional[int] = None) -> Ramsey
     best_lower: Optional[Certificate] = None
     start = 0 if pattern.n == 0 else pattern.n - 1
     for N in range(start, N_max + 1):
+        if math.comb(N, pattern.n) > MAX_COPIES:
+            return RamseyResult(pattern, N, False, best_lower, None)
         stats = SearchStats()
         col = avoiding_coloring(pattern, N, stats)
         if col is None:

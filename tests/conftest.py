@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from orl.core import BLUE, Coloring, OrderedGraph, RED, pair_iter
+from orl.core import BLUE, COLORS, Coloring, CompiledPattern, OrderedGraph, RED, pair_iter
 
 
 def brute_contains(host: OrderedGraph, pattern: OrderedGraph, pins=None):
@@ -136,6 +136,59 @@ def brute_avoiding_exists(pattern: OrderedGraph, N: int) -> bool:
         ) and not brute_monochromatic_exists(col, pattern, BLUE):
             return True
     return False
+
+
+def lex_avoiding_coloring(pattern: OrderedGraph, N: int, stats=None):
+    """The chronological avoiding-coloring search: pairs in lexicographic
+    order, red before blue, the first pair red only, and after each
+    assignment one pinned containment search for a copy completed by the
+    newly colored pair.  A strictly increasing embedding preserves the
+    lexicographic order of pairs, so that copy's last-colored edge is the
+    image of the pattern's lexicographically largest edge.  Counts nodes and
+    prunes into `stats` (a `ramsey.SearchStats`) like `avoiding_coloring`.
+    """
+    pairs = list(pair_iter(N))
+    if not pattern.edges:
+        if pattern.n <= N:
+            return None
+        return Coloring(N, [RED] * len(pairs))
+    if pattern.n > N:
+        return Coloring(N, [RED] * len(pairs))
+    engine = CompiledPattern(pattern.n, pattern.edges)
+    lo_pin, hi_pin = max(pattern.edges)
+    red_adj = [0] * (N + 1)
+    blue_adj = [0] * (N + 1)
+    assignment = [None] * len(pairs)
+    tried = [0] * len(pairs)  # colors tried so far at pair t
+    nodes = prunes = 0
+    t = 0
+    while 0 <= t < len(pairs):
+        a, b = pairs[t]
+        k = tried[t]
+        if k:
+            adj = red_adj if k == 1 else blue_adj
+            adj[a] &= ~(1 << b)
+            adj[b] &= ~(1 << a)
+        if k == (1 if t == 0 else 2):
+            tried[t] = 0
+            t -= 1
+            continue
+        tried[t] = k + 1
+        adj = red_adj if k == 0 else blue_adj
+        nodes += 1
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        assignment[t] = COLORS[k]
+        if engine.search(N, adj, {lo_pin: a, hi_pin: b}, False) is not None:
+            prunes += 1
+        else:
+            t += 1
+    if stats is not None:
+        stats.nodes += nodes
+        stats.prunes += prunes
+    if t < 0:
+        return None
+    return Coloring(N, assignment)
 
 
 def brute_count_with_degrees(degrees: tuple[int, ...]) -> int:

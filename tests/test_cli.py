@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from orl import cli
+from orl import cli, ramsey
 from orl.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, dispatch
 from orl.constructions import parse_blocks
 from orl.core import parse_coloring, parse_ordered_graph, parse_unordered_graph
@@ -99,6 +99,31 @@ def test_ramsey_exact_capped(tmp_path, capsys):
         capsys, "ramsey", "exact", "--pattern", str(pattern), "--nmax", "4"
     )
     assert code == EXIT_INCONCLUSIVE and out.strip() == ">= 5"
+
+
+def test_ramsey_exact_stops_at_the_copy_table_bound(tmp_path, capsys, monkeypatch):
+    # C(6, 3) = 20 copies exceed a bound of 10: stop there as at the --nmax cap
+    monkeypatch.setattr(ramsey, "MAX_COPIES", 10)
+    pattern = tmp_path / "k3.og"
+    pattern.write_text("og 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    certdir = tmp_path / "certs"
+    code, out, _ = run(
+        capsys, "ramsey", "exact", "--pattern", str(pattern), "--emit-cert", str(certdir)
+    )
+    assert code == EXIT_INCONCLUSIVE and out.strip() == ">= 6"
+    assert (certdir / "lower_N5.col").exists() and not (certdir / "upper_N6.json").exists()
+
+
+def test_ramsey_exact_upper_certificate_counts_decisions(tmp_path, capsys):
+    pattern = tmp_path / "k3.og"
+    pattern.write_text("og 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    certdir = tmp_path / "certs"
+    code, _, _ = run(
+        capsys, "ramsey", "exact", "--pattern", str(pattern), "--emit-cert", str(certdir)
+    )
+    assert code == EXIT_OK
+    upper = json.loads((certdir / "upper_N6.json").read_text())
+    assert (upper["nodes"], upper["prunes"]) == (19, 10)
 
 
 def test_verify_rejects_bad_certificate(tmp_path, capsys):
@@ -506,6 +531,16 @@ def test_missing_option_is_a_usage_error(capsys, argv, flag):
         (["embed", "tee", "--host", "{d}/k3.og", "--n", "0", "--parts", "1,1,1"], "--n"),
         (["matrix", "unavoid", "--n", "0", "--size", "3"], "--n"),
         (["matrix", "unavoid", "--n", "2", "--size", "-1"], "--size"),
+        (["embed", "tee", "--host", "{d}/k3.og", "--n", "1", "--parts", "1,1,1", "--eps", "abc"],
+         "--eps"),
+        (["embed", "tee", "--host", "{d}/k3.og", "--n", "1", "--parts", "1,1,1", "--eps", "2"],
+         "--eps"),
+        (["embed", "tee", "--host", "{d}/k3.og", "--n", "1", "--parts", "1,1,1", "--eps", "0"],
+         "--eps"),
+        (["ramsey", "count-regular", "--rho", "abc", "--n", "4"], "--rho"),
+        (["ramsey", "count-regular", "--rho", "-2", "--n", "4"], "--rho"),
+        (["sample", "regular", "--rho", "1/x", "--n", "4", "--seed", "1"], "--rho"),
+        (["sample", "regular", "--rho", "0", "--n", "4", "--seed", "1"], "--rho"),
     ],
 )
 def test_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv, flag):

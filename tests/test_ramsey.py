@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_avoiding_exists, brute_count_with_degrees
+from conftest import (
+    all_graphs,
+    brute_avoiding_exists,
+    brute_count_with_degrees,
+    lex_avoiding_coloring,
+)
+from orl import ramsey
 from orl.constructions import alternating_path, nested_matching
 from orl.core import (
     BLUE,
@@ -19,6 +25,7 @@ from orl.ramsey import (
     Certificate,
     SearchStats,
     avoiding_coloring,
+    avoids,
     count_labeled_graphs_with_degrees,
     count_rho_regular,
     enumerate_rho_regular,
@@ -92,7 +99,8 @@ def test_avoiding_coloring_matches_full_enumeration():
             )
 
 
-# (nodes, prunes) of exhausted searches; any change to the search tree shows
+# (nodes, prunes) of the chronological lexicographic search, the oracle kept
+# in conftest; any change to its search tree shows
 @pytest.mark.parametrize(
     "pattern,N,nodes,prunes",
     [
@@ -104,8 +112,56 @@ def test_avoiding_coloring_matches_full_enumeration():
 )
 def test_avoiding_coloring_search_tree_golden(pattern, N, nodes, prunes):
     stats = SearchStats()
-    assert avoiding_coloring(pattern, N, stats) is None
+    assert lex_avoiding_coloring(pattern, N, stats) is None
     assert (stats.nodes, stats.prunes) == (nodes, prunes)
+
+
+# (nodes, prunes) of the propagating search, exhausted at the value of each
+# pattern of the perfbench ramsey-exact corpus; any change to pair choice or
+# propagation shows
+@pytest.mark.parametrize(
+    "edges,N,nodes,prunes",
+    [
+        ([(1, 2), (1, 3), (2, 3)], 6, 19, 10),
+        ([(1, 2), (3, 4)], 6, 1, 1),
+        ([(1, 4), (2, 3)], 6, 1, 1),
+        ([(1, 2), (1, 4), (2, 3)], 9, 9, 5),
+        ([(1, 2), (1, 3), (2, 4)], 9, 5, 3),
+        ([(1, 2), (2, 3), (2, 4)], 9, 103, 52),
+        ([(1, 3), (1, 4), (2, 3), (2, 4)], 10, 451, 226),
+    ],
+)
+def test_propagating_search_tree_golden(edges, N, nodes, prunes):
+    stats = SearchStats()
+    assert avoiding_coloring(OrderedGraph(max(max(e) for e in edges), edges), N, stats) is None
+    assert (stats.nodes, stats.prunes) == (nodes, prunes)
+
+
+# ordered Ramsey value of every ordered graph on n <= 4 vertices, listed in
+# `all_graphs(n)` order (graph i has pair t of `pair_iter(n)` iff bit t of i
+# is set); None: above 8
+SMALL_VALUES = {
+    0: [0],
+    1: [1],
+    2: [2, 2],
+    3: [3, 3, 3, 4, 3, 5, 4, 6],
+    4: [4, 4, 4, 5, 4, 6, 5, 6, 4, 6, 5, 7, 6, None, 7, None,
+        4, 8, 5, None, 5, None, 7, None, 5, None, 7, None, 7, None, None, None,
+        4, 6, 8, None, 6, None, None, None, 6, None, None, None, None, None, None, None,
+        5, None, None, None, 6, None, None, None, 7, None, None, None, None, None, None, None],
+}
+
+
+@pytest.mark.parametrize("n", sorted(SMALL_VALUES))
+def test_avoiding_coloring_agrees_with_lex_oracle(n):
+    # every ordered graph on n vertices, K_0 .. K_8: the same outcome as the
+    # lexicographic search, avoiders that avoid, and exhaustion from the value on
+    for graph, value in zip(all_graphs(n), SMALL_VALUES[n], strict=True):
+        for N in range(9):
+            got = avoiding_coloring(graph, N)
+            assert (got is None) == (lex_avoiding_coloring(graph, N) is None), (graph.edges, N)
+            assert got is None or avoids(got, graph), (graph.edges, N)
+            assert (got is None) == (value is not None and N >= value), (graph.edges, N)
 
 
 def test_avoiding_coloring_depth_is_not_bounded_by_recursion():
@@ -114,6 +170,24 @@ def test_avoiding_coloring_depth_is_not_bounded_by_recursion():
     col = avoiding_coloring(pattern, 50)
     assert col is not None
     assert verify_certificate(Certificate("lower", pattern, 50, coloring=col))
+
+
+def test_avoiding_coloring_copy_table_bound(monkeypatch):
+    # C(60, 30) copies of a 30-vertex pattern: refused before any table is built
+    with pytest.raises(ValueError, match=r"C\(60, 30\) = 118264581564861424 copies"):
+        avoiding_coloring(OrderedGraph(30, [(1, 2)]), 60)
+    monkeypatch.setattr(ramsey, "MAX_COPIES", 10)
+    assert avoiding_coloring(complete_graph(3), 5) is not None  # C(5, 3) = 10
+    with pytest.raises(ValueError, match=r"C\(6, 3\) = 20 copies"):
+        avoiding_coloring(complete_graph(3), 6)
+
+
+def test_ordered_ramsey_stops_at_the_copy_table_bound(monkeypatch):
+    monkeypatch.setattr(ramsey, "MAX_COPIES", 10)
+    result = ordered_ramsey(complete_graph(3), 10)
+    assert not result.exact and result.value == 6 and result.describe() == ">= 6"
+    assert result.upper is None and result.lower.N == 5
+    assert verify_certificate(result.lower)
 
 
 def test_avoiding_coloring_edgeless_patterns():
@@ -143,11 +217,30 @@ def test_ordered_ramsey_nested_matching_2_golden():
 
 
 def test_ordered_ramsey_nested_matching_3_golden():
-    # the slowest test in the suite (7 s on Python 3.11, 2 vCPUs): exhausting
-    # K_10 takes ~1.2M nodes
     result = ordered_ramsey(nested_matching(3), 10)
     assert result.exact and result.value == 10
     assert result.value <= 4 * 3 - 2
+
+
+def test_ordered_ramsey_monotone_path_4_golden():
+    # the classical value (n - 1)^2 + 1 of the monotone path on n vertices
+    result = ordered_ramsey(OrderedGraph(4, [(1, 2), (2, 3), (3, 4)]), 12)
+    assert result.exact and result.value == (4 - 1) ** 2 + 1
+    assert verify_certificate(result.lower)
+
+
+# the matchings {i, 3 + pi(i)} of interval chromatic number 2, for each
+# permutation pi of [3] in lexicographic order
+@pytest.mark.parametrize(
+    "pi,value",
+    [((1, 2, 3), 9), ((1, 3, 2), 10), ((2, 1, 3), 10), ((2, 3, 1), 11), ((3, 1, 2), 10),
+     ((3, 2, 1), 10)],
+)
+def test_ordered_ramsey_interval_chromatic_2_matchings_golden(pi, value):
+    pattern = OrderedGraph(6, [(i, 3 + pi[i - 1]) for i in range(1, 4)])
+    result = ordered_ramsey(pattern, 12)
+    assert result.exact and result.value == value
+    assert verify_certificate(result.lower)
 
 
 def test_ordered_ramsey_capped():

@@ -1,10 +1,15 @@
-"""The README "Library layout" names only what the package defines."""
+"""The README "Library layout" names only what the package defines, and the
+"Selected exact values" table holds what the package computes."""
 
 import importlib
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from orl.core import OrderedGraph
+from orl.ramsey import count_rho_regular, ordered_ramsey
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,3 +51,31 @@ def test_readme_layout_names_resolve(module, names):
         if target is None:
             missing.append(name)
     assert names and not missing, f"{module} does not define {missing}"
+
+
+def value_rows() -> list[tuple[str, int]]:
+    """(quantity, value) of each row of the "Selected exact values" table;
+    every row below the header parses."""
+    section = README.read_text(encoding="utf-8").split("## Selected exact values", 1)[1]
+    lines = [line for line in section.split("\n") if line.startswith("| ")][2:]
+    rows = [re.fullmatch(r"\| (.+) \| (\d+) \|", line) for line in lines]
+    assert rows and all(rows), lines
+    return [(row[1], int(row[2])) for row in rows]
+
+
+VALUE_ROWS = value_rows()
+
+
+@pytest.mark.parametrize("quantity, value", VALUE_ROWS, ids=[q for q, _ in VALUE_ROWS])
+def test_readme_exact_value_is_recomputed(quantity, value):
+    regular = re.fullmatch(r"labeled (\S+)-regular graphs on (\d+) vertices", quantity)
+    if regular:
+        rho, n = Fraction(regular[1].strip("()")), int(regular[2])
+        assert count_rho_regular(rho, n).exact_count == value
+        return
+    # every other row is an ordered Ramsey number of the pattern whose edges
+    # it names as `{i,j},...`
+    (edge_list,) = re.findall(r"`(\{\d+,\d+\}(?:,\{\d+,\d+\})*)`", quantity)
+    edges = [tuple(map(int, e)) for e in re.findall(r"\{(\d+),(\d+)\}", edge_list)]
+    result = ordered_ramsey(OrderedGraph(max(map(max, edges)), edges), value)
+    assert result.exact and result.value == value
