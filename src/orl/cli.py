@@ -258,8 +258,15 @@ def _emit_ramsey_certs(ctx: RunContext, outdir: str, result) -> None:
         )
 
 
+def _check_nmax(nmax: Optional[int], size: int) -> None:
+    """`--nmax` below the pattern size is a ValueError naming the option."""
+    if nmax is not None and nmax < size:
+        raise ValueError(f"--nmax {nmax}: must be at least the pattern size {size}")
+
+
 def cmd_ramsey_exact(args, ctx: RunContext) -> int:
     pattern = ctx.read(args.pattern, parse_ordered_graph)
+    _check_nmax(args.nmax, pattern.n)
     result = ramsey.ordered_ramsey(pattern, args.nmax)
     if args.emit_cert:
         _emit_ramsey_certs(ctx, args.emit_cert, result)
@@ -269,6 +276,7 @@ def cmd_ramsey_exact(args, ctx: RunContext) -> int:
 
 def cmd_ramsey_minmax(args, ctx: RunContext) -> int:
     graph = ctx.read(args.graph, parse_unordered_graph)
+    _check_nmax(args.nmax, graph.n)
     report = ramsey.min_max_ordered_ramsey(graph, args.nmax)
     for pattern, order, res in report.results:
         edges = ",".join(f"{a}-{b}" for a, b in pattern.sorted_edges())

@@ -438,182 +438,63 @@ def serialize_coloring(col: Coloring) -> str:
 # order-preserving embedding search
 # ---------------------------------------------------------------------------
 
-class CompiledPattern:
-    """A pattern's order-preserving containment search, compiled once.
-
-    Pattern positions are placed in increasing order.  A position's
-    candidates are one host bitmask: its window (strictly after the previous
-    image, leaving room for the positions still to place, and before any
-    later pin) ANDed with the `host_adj` masks of its placed earlier
-    neighbors and of its pinned neighbors.  Candidates are tried from the
-    lowest bit up on an explicit stack, so the result is the leftmost
-    (lexicographically first) embedding and search depth is not bounded by
-    the interpreter's recursion limit.  The per-pattern tables are built
-    here; the tables that depend on which positions are pinned are built on
-    first use and cached per set of pinned positions.
-    """
-
-    __slots__ = ("n", "nbrs", "_plans")
-
-    def __init__(self, pattern_n: int, pattern_edges: Iterable[tuple[int, int]]):
-        self.n = pattern_n
-        nbrs = [0] * (pattern_n + 1)  # bit q of nbrs[p]: {p, q} is a pattern edge
-        for a, b in pattern_edges:
-            nbrs[a] |= 1 << b
-            nbrs[b] |= 1 << a
-        self.nbrs = nbrs
-        self._plans: dict[tuple[int, ...], _PinPlan] = {}
-
-    def search(
-        self,
-        host_n: int,
-        host_adj: Sequence[int],
-        pins: Optional[dict[int, int]] = None,
-        memo: bool = True,
-    ) -> Optional[tuple[int, ...]]:
-        """Leftmost embedding into `host_adj` (bitmasks over 1..host_n), or None.
-
-        `pins` fixes the images of selected pattern positions; a pin outside
-        1..n or 1..host_n admits no embedding.  With `memo`, subtrees proven
-        infeasible are cached by (position, previous image, frontier images),
-        where the frontier is the placed positions with a neighbor at or
-        after the position; this only prunes provable failures and never
-        changes the answer.
-        """
-        n = self.n
-        if n == 0:
-            return ()
-        if n > host_n:
-            return None
-        pins = pins or {}
-        img = [0] * (n + 2)  # img[0] and img[n + 1] stand for the host's ends
-        img[n + 1] = host_n + 1
-        for p, v in pins.items():
-            if not (1 <= p <= n and 1 <= v <= host_n):
-                return None
-            img[p] = v
-        # keyed by insertion order, which callers keep fixed for a pattern;
-        # the plan itself only depends on the set of keys
-        plan = self._plans.get(tuple(pins))
-        if plan is None:
-            plan = self._plans[tuple(pins)] = _PinPlan(self.nbrs, sorted(pins))
-        prev = 0
-        for q in plan.pinned:
-            if img[q] - img[prev] < q - prev:
-                return None
-            prev = q
-        for a, b in plan.pin_edges:
-            if not (host_adj[img[a]] >> img[b]) & 1:
-                return None
-        windows = []
-        for p, below, above, pinned_nbrs in plan.bounds:
-            window = (1 << (img[above] - above + p + 1)) - (1 << (img[below] + p - below))
-            for q in pinned_nbrs:
-                window &= host_adj[img[q]]
-            if not window:
-                return None
-            windows.append(window)
-
-        free, placed_nbrs, frontier = plan.free, plan.placed_nbrs, plan.frontier
-        k = len(free)
-        if k == 0:
-            return tuple(img[1 : n + 1])
-        failed: set[tuple[int, ...]] = set()
-        keys: list[tuple[int, ...]] = [()] * k
-        left = [0] * k  # candidates not yet tried, per depth
-        left[0] = windows[0]
-        d = 0
-        while True:
-            cand = left[d]
-            if not cand:
-                if memo:
-                    failed.add(keys[d])
-                d -= 1
-                if d < 0:
-                    return None
-                continue
-            low = cand & -cand
-            left[d] = cand ^ low
-            img[free[d]] = low.bit_length() - 1
-            d += 1
-            if d == k:
-                return tuple(img[1 : n + 1])
-            p = free[d]
-            lo = img[p - 1] + 1
-            cand = windows[d] >> lo << lo
-            for q in placed_nbrs[d]:
-                cand &= host_adj[img[q]]
-            if memo:
-                key = (p, img[p - 1], *[img[q] for q in frontier[d]])
-                keys[d] = key
-                if key in failed:
-                    cand = 0
-            left[d] = cand
-
-
-class _PinPlan:
-    """The tables of a compiled pattern that depend on its pinned positions.
-
-    Per free (unpinned) position, in increasing order: the nearest pinned
-    positions below and above it (0 and n + 1 stand for the host's ends),
-    its pinned neighbors, its free earlier neighbors, and its memo frontier
-    (free earlier positions with a free neighbor at or after it).
-    """
-
-    __slots__ = ("pinned", "pin_edges", "free", "bounds", "placed_nbrs", "frontier")
-
-    def __init__(self, nbrs: list[int], pinned: list[int]):
-        n = len(nbrs) - 1
-        pin_mask = 0
-        for q in pinned:
-            pin_mask |= 1 << q
-        self.pinned = tuple(pinned) + (n + 1,)  # ends with the upper sentinel
-        self.pin_edges = tuple(
-            (a, b) for a in pinned for b in pinned if a < b and (nbrs[a] >> b) & 1
-        )
-        free = [p for p in range(1, n + 1) if not (pin_mask >> p) & 1]
-        last_free_nbr = {p: (nbrs[p] & ~pin_mask).bit_length() - 1 for p in free}
-        bounds, placed_nbrs, frontier = [], [], []
-        below, above_at = 0, 0  # above_at indexes self.pinned
-        active: list[int] = []
-        for p in free:
-            while self.pinned[above_at] < p:
-                below = self.pinned[above_at]
-                above_at += 1
-            bounds.append((p, below, self.pinned[above_at], _bits(nbrs[p] & pin_mask)))
-            placed_nbrs.append(_bits(nbrs[p] & ~pin_mask & ((1 << p) - 1)))
-            active = [q for q in active if last_free_nbr[q] >= p]
-            frontier.append(tuple(active))
-            if last_free_nbr[p] > p:
-                active.append(p)
-        self.free = tuple(free)
-        self.bounds = tuple(bounds)
-        self.placed_nbrs = tuple(placed_nbrs)
-        self.frontier = tuple(frontier)
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of `mask`, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def search_embedding(
     pattern_n: int,
     pattern_edges: Iterable[tuple[int, int]],
     host_n: int,
     host_adj: Sequence[int],
-    pins: Optional[dict[int, int]] = None,
-    memo: bool = True,
 ) -> Optional[tuple[int, ...]]:
-    """Leftmost order-preserving embedding of a pattern into a host adjacency;
-    see `CompiledPattern.search`.  Callers that search one pattern many times
-    compile it once instead."""
-    return CompiledPattern(pattern_n, pattern_edges).search(host_n, host_adj, pins, memo)
+    """Leftmost order-preserving embedding of a pattern into `host_adj`
+    (bitmasks over 1..host_n), or None when there is none.
+
+    Positions are placed in increasing order.  Position p's candidates are
+    one host bitmask: its window, from just after the previous image to
+    host_n - (n - p), ANDed with the `host_adj` masks of its earlier
+    neighbors' images.  They are tried lowest bit first on an explicit
+    stack, so the result is the leftmost embedding at any depth.  Failed
+    subtrees are cached by (position, previous image, frontier images),
+    where p's frontier is the earlier positions with a neighbor at or after
+    p: the rest of the search reads nothing else, so the cache never
+    changes the answer.
+    """
+    n = pattern_n
+    if n > host_n:
+        return None
+    earlier: list[list[int]] = [[] for _ in range(n + 1)]  # earlier neighbors
+    last = list(range(n + 1))  # last[q]: q's highest neighbor, or q itself
+    for a, b in map(sorted, pattern_edges):
+        earlier[b].append(a)
+        last[a] = max(last[a], b)
+    frontier: list[tuple[int, ...]] = [()] * (n + 1)
+    active: list[int] = []
+    for p in range(1, n + 1):
+        active = [q for q in active if last[q] >= p]
+        frontier[p] = tuple(active)
+        active.append(p)  # dropped at p + 1 unless it has a later neighbor
+
+    top = host_n - n  # position p's images end at top + p
+    img = [0] * (n + 1)  # img[0] stands for the host's left end
+    left = [0] * (n + 1)  # candidates not yet tried, per position
+    keys: list[tuple[int, ...]] = [()] * (n + 1)
+    failed: set[tuple[int, ...]] = set()
+    p = 0
+    while p < n:
+        p += 1
+        prev = img[p - 1]
+        keys[p] = key = (p, prev, *[img[q] for q in frontier[p]])
+        cand = 0 if key in failed else (1 << (top + p + 1)) - (1 << (prev + 1))
+        for q in earlier[p]:
+            cand &= host_adj[img[q]]
+        while not cand:  # back to the deepest position with candidates left
+            failed.add(keys[p])
+            p -= 1
+            if p == 0:
+                return None
+            cand = left[p]
+        low = cand & -cand
+        left[p] = cand ^ low
+        img[p] = low.bit_length() - 1
+    return tuple(img[1:])
 
 
 def contains(host: OrderedGraph, pattern: OrderedGraph) -> Optional[Embedding]:
@@ -622,9 +503,7 @@ def contains(host: OrderedGraph, pattern: OrderedGraph) -> Optional[Embedding]:
     The search is exhaustive: None means no such embedding exists.
     """
     image = search_embedding(pattern.n, pattern.edges, host.n, host.adj)
-    if image is None:
-        return None
-    return Embedding(pattern.n, image)
+    return None if image is None else Embedding(pattern.n, image)
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,4 @@ def find_monochromatic(
     image = search_embedding(
         pattern.n, pattern.edges, coloring.n, coloring.monochromatic_adj(color)
     )
-    if image is None:
-        return None
-    return Embedding(pattern.n, image)
+    return None if image is None else Embedding(pattern.n, image)

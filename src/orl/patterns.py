@@ -4,7 +4,7 @@ B is contained in A when deleting rows/columns of A and demoting some 1s
 to 0 leaves B; row and column order is preserved, mirroring the ordered
 subgraph search.  `CompiledMatrixPattern` compiles B once and searches
 hosts given as row bitmasks on an explicit stack; it is a separate engine
-from `orl.core.CompiledPattern` because its greedy column check after every
+from `orl.core.search_embedding` because its greedy column check after every
 row choice prunes far earlier than placing all rows before any column.
 The matching/coloring converters translate avoidance certificates into
 matrices that dodge a permutation pattern both ways.

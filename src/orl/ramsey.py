@@ -66,7 +66,17 @@ class Certificate:
 # avoiding-coloring search
 # ---------------------------------------------------------------------------
 
-MAX_COPIES = 100_000  # largest copy table, C(N, n) rows, that avoiding_coloring builds
+MAX_COPIES = 100_000  # largest copy table that avoiding_coloring builds
+
+
+def copy_count(pattern: OrderedGraph, N: int) -> int:
+    """The number of distinct copies of the pattern in K_N, C(N - i, k) for
+    k non-isolated and i isolated vertices: only the images of the
+    non-isolated vertices set a copy's pairs.  0 when N < n."""
+    if N < pattern.n:
+        return 0
+    k = sum(1 for v in range(1, pattern.n + 1) if pattern.adj[v])
+    return math.comb(N - pattern.n + k, k)
 
 
 def avoiding_coloring(
@@ -75,10 +85,10 @@ def avoiding_coloring(
     """A total coloring of K_N with no monochromatic copy of the pattern, or
     None once the propagating depth-first search is exhausted.
 
-    The search works on a table of the pattern's C(N, n) copies in K_N, each
-    the tuple of pair indices its edges map to, with one counter per copy and
-    color of the pairs it has in that color.  Coloring a pair bumps the
-    counters of the copies through it:
+    The search works on a table of the pattern's `copy_count` copies in K_N,
+    each the tuple of pair indices its edges map to, with one counter per
+    copy and color of the pairs it has in that color.  Coloring a pair bumps
+    the counters of the copies through it:
     - a copy with all m pairs in one color is a conflict;
     - a copy with m - 1 pairs in color c and none in the other color forces
       its last uncolored pair to the other color, since c there would
@@ -107,23 +117,28 @@ def avoiding_coloring(
         return Coloring(N, [RED] * n_pairs)
     if pattern.n > N:
         return Coloring(N, [RED] * n_pairs)
-    n_copies = math.comb(N, pattern.n)
+    core = [v for v in range(1, pattern.n + 1) if pattern.adj[v]]  # non-isolated
+    slots = N - pattern.n + len(core)
+    n_copies = copy_count(pattern, N)
     if n_copies > MAX_COPIES:
         raise ValueError(
-            f"C({N}, {pattern.n}) = {n_copies} copies exceed MAX_COPIES = {MAX_COPIES}"
+            f"C({slots}, {len(core)}) = {n_copies} copies exceed MAX_COPIES = {MAX_COPIES}"
         )
 
+    # the images of the non-isolated vertices set a copy: enumerate them in
+    # 1..slots, each moved right by the isolated vertices before it
     index = {pair: t for t, pair in enumerate(pair_iter(N))}
-    edges = pattern.sorted_edges()
-    copies = list(dict.fromkeys(
-        tuple(index[image[a - 1], image[b - 1]] for a, b in edges)
-        for image in combinations(range(1, N + 1), pattern.n)
-    ))  # isolated pattern vertices repeat copies; each is kept once
+    ends = [(core.index(a), core.index(b)) for a, b in pattern.sorted_edges()]
+    shift = [v - 1 - i for i, v in enumerate(core)]
+    copies = []
+    for ys in combinations(range(1, slots + 1), len(core)):
+        image = [y + s for y, s in zip(ys, shift)]
+        copies.append(tuple(index[image[i], image[j]] for i, j in ends))
     through: list[list[int]] = [[] for _ in range(n_pairs)]
     for x, copy in enumerate(copies):
         for t in copy:
             through[t].append(x)
-    m = len(edges)
+    m = len(ends)
     weight = [8 ** k for k in range(m + 1)]
     counts = ([0] * len(copies), [0] * len(copies))  # per color, per copy
     color: list[Optional[int]] = [None] * n_pairs  # 0 red, 1 blue
@@ -235,7 +250,7 @@ def ordered_ramsey(pattern: OrderedGraph, N_max: Optional[int] = None) -> Ramsey
     best_lower: Optional[Certificate] = None
     start = 0 if pattern.n == 0 else pattern.n - 1
     for N in range(start, N_max + 1):
-        if math.comb(N, pattern.n) > MAX_COPIES:
+        if copy_count(pattern, N) > MAX_COPIES:
             return RamseyResult(pattern, N, False, best_lower, None)
         stats = SearchStats()
         col = avoiding_coloring(pattern, N, stats)

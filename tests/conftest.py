@@ -7,22 +7,13 @@ from itertools import combinations
 
 import pytest
 
-from orl.core import BLUE, COLORS, Coloring, CompiledPattern, OrderedGraph, RED, pair_iter
+from orl.core import BLUE, COLORS, Coloring, OrderedGraph, RED, pair_iter
 
 
-def brute_contains(host: OrderedGraph, pattern: OrderedGraph, pins=None):
-    """First order-preserving embedding by exhaustive injection enumeration.
-
-    `pins` maps pattern positions to the host positions their images must
-    equal; a pin outside 1..pattern.n or 1..host.n admits no embedding.
-    """
-    pins = pins or {}
-    if any(not (1 <= p <= pattern.n and 1 <= v <= host.n) for p, v in pins.items()):
-        return None
+def brute_contains(host: OrderedGraph, pattern: OrderedGraph):
+    """First order-preserving embedding by exhaustive injection enumeration."""
     for image in combinations(range(1, host.n + 1), pattern.n):
-        if all(image[p - 1] == v for p, v in pins.items()) and all(
-            host.has_edge(image[a - 1], image[b - 1]) for a, b in pattern.edges
-        ):
+        if all(host.has_edge(image[a - 1], image[b - 1]) for a, b in pattern.edges):
             return image
     return None
 
@@ -141,11 +132,13 @@ def brute_avoiding_exists(pattern: OrderedGraph, N: int) -> bool:
 def lex_avoiding_coloring(pattern: OrderedGraph, N: int, stats=None):
     """The chronological avoiding-coloring search: pairs in lexicographic
     order, red before blue, the first pair red only, and after each
-    assignment one pinned containment search for a copy completed by the
-    newly colored pair.  A strictly increasing embedding preserves the
-    lexicographic order of pairs, so that copy's last-colored edge is the
-    image of the pattern's lexicographically largest edge.  Counts nodes and
-    prunes into `stats` (a `ramsey.SearchStats`) like `avoiding_coloring`.
+    assignment a check for a copy completed by the newly colored pair.  A
+    strictly increasing embedding preserves the lexicographic order of
+    pairs, so that copy's last-colored edge is the image of the pattern's
+    lexicographically largest edge: a table built once lists, per pair, the
+    copies (as pair indices) whose largest edge maps to it.  Counts nodes
+    and prunes into `stats` (a `ramsey.SearchStats`) like
+    `avoiding_coloring`.
     """
     pairs = list(pair_iter(N))
     if not pattern.edges:
@@ -154,32 +147,26 @@ def lex_avoiding_coloring(pattern: OrderedGraph, N: int, stats=None):
         return Coloring(N, [RED] * len(pairs))
     if pattern.n > N:
         return Coloring(N, [RED] * len(pairs))
-    engine = CompiledPattern(pattern.n, pattern.edges)
-    lo_pin, hi_pin = max(pattern.edges)
-    red_adj = [0] * (N + 1)
-    blue_adj = [0] * (N + 1)
+    index = {pair: t for t, pair in enumerate(pairs)}
+    edges = sorted(pattern.edges)  # the largest edge last
+    completed_at: list[set[tuple[int, ...]]] = [set() for _ in pairs]
+    for image in combinations(range(1, N + 1), pattern.n):
+        copy = tuple(index[image[a - 1], image[b - 1]] for a, b in edges)
+        completed_at[copy[-1]].add(copy)
     assignment = [None] * len(pairs)
     tried = [0] * len(pairs)  # colors tried so far at pair t
     nodes = prunes = 0
     t = 0
     while 0 <= t < len(pairs):
-        a, b = pairs[t]
         k = tried[t]
-        if k:
-            adj = red_adj if k == 1 else blue_adj
-            adj[a] &= ~(1 << b)
-            adj[b] &= ~(1 << a)
         if k == (1 if t == 0 else 2):
             tried[t] = 0
             t -= 1
             continue
         tried[t] = k + 1
-        adj = red_adj if k == 0 else blue_adj
         nodes += 1
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-        assignment[t] = COLORS[k]
-        if engine.search(N, adj, {lo_pin: a, hi_pin: b}, False) is not None:
+        color = assignment[t] = COLORS[k]
+        if any(all(assignment[u] == color for u in copy) for copy in completed_at[t]):
             prunes += 1
         else:
             t += 1

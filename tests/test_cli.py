@@ -114,6 +114,24 @@ def test_ramsey_exact_stops_at_the_copy_table_bound(tmp_path, capsys, monkeypatc
     assert (certdir / "lower_N5.col").exists() and not (certdir / "upper_N6.json").exists()
 
 
+def test_ramsey_exact_isolated_vertices_do_not_count_against_the_bound(tmp_path, capsys):
+    # C(22, 12) = 646646 images but C(14, 4) = 1001 copies: only the four
+    # non-isolated vertices set a copy, so the search reaches the value
+    pattern = tmp_path / "gap.og"
+    pattern.write_text("og 12 2\ne 1 2\ne 11 12\n")
+    certdir = tmp_path / "certs"
+    code, out, _ = run(
+        capsys, "ramsey", "exact", "--pattern", str(pattern), "--nmax", "40",
+        "--emit-cert", str(certdir),
+    )
+    assert code == EXIT_OK and out.strip() == "22"
+    for cert in ("lower_N21.col", "upper_N22.json"):
+        code, out, _ = run(
+            capsys, "verify", "--cert", str(certdir / cert), "--pattern", str(pattern)
+        )
+        assert code == EXIT_OK and out.strip() == "true", cert
+
+
 def test_ramsey_exact_upper_certificate_counts_decisions(tmp_path, capsys):
     pattern = tmp_path / "k3.og"
     pattern.write_text("og 3 3\ne 1 2\ne 1 3\ne 2 3\n")
@@ -541,10 +559,15 @@ def test_missing_option_is_a_usage_error(capsys, argv, flag):
         (["ramsey", "count-regular", "--rho", "-2", "--n", "4"], "--rho"),
         (["sample", "regular", "--rho", "1/x", "--n", "4", "--seed", "1"], "--rho"),
         (["sample", "regular", "--rho", "0", "--n", "4", "--seed", "1"], "--rho"),
+        (["ramsey", "exact", "--pattern", "{d}/k3.og", "--nmax", "2"],
+         "--nmax 2: must be at least the pattern size 3"),
+        (["ramsey", "minmax", "--graph", "{d}/k3.adj", "--nmax", "2"],
+         "--nmax 2: must be at least the pattern size 3"),
     ],
 )
 def test_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv, flag):
     (tmp_path / "k3.og").write_text("og 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    (tmp_path / "k3.adj").write_text("adj 3 3\ne 1 2\ne 1 3\ne 2 3\n")
     code, _, err = run(capsys, *(a.replace("{d}", str(tmp_path)) for a in argv))
     assert code == EXIT_USAGE and flag in err
     assert "Traceback" not in err and "internal error" not in err

@@ -241,25 +241,13 @@ def _random_graph(rng, n: int, density: float) -> OrderedGraph:
     return OrderedGraph(n, [p for p in pairs if rng.random() < density])
 
 
-@pytest.mark.parametrize("memo", [True, False])
-def test_search_embedding_is_the_leftmost_pinned_embedding(rng, memo):
-    # pins come from a found embedding, from anywhere, or from out of range
-    for _ in range(600):
-        pattern = _random_graph(rng, rng.randint(1, 7), rng.random())
+def test_search_embedding_is_the_leftmost_embedding(rng):
+    # the exact tuple: brute_contains returns the lexicographically first image
+    for _ in range(1500):
+        pattern = _random_graph(rng, rng.randint(0, 7), rng.random())
         host = _random_graph(rng, rng.randint(0, 12), rng.random())
-        free = brute_contains(host, pattern)
-        pins = {}
-        for _ in range(rng.randint(0, 3)):
-            p = rng.randint(1, pattern.n)
-            roll = rng.random()
-            if free is not None and roll < 0.5:
-                pins[p] = free[p - 1]
-            elif roll < 0.9:
-                pins[p] = rng.randint(1, max(host.n, 1))
-            else:
-                pins[rng.choice((0, pattern.n + 1, p))] = rng.choice((0, host.n + 1))
-        got = search_embedding(pattern.n, pattern.edges, host.n, host.adj, pins, memo)
-        assert got == brute_contains(host, pattern, pins), (pattern.edges, host.edges, pins)
+        got = search_embedding(pattern.n, pattern.edges, host.n, host.adj)
+        assert got == brute_contains(host, pattern), (pattern.edges, host.edges)
 
 
 def test_search_embedding_depth_is_not_bounded_by_recursion():

@@ -173,13 +173,22 @@ def test_avoiding_coloring_depth_is_not_bounded_by_recursion():
 
 
 def test_avoiding_coloring_copy_table_bound(monkeypatch):
-    # C(60, 30) copies of a 30-vertex pattern: refused before any table is built
+    # C(60, 30) copies of 15 side-by-side pairs: refused before any table is built
+    pairs = OrderedGraph(30, [(2 * i - 1, 2 * i) for i in range(1, 16)])
     with pytest.raises(ValueError, match=r"C\(60, 30\) = 118264581564861424 copies"):
-        avoiding_coloring(OrderedGraph(30, [(1, 2)]), 60)
+        avoiding_coloring(pairs, 60)
     monkeypatch.setattr(ramsey, "MAX_COPIES", 10)
     assert avoiding_coloring(complete_graph(3), 5) is not None  # C(5, 3) = 10
     with pytest.raises(ValueError, match=r"C\(6, 3\) = 20 copies"):
         avoiding_coloring(complete_graph(3), 6)
+
+
+def test_copy_count_skips_isolated_vertices():
+    gap = OrderedGraph(12, [(1, 2), (11, 12)])
+    assert ramsey.copy_count(gap, 19) == 330  # C(11, 4), of C(19, 12) images
+    assert ramsey.copy_count(gap, 11) == 0
+    assert ramsey.copy_count(complete_graph(3), 6) == 20
+    assert [ramsey.copy_count(OrderedGraph(3), N) for N in (2, 3, 9)] == [0, 1, 1]
 
 
 def test_ordered_ramsey_stops_at_the_copy_table_bound(monkeypatch):
