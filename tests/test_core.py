@@ -241,13 +241,24 @@ def _random_graph(rng, n: int, density: float) -> OrderedGraph:
     return OrderedGraph(n, [p for p in pairs if rng.random() < density])
 
 
-def test_search_embedding_is_the_leftmost_embedding(rng):
-    # the exact tuple: brute_contains returns the lexicographically first image
-    for _ in range(1500):
+@pytest.mark.parametrize("pinned", [True, False])
+def test_search_embedding_is_the_leftmost_pinned_embedding(rng, pinned):
+    # the exact tuple: brute_contains returns the lexicographically first image;
+    # pinned hosts carry a planted copy at a random image, so an embedding
+    # exists and the leftmost one is at or before the pinned image
+    for _ in range(600 if pinned else 1500):
         pattern = _random_graph(rng, rng.randint(0, 7), rng.random())
-        host = _random_graph(rng, rng.randint(0, 12), rng.random())
+        low = pattern.n if pinned else 0
+        host = _random_graph(rng, rng.randint(low, 12), rng.random())
+        pin = None
+        if pinned:
+            pin = tuple(sorted(rng.sample(range(1, host.n + 1), pattern.n)))
+            host = OrderedGraph(host.n, set(host.edges) | {
+                (pin[a - 1], pin[b - 1]) for a, b in pattern.edges
+            })
         got = search_embedding(pattern.n, pattern.edges, host.n, host.adj)
         assert got == brute_contains(host, pattern), (pattern.edges, host.edges)
+        assert pin is None or got <= pin, (pattern.edges, host.edges, pin)
 
 
 def test_search_embedding_depth_is_not_bounded_by_recursion():
