@@ -2,12 +2,14 @@
 
 Positions are 1-based throughout.  Blocked graphs carry their block
 intervals plus the designated inner/outer edges used when nesting cycles.
+`order_max_degree_two` is the one nesting of alternating cycles;
+`order_two_regular` is that ordering of the disjoint union of a spec's cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from orl.core import (
     BLUE,
@@ -208,136 +210,92 @@ def tee_graph(n: int, k: int) -> BlockedOrderedGraph:
 def eff_graph(n: int, k: int) -> BlockedOrderedGraph:
     """Union of the tee graph and the k-blow-up path placed on its blocks."""
     tee = tee_graph(n, k)
-    path = alternating_path(n)
-    edges = set(tee.graph.edges)
-    for i, j in path.edges:
-        for u in tee.blocks[i - 1]:
-            for v in tee.blocks[j - 1]:
-                edges.add((u, v))
-    return BlockedOrderedGraph(OrderedGraph(tee.graph.n, edges), tee.blocks)
+    shifted = [(a + 2 * n, b + 2 * n) for a, b in blowup_path(n, k).graph.edges]
+    return BlockedOrderedGraph(OrderedGraph(tee.graph.n, [*tee.graph.edges, *shifted]), tee.blocks)
 
 
 # ---------------------------------------------------------------------------
-# orderings of 2-regular graphs
+# orderings of maximum-degree-2 graphs
 # ---------------------------------------------------------------------------
 
 def _two_regular_token_order(
-    spec: TwoRegularSpec, bipartite_mode: bool
+    lengths: list[int], bipartite_mode: bool
 ) -> tuple[list[BlockedOrderedGraph], list[tuple[int, int]]]:
-    """Nest the spec's alternating cycles; tokens are (cycle index, local position)."""
-    if bipartite_mode and any(
-        length % 2 or length < 4 for length in spec.cycle_lengths
-    ):
+    """Nest the alternating cycles of the given lengths, as order_max_degree_two
+    describes; tokens are (cycle index, local position)."""
+    if bipartite_mode and any(length % 2 or length < 4 for length in lengths):
         raise ValueError("bipartite mode needs even cycle lengths >= 4")
 
-    cycles = [alternating_cycle(length) for length in spec.cycle_lengths]
-    order: list[tuple[int, int]] = [(0, p) for p in range(1, cycles[0].graph.n + 1)]
-    last_odd = 0 if spec.cycle_lengths[0] % 2 else None
-
-    def insert_after(token: tuple[int, int], payload: list[tuple[int, int]]) -> None:
-        at = order.index(token)
-        order[at + 1 : at + 1] = payload
-
-    for idx in range(1, len(cycles)):
-        length = spec.cycle_lengths[idx]
-        prev = cycles[idx - 1]
-        tokens = [(idx, p) for p in range(1, length + 1)]
-        if length % 2 == 0:
-            body = tokens
-        else:
-            outer_pair, body = tokens[:2], tokens[2:]
-            if last_odd is None:
-                order[0:0] = outer_pair
-            else:
-                host_outer = cycles[last_odd].outer_edge
-                assert host_outer is not None
-                insert_after((last_odd, host_outer[0]), outer_pair)
+    cycles = [alternating_cycle(length) for length in lengths]
+    order: list[tuple[int, int]] = []
+    last_odd: Optional[int] = None
+    for idx, cycle in enumerate(cycles):
+        body = [(idx, p) for p in range(1, cycle.graph.n + 1)]
+        if cycle.outer_edge is not None:
+            outer_pair, body = body[:2], body[2:]
+            at = 0
+            if last_odd is not None:
+                at = order.index((last_odd, cycles[last_odd].outer_edge[0])) + 1
+            order[at:at] = outer_pair
             last_odd = idx
-        if prev.inner_edge is None:
-            # previous cycle is a triangle: place to its right
-            rightmost = max(k for k, tok in enumerate(order) if tok[0] == idx - 1)
-            order[rightmost + 1 : rightmost + 1] = body
-        else:
-            insert_after((idx - 1, prev.inner_edge[0]), body)
+        at = len(order)
+        if idx > 0:
+            # a triangle has no inner edge; its last position is its rightmost
+            prev = cycles[idx - 1]
+            anchor = prev.graph.n if prev.inner_edge is None else prev.inner_edge[0]
+            at = order.index((idx - 1, anchor)) + 1
+        order[at:at] = body
     return cycles, order
 
 
 def order_two_regular(spec: TwoRegularSpec, bipartite_mode: bool = False) -> OrderedGraph:
-    """Order the disjoint union of cycles by iteratively nesting alternating cycles.
-
-    Even cycles are inserted between the endpoints of the previous cycle's
-    inner edge (or directly to the right of a previous triangle, which has no
-    inner edge).  Odd cycles put their outer pair between the endpoints of
-    the most recent odd cycle's outer pair -- the first odd pair becomes the
-    two leftmost positions -- and their remaining vertices go between the
-    previous cycle's inner edge like the even case.  In bipartite mode all
-    cycle lengths must be even and at least 4.
-    """
-    cycles, order = _two_regular_token_order(spec, bipartite_mode)
-    position = {token: p for p, token in enumerate(order, start=1)}
-    edges = []
-    for idx, cyc in enumerate(cycles):
-        for a, b in cyc.graph.edges:
-            edges.append((position[(idx, a)], position[(idx, b)]))
-    return OrderedGraph(len(order), edges)
+    """order_max_degree_two of the disjoint union of the spec's cycles, laid
+    out left to right in spec order."""
+    edges, start = [], 1
+    for length in spec.cycle_lengths:
+        end = start + length - 1
+        edges += [(v, v + 1) for v in range(start, end)] + [(start, end)]
+        start = end + 1
+    return order_max_degree_two(UnorderedGraph(spec.total, edges), bipartite_mode)
 
 
-def _cycle_decomposition(g: UnorderedGraph) -> tuple[list[list[int]], list[list[int]]]:
-    """Split a maximum-degree-2 graph into its cycles and paths.
-
-    Paths are returned as vertex sequences (isolated vertices are length-1
-    paths); cycles as vertex sequences without the closing repeat.
-    """
-    if g.max_degree() > 2:
-        raise ValueError("maximum degree exceeds 2")
-    seen = set()
-    paths, cycles = [], []
-    # walk from every endpoint (degree <= 1) first: collects all paths
-    for start in range(1, g.n + 1):
-        if start in seen or g.degree(start) > 1:
-            continue
-        walk = [start]
-        seen.add(start)
-        cur, prev = start, None
-        while True:
-            nxt = [u for u in g.adj[cur] if u != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            walk.append(cur)
-            seen.add(cur)
-        paths.append(walk)
-    # remaining vertices lie on cycles
-    for start in range(1, g.n + 1):
-        if start in seen:
-            continue
-        walk = [start]
-        seen.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = [u for u in g.adj[cur] if u != prev]
-            if nxt[0] == walk[0] and len(walk) > 2:
-                break
-            prev, cur = cur, nxt[0]
-            walk.append(cur)
-            seen.add(cur)
-        cycles.append(walk)
-    return cycles, paths
+def _walk(neighbors: Callable[[int], Iterable[int]], start: int) -> list[int]:
+    """The vertices of the path or cycle through `start`, in walk order from
+    `start`, which must be an endpoint if the component is a path."""
+    walk, prev = [start], None
+    while True:
+        nxt = [u for u in neighbors(walk[-1]) if u != prev and u != start]
+        if not nxt:
+            return walk
+        prev = walk[-1]
+        walk.append(nxt[0])
 
 
 def order_max_degree_two(g: UnorderedGraph, bipartite_mode: bool = False) -> OrderedGraph:
-    """Order an arbitrary maximum-degree-2 graph via a 2-regular supergraph.
+    """Order a maximum-degree-2 graph by nesting alternating cycles.
 
-    Every path (and isolated vertex) is padded into a cycle of length
-    max(3, its length) -- max(4, even length) in bipartite mode -- the padded
-    2-regular graph is ordered with order_two_regular, and the resulting
-    order is restricted to the original vertices.
+    Each cycle of g, then each path (an isolated vertex is a path), becomes an
+    alternating cycle; a path is padded to length max(3, its length), or to
+    an even length of at least 4 in bipartite mode, where every cycle must be
+    even.  The cycles are nested in that order.  Even cycles are inserted
+    between the endpoints of the previous cycle's inner edge (or directly to
+    the right of a previous triangle, which has no inner edge).  Odd cycles
+    put their outer pair between the endpoints of the most recent odd
+    cycle's outer pair -- the first odd pair becomes the two leftmost
+    positions -- and their remaining vertices go between the previous
+    cycle's inner edge like the even case.  The nesting is then restricted
+    to g's vertices, each piece laid along its cycle's walk from position 1.
     """
-    cycles, paths = _cycle_decomposition(g)
-    if bipartite_mode:
-        for cyc in cycles:
-            if len(cyc) % 2:
-                raise ValueError("bipartite mode needs even cycles")
+    if g.max_degree() > 2:
+        raise ValueError("maximum degree exceeds 2")
+    cycles, paths = [], []
+    seen: set[int] = set()
+    # walks from the endpoints (degree <= 1) first, so later walks are cycles
+    for start in sorted(range(1, g.n + 1), key=lambda v: g.degree(v) == 2):
+        if start not in seen:
+            walk = _walk(g.adj.__getitem__, start)
+            seen.update(walk)
+            (cycles if g.degree(start) == 2 else paths).append(walk)
 
     def padded_length(p: int) -> int:
         if bipartite_mode:
@@ -346,47 +304,16 @@ def order_max_degree_two(g: UnorderedGraph, bipartite_mode: bool = False) -> Ord
         return max(3, p)
 
     lengths = [len(c) for c in cycles] + [padded_length(len(p)) for p in paths]
-    pieces: list[list[Optional[int]]] = [list(c) for c in cycles]
-    for p in paths:
-        pad: list[Optional[int]] = list(p)
-        pad.extend([None] * (padded_length(len(p)) - len(p)))
-        pieces.append(pad)
-
-    spec = TwoRegularSpec(tuple(lengths))
-    _, token_positions = _two_regular_token_order(spec, bipartite_mode)
-
-    # Restricting the supergraph ordering to the original vertices only needs
-    # to know which original vertex sits at each supergraph position.  The
-    # t-th vertex along piece idx sits at the cycle's t-th walk position, so
-    # consecutive piece vertices are cycle-adjacent and g stays a subgraph.
-    cycle_vertex_at: dict[tuple[int, int], Optional[int]] = {}
-    for idx, piece in enumerate(pieces):
-        walk = _alternating_cycle_walk(lengths[idx])
-        for t, vertex in enumerate(piece):
-            cycle_vertex_at[(idx, walk[t])] = vertex
-    keep = []
-    for pos, token in enumerate(token_positions, start=1):
-        original = cycle_vertex_at[token]
-        if original is not None:
-            keep.append((pos, original))
-    keep.sort()
-    relabel = {original: r for r, (_, original) in enumerate(keep, start=1)}
-    edges = [(relabel[a], relabel[b]) for a, b in g.edges]
-    return OrderedGraph(g.n, edges)
-
-
-def _alternating_cycle_walk(m: int) -> list[int]:
-    """Ordered positions of the alternating cycle visited along the cycle."""
-    cyc = alternating_cycle(m).graph
-    start = 1
-    walk = [start]
-    prev = None
-    cur = start
-    while len(walk) < m:
-        nxt = [u for u in cyc.neighbors(cur) if u != prev]
-        prev, cur = cur, nxt[0]
-        walk.append(cur)
-    return walk
+    nested, order = _two_regular_token_order(lengths, bipartite_mode)
+    # the t-th vertex of a piece sits at its cycle's t-th walk position, so
+    # consecutive piece vertices are cycle-adjacent and g stays a subgraph
+    vertex_at = {}
+    for idx, (piece, cycle) in enumerate(zip(cycles + paths, nested)):
+        for vertex, p in zip(piece, _walk(cycle.graph.neighbors, 1)):
+            vertex_at[(idx, p)] = vertex
+    kept = [vertex_at[token] for token in order if token in vertex_at]
+    rank = {vertex: r for r, vertex in enumerate(kept, start=1)}
+    return OrderedGraph(g.n, [(rank[a], rank[b]) for a, b in g.edges])
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,6 @@ def monte_carlo_avoidance(
     s: int,
     trials: int,
     seed: int,
-    inject_first: Optional[Coloring] = None,
 ) -> AvoidanceReport:
     """Sample blown-up interval colorings and report how often they avoid the
     pattern in both colors.
@@ -264,20 +263,13 @@ def monte_carlo_avoidance(
     The first avoiding coloring is emitted as a lower-bound certificate (an
     avoiding coloring of K_{st} proves the Ramsey value exceeds st).  Each
     trial is decided by `ramsey.avoids`, the check `verify_certificate`
-    runs, so the certificate is verified as it is found.  `inject_first`
-    replaces trial 0 by a fixed coloring of K_{st}, letting deterministic
-    constructions ride the same reporting.
+    runs, so the certificate is verified as it is found.
     A pattern larger than st is avoided vacuously by every trial.
     """
     records = []
     best: Optional[Certificate] = None
     for k in range(trials):
-        if k == 0 and inject_first is not None:
-            if inject_first.n != s * t:
-                raise ValueError("injected coloring must cover K_{st}")
-            col = inject_first
-        else:
-            col = blown_up_random_coloring(t, s, seed ^ k)
+        col = blown_up_random_coloring(t, s, seed ^ k)
         avoided = avoids(col, pattern)
         records.append(AvoidanceTrial(k, seed ^ k, avoided))
         if avoided and best is None:

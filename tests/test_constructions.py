@@ -1,5 +1,9 @@
 """Builders for the named ordered graphs and colorings."""
 
+import hashlib
+import itertools
+import random
+
 import pytest
 
 from conftest import graph_components
@@ -26,6 +30,7 @@ from orl.core import (
     UnorderedGraph,
     contains,
     interval_chromatic_number,
+    serialize_ordered_graph,
 )
 
 
@@ -260,11 +265,68 @@ def test_order_max_degree_two_restriction():
         order_max_degree_two(UnorderedGraph(4, [(1, 2), (1, 3), (1, 4)]))
 
 
+def test_order_max_degree_two_empty_graph():
+    for mode in (False, True):
+        assert order_max_degree_two(UnorderedGraph(0), bipartite_mode=mode) == OrderedGraph(0)
+
+
 def test_order_max_degree_two_output_embeds_in_eff():
     g = UnorderedGraph(5, [(1, 2), (2, 3), (4, 5)])
     ordered = order_max_degree_two(g)
     # the supergraph uses at most 3 vertices per path, so eff(9, 2) suffices
     assert contains(eff_graph(9, 2).graph, ordered) is not None
+
+
+def _ordering_text(build, *args, **kwargs) -> str:
+    try:
+        return serialize_ordered_graph(build(*args, **kwargs))
+    except ValueError:
+        return "ValueError\n"
+
+
+def _random_max_degree_two(rng: random.Random) -> UnorderedGraph:
+    n = rng.randint(1, 16)
+    degree = [0] * (n + 1)
+    edges = set()
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        a, b = sorted(rng.sample(range(1, n + 1), 2))
+        if degree[a] < 2 and degree[b] < 2 and (a, b) not in edges:
+            edges.add((a, b))
+            degree[a] += 1
+            degree[b] += 1
+    return UnorderedGraph(n, edges)
+
+
+def test_max_degree_two_orderings_golden():
+    spec_edges = {
+        (3, 4): [(1, 2), (1, 3), (2, 3), (4, 6), (4, 7), (5, 6), (5, 7)],
+        (3, 4, 5): [(1, 4), (1, 5), (2, 3), (2, 9), (3, 8), (4, 5), (6, 11), (6, 12),
+                    (7, 11), (7, 12), (8, 10), (9, 10)],
+        (5, 3, 7): [(1, 6), (1, 8), (2, 5), (2, 9), (3, 4), (3, 11), (4, 10), (5, 9),
+                    (6, 7), (7, 15), (8, 15), (10, 14), (11, 13), (12, 13), (12, 14)],
+    }
+    for lengths, edges in spec_edges.items():
+        assert order_two_regular(TwoRegularSpec(lengths)).sorted_edges() == edges
+    assert order_two_regular(TwoRegularSpec((4, 6)), bipartite_mode=True).sorted_edges() == [
+        (1, 9), (1, 10), (2, 9), (2, 10), (3, 7), (3, 8), (4, 6), (4, 8), (5, 6), (5, 7)]
+    paths = UnorderedGraph(6, [(1, 2), (2, 3), (4, 5)])
+    assert order_max_degree_two(paths).sorted_edges() == [(1, 5), (2, 4), (5, 6)]
+    square_and_path = UnorderedGraph(7, [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (6, 7)])
+    assert order_max_degree_two(square_and_path, bipartite_mode=True).sorted_edges() == [
+        (1, 6), (1, 7), (2, 6), (2, 7), (3, 5), (4, 5)]
+
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        g = _random_max_degree_two(rng)
+        for mode in (False, True):
+            digest.update(_ordering_text(order_max_degree_two, g, bipartite_mode=mode).encode())
+    for count in (1, 2, 3):
+        for lengths in itertools.product(range(3, 9), repeat=count):
+            for mode in (False, True):
+                text = _ordering_text(order_two_regular, TwoRegularSpec(lengths), bipartite_mode=mode)
+                digest.update(text.encode())
+    assert digest.hexdigest() == "52e0fc4957a075b32383b1783b74292b2e3a41cf234ea6ac678ca84132fcbd60"
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
-"""The README "Library layout" names only what the package defines, and the
-"Selected exact values" table holds what the package computes."""
+"""The README "Library layout" names only what the package defines, its
+"Command line" examples parse, and the "Selected exact values" table holds
+what the package computes."""
 
 import importlib
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from orl.cli import build_parser
 from orl.core import OrderedGraph
 from orl.ramsey import count_rho_regular, ordered_ramsey
 
@@ -51,6 +54,26 @@ def test_readme_layout_names_resolve(module, names):
         if target is None:
             missing.append(name)
     assert names and not missing, f"{module} does not define {missing}"
+
+
+def command_examples() -> list[list[str]]:
+    """argv of each `orl ...` line in the "Command line" code block, with
+    continuation lines joined and `#` comments removed."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```\n", 2)[1].replace("\\\n", " ")
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv for argv in lines if argv[:1] == ["orl"]]
+
+
+def test_readme_command_examples_parse():
+    examples = command_examples()
+    assert examples
+    parser = build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
 
 
 def value_rows() -> list[tuple[str, int]]:

@@ -11,12 +11,11 @@ from orl import embedder
 from orl.core import (
     BLUE,
     RED,
-    Coloring,
     OrderedGraph,
     complete_graph,
     interval_chromatic_number,
 )
-from orl.ramsey import enumerate_rho_regular, verify_certificate
+from orl.ramsey import Certificate, avoids, enumerate_rho_regular, verify_certificate
 from orl.rng import Xoshiro256StarStar, splitmix64_stream, stream_for_trial
 from orl.stochastic import (
     PairSetQuery,
@@ -313,10 +312,8 @@ def test_monte_carlo_k2_never_avoids():
 
 def test_monte_carlo_quadratic_injection():
     g, col = quadratic_lb_instance(9)
-    report = monte_carlo_avoidance(g, 4, 2, 3, 5, inject_first=col)
-    assert report.trials[0].avoided
-    assert report.certificate is not None
-    assert verify_certificate(report.certificate)
+    assert avoids(col, g)
+    assert verify_certificate(Certificate("lower", g, col.n, coloring=col))
 
 
 def test_monte_carlo_searches_each_trial_once(monkeypatch):
@@ -332,13 +329,12 @@ def test_monte_carlo_searches_each_trial_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("orl.") and getattr(module, "find_monochromatic", None) is real:
             monkeypatch.setattr(module, "find_monochromatic", counted)
-    red = {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}
-    pentagon = Coloring.from_function(5, lambda i, j: RED if (i, j) in red else BLUE)
-    trials = 3
-    report = monte_carlo_avoidance(complete_graph(3), 5, 1, trials, 4, inject_first=pentagon)
-    assert report.trials[0].avoided and report.certificate.coloring is pentagon
+    trials = 100
+    report = monte_carlo_avoidance(complete_graph(3), 5, 1, trials, 12)
+    assert report.certificate is not None
     assert len(calls) <= 2 * trials
-    assert [color for col, _, color in calls if col is pentagon] == [RED, BLUE]
+    found = report.certificate.coloring
+    assert [color for col, _, color in calls if col is found] == [RED, BLUE]
 
 
 def test_monte_carlo_matching_experiment_certificates_verify():
