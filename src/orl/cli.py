@@ -415,6 +415,8 @@ def cmd_experiment_montecarlo(args, ctx: RunContext) -> int:
     if args.config_n is not None:
         if args.t is not None or args.s is not None:
             raise ValueError("--config-n is not allowed with --t or --s")
+        if args.config_n < 2:
+            raise ValueError(f"--config-n {args.config_n}: must be at least 2")
         t, s = stochastic.matching_blowup_shape(args.config_n)
     elif args.t is None or args.s is None:
         raise ValueError("either --config-n or both --t and --s are required")
@@ -605,14 +607,14 @@ def build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("-o", "--out", default=None)
     ssub = p.add_subparsers(dest="what", required=True)
     q = ssub.add_parser("matching", parents=[seeded])
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_count, required=True)
     q = ssub.add_parser("regular", parents=[seeded])
     q.add_argument("--rho", required=True, help="rational like 5/2")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--mode", choices=["exact", "configuration"], default="configuration")
     q = ssub.add_parser("coloring", parents=[seeded])
-    q.add_argument("--t", type=int, required=True)
-    q.add_argument("--s", type=int, required=True)
+    q.add_argument("--t", type=_count, required=True)
+    q.add_argument("--s", type=_count, required=True)
 
     p = sub.add_parser("experiment", help="seeded experiment drivers (JSON lines)")
     esub = p.add_subparsers(dest="what", required=True)
@@ -637,8 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = esub.add_parser("montecarlo")
     q.add_argument("--pattern", required=True)
-    q.add_argument("--t", type=int, default=None)
-    q.add_argument("--s", type=int, default=None)
+    q.add_argument("--t", type=_count, default=None)
+    q.add_argument("--s", type=_count, default=None)
     q.add_argument("--config-n", type=int, default=None, help="excludes --t and --s")
     q.add_argument("--trials", type=_count, default=20)
     q.add_argument("--seed", type=int, required=True)

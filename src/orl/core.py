@@ -447,33 +447,52 @@ def search_embedding(
     """Leftmost order-preserving embedding of a pattern into `host_adj`
     (bitmasks over 1..host_n), or None when there is none.
 
-    Positions are placed in increasing order.  Position p's candidates are
-    one host bitmask: its window, from just after the previous image to
-    host_n - (n - p), ANDed with the `host_adj` masks of its earlier
-    neighbors' images.  They are tried lowest bit first on an explicit
-    stack, so the result is the leftmost embedding at any depth.  Failed
-    subtrees are cached by (position, previous image, frontier images),
-    where p's frontier is the earlier positions with a neighbor at or after
-    p: the rest of the search reads nothing else, so the cache never
-    changes the answer.
+    Positions are placed in increasing order.  Each position not yet placed
+    has a forward mask: the host vertices adjacent to the images of its
+    placed earlier neighbors.  Placing p at v ANDs `host_adj[v]` into the
+    masks of p's later neighbors only.  A greedy check then takes, lowest
+    bit first, the least image each of p+1..n can still have, strictly
+    increasing and inside its mask (positions with no placed neighbor just
+    take the next vertex; position n + 1 stands for the host's right end).
+    The least choice at each step succeeds whenever any choice does, so if
+    the greedy fails no embedding extends v, and v is dropped before going
+    deeper: forward checking (Haralick & Elliott, AIJ 1980), the column
+    check of `patterns.CompiledMatrixPattern` in graph form.
+
+    Position p's candidates are its mask within its window, from just after
+    the previous image to host_n - (n - p).  They are tried lowest bit first
+    on an explicit stack, so the result is the leftmost embedding at any
+    depth.  Failed subtrees are cached by (position, previous image,
+    frontier images), where p's frontier is the earlier positions with a
+    neighbor at or after p.  The key covers the masks: the mask of any
+    q >= p depends only on the images of q's placed earlier neighbors, and
+    all of those are in p's frontier.  The rest of the search reads nothing
+    else, so the cache never changes the answer.
     """
     n = pattern_n
     if n > host_n:
         return None
-    earlier: list[list[int]] = [[] for _ in range(n + 1)]  # earlier neighbors
-    last = list(range(n + 1))  # last[q]: q's highest neighbor, or q itself
+    later: list[list[int]] = [[] for _ in range(n + 1)]  # later neighbors
     for a, b in map(sorted, pattern_edges):
-        earlier[b].append(a)
-        last[a] = max(last[a], b)
+        later[a].append(b)
     frontier: list[tuple[int, ...]] = [()] * (n + 1)
+    ahead: list[tuple[int, ...]] = [()] * (n + 1)  # masked positions after p
     active: list[int] = []
+    masked: set[int] = set()
     for p in range(1, n + 1):
-        active = [q for q in active if last[q] >= p]
+        active = [q for q in active if max(later[q]) >= p]
         frontier[p] = tuple(active)
-        active.append(p)  # dropped at p + 1 unless it has a later neighbor
+        if later[p]:
+            active.append(p)
+        masked.discard(p)
+        masked.update(later[p])
+        ahead[p] = (*sorted(masked), n + 1)
 
     top = host_n - n  # position p's images end at top + p
     img = [0] * (n + 1)  # img[0] stands for the host's left end
+    mask = [(1 << (host_n + 1)) - 2] * (n + 1)  # forward masks
+    mask.append(1 << (host_n + 1))  # position n + 1 stands for the right end
+    saved: list[list[int]] = [[]] * (n + 1)  # later neighbors' masks before p
     left = [0] * (n + 1)  # candidates not yet tried, per position
     keys: list[tuple[int, ...]] = [()] * (n + 1)
     failed: set[tuple[int, ...]] = set()
@@ -482,18 +501,34 @@ def search_embedding(
         p += 1
         prev = img[p - 1]
         keys[p] = key = (p, prev, *[img[q] for q in frontier[p]])
-        cand = 0 if key in failed else (1 << (top + p + 1)) - (1 << (prev + 1))
-        for q in earlier[p]:
-            cand &= host_adj[img[q]]
-        while not cand:  # back to the deepest position with candidates left
-            failed.add(keys[p])
-            p -= 1
-            if p == 0:
-                return None
-            cand = left[p]
-        low = cand & -cand
-        left[p] = cand ^ low
-        img[p] = low.bit_length() - 1
+        saved[p] = [mask[q] for q in later[p]]
+        cand = 0 if key in failed else mask[p] & ((1 << (top + p + 1)) - (1 << (prev + 1)))
+        while True:
+            while not cand:  # back to the deepest position with candidates left
+                failed.add(keys[p])
+                for q, m in zip(later[p], saved[p]):
+                    mask[q] = m
+                p -= 1
+                if p == 0:
+                    return None
+                cand = left[p]
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            adj = host_adj[v]
+            for q, m in zip(later[p], saved[p]):
+                mask[q] = m & adj
+            at, q0 = v, p  # greedy: the lowest image of each masked position
+            for q in ahead[p]:  # the unmasked ones between take at + 1, ...
+                above = mask[q] >> (at + q - q0)
+                if not above:
+                    break
+                at += q - q0 - 1 + (above & -above).bit_length()
+                q0 = q
+            else:
+                break
+        left[p] = cand
+        img[p] = v
     return tuple(img[1:])
 
 

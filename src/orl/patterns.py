@@ -3,9 +3,13 @@
 B is contained in A when deleting rows/columns of A and demoting some 1s
 to 0 leaves B; row and column order is preserved, mirroring the ordered
 subgraph search.  `CompiledMatrixPattern` compiles B once and searches
-hosts given as row bitmasks on an explicit stack; it is a separate engine
-from `orl.core.search_embedding` because its greedy column check after every
-row choice prunes far earlier than placing all rows before any column.
+hosts given as row bitmasks on an explicit stack, with a greedy column
+check after every row choice.  `orl.core.search_embedding` forward-checks
+the same way; what still keeps this a separate engine is the row/column
+structure (it branches on rows only; the columns, a second order, are
+settled by the greedy check alone), and speed: a merge through the graph
+engine measured 14.5 s against 0.073 s, before the graph engine had its
+forward check.
 The matching/coloring converters translate avoidance certificates into
 matrices that dodge a permutation pattern both ways.
 """

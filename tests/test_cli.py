@@ -563,6 +563,15 @@ def test_missing_option_is_a_usage_error(capsys, argv, flag):
          "--nmax 2: must be at least the pattern size 3"),
         (["ramsey", "minmax", "--graph", "{d}/k3.adj", "--nmax", "2"],
          "--nmax 2: must be at least the pattern size 3"),
+        (["sample", "coloring", "--t", "0", "--s", "2", "--seed", "1"], "argument --t: must"),
+        (["sample", "coloring", "--t", "2", "--s", "0", "--seed", "1"], "argument --s: must"),
+        (["sample", "matching", "--n", "0", "--seed", "1"], "argument --n: must"),
+        (["experiment", "montecarlo", "--pattern", "{d}/k3.og", "--t", "0", "--s", "2",
+          "--seed", "1"], "argument --t: must"),
+        (["experiment", "montecarlo", "--pattern", "{d}/k3.og", "--t", "2", "--s", "0",
+          "--seed", "1"], "argument --s: must"),
+        (["experiment", "montecarlo", "--pattern", "{d}/k3.og", "--config-n", "1",
+          "--seed", "1"], "error: --config-n 1: must be at least 2"),
     ],
 )
 def test_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv, flag):

@@ -26,6 +26,7 @@ from orl.core import (
     serialize_coloring,
     serialize_ordered_graph,
 )
+from orl.stochastic import blown_up_random_coloring, sample_permutation_matching
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +260,32 @@ def test_search_embedding_is_the_leftmost_pinned_embedding(rng, pinned):
         got = search_embedding(pattern.n, pattern.edges, host.n, host.adj)
         assert got == brute_contains(host, pattern), (pattern.edges, host.edges)
         assert pin is None or got <= pin, (pattern.edges, host.edges, pin)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_search_embedding_on_matchings_in_blown_up_colorings(k):
+    # the montecarlo shape, small enough for brute force: {i, k + pi(i)}
+    # against both colors of a blown-up coloring, None included
+    for seed in range(4):
+        pattern = sample_permutation_matching(k, seed)
+        for t, s in ((3, 5), (5, 3), (7, 2), (4, 3)):
+            coloring = blown_up_random_coloring(t, s, 100 * k + seed)
+            for color in (RED, BLUE):
+                host = coloring.monochromatic_subgraph(color)
+                got = search_embedding(pattern.n, pattern.edges, host.n, host.adj)
+                assert got == brute_contains(host, pattern), (pattern.edges, t, s, color)
+
+
+def test_search_embedding_rejects_a_crossing_matching_in_a_band_at_once():
+    # {i, k + i} needs b_1 - a_1 >= k, and the band host joins x < y only
+    # when y - x <= k - 1, so there is no copy; the forward check sees this
+    # at the first placement, where a search without it takes minutes
+    k = 14
+    n = 3 * k
+    pattern = OrderedGraph(2 * k, [(i, k + i) for i in range(1, k + 1)])
+    band = [(x, y) for x in range(1, n + 1) for y in range(x + 1, min(n, x + k - 1) + 1)]
+    host = OrderedGraph(n, band)
+    assert search_embedding(pattern.n, pattern.edges, host.n, host.adj) is None
 
 
 def test_search_embedding_depth_is_not_bounded_by_recursion():
