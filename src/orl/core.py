@@ -73,22 +73,40 @@ class OrderedGraph:
 
     `adj[v]` is an integer bitmask with bit u set iff {u, v} is an edge;
     bit 0 is unused so masks can be tested with 1-based positions directly.
+    `adj` is the representation; `edges`, the frozenset of pairs (a, b) with
+    a < b, is derived from it the first time it is read.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         self.n = n
-        self.edges = _normalized_edges(n, edges)
+        self._edges = _normalized_edges(n, edges)
         adj = [0] * (n + 1)
-        for a, b in self.edges:
+        for a, b in self._edges:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         self.adj = tuple(adj)
 
+    @classmethod
+    def _from_adj(cls, n: int, adj: Sequence[int]) -> "OrderedGraph":
+        """The graph with adjacency bitmasks `adj` (n + 1 of them), which the
+        caller guarantees are symmetric, loop-free and within 1..n."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.adj = tuple(adj)
+        g._edges = None
+        return g
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        if self._edges is None:
+            self._edges = frozenset(_mask_edges(self.adj))
+        return self._edges
+
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self.adj) // 2
 
     def has_edge(self, a: int, b: int) -> bool:
         return (self.adj[a] >> b) & 1 == 1 if 0 < a <= self.n and 0 < b <= self.n else False
@@ -101,20 +119,31 @@ class OrderedGraph:
         return [u for u in range(1, self.n + 1) if (mask >> u) & 1]
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(_mask_edges(self.adj))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OrderedGraph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self.adj == other.adj
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"OrderedGraph(n={self.n}, m={self.m})"
+
+
+def _mask_edges(adj: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The edges (a, b), a < b, of symmetric adjacency bitmasks, in
+    lexicographic order: a ascending, then the bits of `adj[a]` above a."""
+    for a, mask in enumerate(adj):
+        above = mask >> (a + 1)
+        while above:
+            low = above & -above
+            above ^= low
+            yield a, a + low.bit_length()
 
 
 def complete_graph(n: int) -> OrderedGraph:
@@ -288,8 +317,7 @@ class Coloring:
         raise ValueError("color must be 'R' or 'B'")
 
     def monochromatic_subgraph(self, color: str) -> OrderedGraph:
-        edges = [p for p, c in zip(pair_iter(self.n), self.colors) if c == color]
-        return OrderedGraph(self.n, edges)
+        return OrderedGraph._from_adj(self.n, self.monochromatic_adj(color))
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int, int], str]) -> "Coloring":
@@ -341,41 +369,44 @@ def parse_line_format(
     return values, lines
 
 
-def _parse_edge_list(text: str, header: str) -> tuple[int, set[tuple[int, int]]]:
+def _parse_edge_list(text: str, header: str) -> tuple[int, list[int]]:
     """Shared reader for `og`/`adj` files: header `<tag> n m`, then `e i j` lines.
 
-    Returns (n, edges) with each edge as (i, j), i < j; a self-loop, an
-    out-of-range endpoint or a duplicate edge is a FormatError at its line.
+    Returns n and the adjacency bitmasks (bit j of entry i set iff {i, j}
+    is an edge; entry 0 is 0), filled in one pass over the edge lines; a
+    self-loop, an out-of-range endpoint or a duplicate edge is a
+    FormatError at its line.
     """
     (n, m), lines = parse_line_format(
         text, header, ("<n>", "<m>"), 0, "vertex and edge counts must be non-negative"
     )
     if len(lines) - 1 != m:
         raise FormatError(lines[-1][0], f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = set()
+    adj = [0] * (n + 1)
     for no, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "e":
-            raise FormatError(no, "expected edge line `e <i> <j>`")
         try:
-            i, j = int(parts[1]), int(parts[2])
+            tag, i, j = line.split()
+            i, j = int(i), int(j)
         except ValueError:
             raise FormatError(no, "expected edge line `e <i> <j>`") from None
+        if tag != "e":
+            raise FormatError(no, "expected edge line `e <i> <j>`")
         if i == j:
             raise FormatError(no, f"self-loop at vertex {i}")
         if i > j:
             i, j = j, i
         if i < 1 or j > n:
             raise FormatError(no, f"endpoint out of range 1..{n}")
-        if (i, j) in edges:
+        if (adj[i] >> j) & 1:
             raise FormatError(no, f"duplicate edge ({i},{j})")
-        edges.add((i, j))
-    return n, edges
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return n, adj
 
 
 def parse_ordered_graph(text: str) -> OrderedGraph:
     """Parse the `og` format: header `og <n> <m>`, then `e <i> <j>` with i < j."""
-    return OrderedGraph(*_parse_edge_list(text, "og"))
+    return OrderedGraph._from_adj(*_parse_edge_list(text, "og"))
 
 
 def serialize_ordered_graph(g: OrderedGraph) -> str:
@@ -386,7 +417,8 @@ def serialize_ordered_graph(g: OrderedGraph) -> str:
 
 def parse_unordered_graph(text: str) -> UnorderedGraph:
     """Parse the `adj` format (same shape as `og`, unordered semantics)."""
-    return UnorderedGraph(*_parse_edge_list(text, "adj"))
+    n, adj = _parse_edge_list(text, "adj")
+    return UnorderedGraph(n, _mask_edges(adj))
 
 
 def serialize_unordered_graph(g: UnorderedGraph) -> str:

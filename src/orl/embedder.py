@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from orl.constructions import (
     alternating_path,
@@ -49,14 +49,14 @@ class PipelineResult:
 
 def _run_removal_process(
     host: OrderedGraph, steps: int
-) -> tuple[set[tuple[int, int]], tuple[dict[int, int], ...]]:
+) -> tuple[list[int], tuple[dict[int, int], ...]]:
     """Run `steps` simultaneous removal rounds on a copy of `host.adj`.  Odd
     rounds remove each centre's leftmost neighbour (lowest set bit below it),
     even rounds its rightmost (highest set bit above it), all picked from the
     graph as the round began; a centre is the upper end of its removed edge
     in odd rounds and the lower end in even ones, so no edge goes twice.
-    Returns the surviving edges and one {centre: lost neighbour} dict per
-    round."""
+    Returns the surviving adjacency bitmasks and one {centre: lost
+    neighbour} dict per round."""
     adj = list(host.adj)
     rounds: list[dict[int, int]] = []
     for step in range(steps):
@@ -75,7 +75,7 @@ def _run_removal_process(
             adj[center] ^= 1 << u
             adj[u] ^= 1 << center
         rounds.append(removals)
-    return {(a, b) for a, b in host.edges if (adj[a] >> b) & 1}, tuple(rounds)
+    return adj, tuple(rounds)
 
 
 def find_alternating_path(host: OrderedGraph, n: int) -> Optional[Embedding]:
@@ -93,9 +93,13 @@ def find_alternating_path(host: OrderedGraph, n: int) -> Optional[Embedding]:
     if n > host.n:
         return None
     survivors, trace = _run_removal_process(host, n - 2)
-    if not survivors:
+    for a in range(1, host.n + 1):  # the smallest surviving edge (a, b)
+        above = survivors[a] >> (a + 1)
+        if above:
+            b = a + (above & -above).bit_length()
+            break
+    else:
         return None
-    a, b = min(survivors)
     # orientation rule: last path vertex left of the second-to-last for odd n
     if n % 2 == 1:
         v_n, v_prev = a, b
@@ -247,24 +251,33 @@ def is_block_respecting(
 # triangles and the tee extraction
 # ---------------------------------------------------------------------------
 
+def _triangle_rows(host: OrderedGraph) -> Iterator[tuple[int, int, int]]:
+    """(a, b, bitmask of the common neighbours above b) for every edge
+    a < b, in lexicographic order, read off the adjacency rows."""
+    adj = host.adj
+    for a in range(1, host.n + 1):
+        row = adj[a]
+        above = row >> (a + 1)
+        while above:
+            low = above & -above
+            above ^= low
+            b = a + low.bit_length()
+            yield a, b, (row & adj[b]) >> (b + 1)
+
+
 def count_triangles(host: OrderedGraph) -> int:
     """Exact number of vertex triples inducing a triangle."""
-    total = 0
-    for a, b in host.edges:
-        above = host.adj[a] & host.adj[b]
-        above >>= b + 1
-        total += above.bit_count()
-    return total
+    return sum(common.bit_count() for _, _, common in _triangle_rows(host))
 
 
 def enumerate_triangles(host: OrderedGraph) -> list[tuple[int, int, int]]:
     """Every triangle u < v < w of the host, in lexicographic order."""
     out = []
-    for a, b in sorted(host.edges):
-        common = host.adj[a] & host.adj[b]
-        for w in range(b + 1, host.n + 1):
-            if (common >> w) & 1:
-                out.append((a, b, w))
+    for a, b, common in _triangle_rows(host):
+        while common:
+            low = common & -common
+            common ^= low
+            out.append((a, b, b + low.bit_length()))
     return out
 
 

@@ -7,7 +7,16 @@ from itertools import combinations
 
 import pytest
 
-from orl.core import BLUE, COLORS, Coloring, OrderedGraph, RED, pair_iter
+from orl.core import (
+    BLUE,
+    COLORS,
+    Coloring,
+    FormatError,
+    OrderedGraph,
+    RED,
+    UnorderedGraph,
+    pair_iter,
+)
 
 
 def brute_contains(host: OrderedGraph, pattern: OrderedGraph):
@@ -91,6 +100,60 @@ def brute_removal_process(host: OrderedGraph, steps: int):
             right[a].pop(b, None)
         trace.append(removals)
     return alive, tuple(trace)
+
+
+def reference_edge_list(text: str, header: str) -> tuple[int, set[tuple[int, int]]]:
+    """The `og`/`adj` reader as a set of normalized edge tuples: the content
+    lines, the header `<tag> n m`, the edge-line count, then per `e i j` line
+    the token, integer, self-loop, range and duplicate checks in that order."""
+    lines = [(no, s) for no, line in enumerate(text.split("\n"), start=1) if (s := line.strip())]
+    if not lines:
+        raise FormatError(1, f"missing `{header}` header")
+    no, head = lines[0][0], lines[0][1].split()
+    usage = f"expected header `{header} <n> <m>`"
+    if len(head) != 3 or head[0] != header:
+        raise FormatError(no, usage)
+    try:
+        n, m = int(head[1]), int(head[2])
+    except ValueError:
+        raise FormatError(no, usage) from None
+    if min(n, m) < 0:
+        raise FormatError(no, "vertex and edge counts must be non-negative")
+    if len(lines) - 1 != m:
+        raise FormatError(lines[-1][0], f"expected {m} edge lines, found {len(lines) - 1}")
+    edges = set()
+    for no, line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 3 or parts[0] != "e":
+            raise FormatError(no, "expected edge line `e <i> <j>`")
+        try:
+            i, j = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise FormatError(no, "expected edge line `e <i> <j>`") from None
+        if i == j:
+            raise FormatError(no, f"self-loop at vertex {i}")
+        if i > j:
+            i, j = j, i
+        if i < 1 or j > n:
+            raise FormatError(no, f"endpoint out of range 1..{n}")
+        if (i, j) in edges:
+            raise FormatError(no, f"duplicate edge ({i},{j})")
+        edges.add((i, j))
+    return n, edges
+
+
+def reference_parse_ordered_graph(text: str) -> OrderedGraph:
+    return OrderedGraph(*reference_edge_list(text, "og"))
+
+
+def reference_parse_unordered_graph(text: str) -> UnorderedGraph:
+    return UnorderedGraph(*reference_edge_list(text, "adj"))
+
+
+def random_og_text(gen, n: int, p: float) -> str:
+    """An `og` file of a random graph: each pair an edge with probability p."""
+    edges = [(i, j) for i, j in pair_iter(n) if gen.random() < p]
+    return f"og {n} {len(edges)}\n" + "".join(f"e {i} {j}\n" for i, j in edges)
 
 
 def all_graphs(n: int):

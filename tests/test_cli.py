@@ -1,11 +1,13 @@
 """Command-line surface: round trips, exit codes, manifests, replay."""
 
 import json
+import random
 import shlex
 from pathlib import Path
 
 import pytest
 
+from conftest import random_og_text
 from orl import cli, ramsey
 from orl.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, dispatch
 from orl.constructions import parse_blocks
@@ -217,6 +219,39 @@ def test_embed_blowup_stage_report(tmp_path, capsys):
         "--parts", "2,2,2,2,2,2", "--n", "3", "--k", "2",
     )
     assert code == EXIT_INCONCLUSIVE and "bipartite-cliques" in out
+
+
+ALTPATH_12 = ("altpath", "--n", "12")
+BLOWUP = ("blowup", "--parts", ",".join(["6"] * 40), "--n", "4", "--k", "2")
+ALTPATH_6 = ("altpath", "--n", "6")
+TEE = ("tee", "--parts", ",".join(["4"] * 10), "--n", "2", "--k", "1", "--eps", "1/8")
+# hosts 0-1 are N = 240, p = 0.5 and hosts 2-4 N = 40, p = 0.8, drawn in
+# that order from random.Random(20261018)
+EMBED_GOLDEN = [
+    (0, ALTPATH_12, "1 2 4 5 6 7 52 180 204 225 235 239"),
+    (0, BLOWUP, "25 26 55 56 73 74 79 80"),
+    (1, ALTPATH_12, "1 2 3 4 5 7 18 189 202 230 233 240"),
+    (1, BLOWUP, "19 20 79 80 133 135 217 219"),
+    (2, ALTPATH_6, "1 2 3 6 38 39"),
+    (2, TEE, "10 11 12 14 33 38"),
+    (3, ALTPATH_6, "1 2 3 8 36 38"),
+    (3, TEE, "10 11 12 13 33 37"),
+    (4, ALTPATH_6, "1 2 3 5 37 40"),
+    (4, TEE, "13 14 15 16 33 37"),
+]
+
+
+@pytest.mark.parametrize(
+    "host, argv, expected", EMBED_GOLDEN, ids=[f"h{h}-{a[0]}" for h, a, _ in EMBED_GOLDEN]
+)
+def test_embed_large_host_golden(tmp_path, capsys, host, argv, expected):
+    gen = random.Random(20261018)
+    texts = [random_og_text(gen, 240, 0.5) for _ in range(2)]
+    texts += [random_og_text(gen, 40, 0.8) for _ in range(3)]
+    path = tmp_path / "h.og"
+    path.write_text(texts[host])
+    code, out, _ = run(capsys, "embed", argv[0], "--host", str(path), *argv[1:])
+    assert (code, out) == (EXIT_OK, expected + "\n")
 
 
 # ---------------------------------------------------------------------------

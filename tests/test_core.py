@@ -1,5 +1,6 @@
 """Core data model, formats, containment search, and interval machinery."""
 
+import random
 import re
 
 import pytest
@@ -168,6 +169,30 @@ def test_coloring_total_invariant():
     col = Coloring(3, [RED, BLUE, RED])
     assert col.color(3, 2) == RED
     assert col.monochromatic_subgraph(RED).edges == frozenset({(1, 2), (2, 3)})
+
+
+def test_graphs_agree_however_they_were_built():
+    # parsed and monochromatic graphs are built from bitmasks, OrderedGraph
+    # from edges; equality, hashing and the derived views must not tell
+    gen = random.Random(20261018)
+    for _ in range(300):
+        n = gen.randint(0, 14)
+        density = gen.random()
+        edges = [e for e in pair_iter(n) if gen.random() < density]
+        gen.shuffle(edges)
+        text = f"og {n} {len(edges)}\n" + "".join(
+            f"e {j} {i}\n" if gen.random() < 0.5 else f"e {i} {j}\n" for i, j in edges
+        )
+        built = OrderedGraph(n, edges)
+        red = Coloring.from_function(n, lambda i, j: RED if (i, j) in built.edges else BLUE)
+        for g in (parse_ordered_graph(text), red.monochromatic_subgraph(RED)):
+            assert g == built and built == g
+            assert hash(g) == hash(built)
+            assert {built: "x"}[g] == "x" and len({g, built}) == 1
+            assert g.m == built.m == len(edges)
+            assert g.sorted_edges() == built.sorted_edges() == sorted(edges)
+            assert g.edges == built.edges == frozenset(edges)
+            assert g != OrderedGraph(n + 1, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,7 @@ from conftest import (
     brute_monochromatic_exists,
     brute_removal_process,
     brute_triangles,
+    random_og_text,
 )
 from orl.constructions import (
     alternating_cycle,
@@ -32,10 +34,12 @@ from orl.core import (
     complete_graph,
     embedding_maps_edges,
     pair_iter,
+    parse_ordered_graph,
 )
 from orl.embedder import (
     blowup_pipeline,
     count_triangles,
+    enumerate_triangles,
     find_alternating_path,
     find_monochromatic,
     is_block_respecting,
@@ -54,14 +58,19 @@ def random_graph(rng, n, m):
 # alternating-path extraction
 # ---------------------------------------------------------------------------
 
+def adj_edges(adj):
+    """The pairs (a, b), a < b, with bit b of adj[a] set."""
+    return {(a, b) for a in range(len(adj)) for b in range(a + 1, len(adj)) if (adj[a] >> b) & 1}
+
+
 def test_removal_process_manual_trace():
     # K_4: the first (odd) step strips every leftmost-neighbor edge {1, v}
     survivors, trace = _run_removal_process(complete_graph(4), 1)
-    assert survivors == {(2, 3), (2, 4), (3, 4)}
+    assert adj_edges(survivors) == {(2, 3), (2, 4), (3, 4)}
     assert trace[0] == {2: 1, 3: 1, 4: 1}
     # the second (even) step strips every rightmost-neighbor edge {v, 4}
     survivors2, trace2 = _run_removal_process(complete_graph(4), 2)
-    assert survivors2 == {(2, 3)}
+    assert adj_edges(survivors2) == {(2, 3)}
     assert trace2[1] == {2: 4, 3: 4}
 
 
@@ -71,7 +80,8 @@ def test_removal_process_matches_brute_force(steps):
     for _ in range(1000):
         n, density = gen.randint(0, 14), gen.random()
         g = OrderedGraph(n, [e for e in pair_iter(n) if gen.random() < density])
-        assert _run_removal_process(g, steps) == brute_removal_process(g, steps), (g.edges, steps)
+        survivors, trace = _run_removal_process(g, steps)
+        assert (adj_edges(survivors), trace) == brute_removal_process(g, steps), (g.edges, steps)
 
 
 def test_find_alternating_path_k4():
@@ -220,6 +230,32 @@ def test_count_triangles_matches_brute_force(rng):
         pairs = [(i, j) for i, j in pair_iter(n)]
         g = OrderedGraph(n, rng.sample(pairs, rng.randint(0, min(len(pairs), 120))))
         assert count_triangles(g) == brute_triangles(g)
+
+
+def test_enumerate_triangles_in_lexicographic_order(rng):
+    for _ in range(40):
+        n = rng.randint(0, 16)
+        density = rng.random()
+        g = OrderedGraph(n, [e for e in pair_iter(n) if rng.random() < density])
+        assert enumerate_triangles(g) == [
+            (u, v, w) for u, v, w in combinations(range(1, n + 1), 3)
+            if g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)
+        ]
+
+
+def test_embed_pipelines_never_build_the_host_edge_set():
+    # the extractions read `adj` only; `edges` of a parsed host is built
+    # the first time it is read, which on these hosts would cost more than
+    # the extraction itself
+    gen = random.Random(20261018)
+    big = parse_ordered_graph(random_og_text(gen, 240, 0.5))
+    dense = parse_ordered_graph(random_og_text(gen, 40, 0.8))
+    assert find_alternating_path(big, 12) is not None
+    assert blowup_pipeline(big, IntervalPartition.equal(40, 6), 4, 2).embedding is not None
+    assert find_alternating_path(dense, 6) is not None
+    assert tee_pipeline(dense, IntervalPartition.equal(10, 4), 2, 1, Fraction(1, 8)).embedding is not None
+    assert count_triangles(dense) == len(enumerate_triangles(dense))
+    assert big._edges is None and dense._edges is None
 
 
 def test_tee_complete_host():

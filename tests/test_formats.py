@@ -11,11 +11,16 @@ after blank lines (`\n\nblocks x`) at line 1 instead of the line it is on.
 The last three rows were added with that fix.
 """
 
+import random
+
 import pytest
 
+from conftest import reference_parse_ordered_graph, reference_parse_unordered_graph
 from orl.constructions import parse_blocks, serialize_blocks
 from orl.core import (
+    FormatError,
     OrderedGraph,
+    pair_iter,
     parse_coloring,
     parse_ordered_graph,
     parse_unordered_graph,
@@ -191,3 +196,101 @@ def test_blocks_sidecar_is_one_line():
     assert outcome("blocks", "blocks 2 /\ninner 1 2") == (
         "FormatError", "line 2: expected a single `blocks` line", 2
     )
+
+
+# ---------------------------------------------------------------------------
+# the edge-list readers against the set-of-tuples reference reader
+# ---------------------------------------------------------------------------
+
+SPACES = [" ", " ", " ", "  ", "\t", "\xa0", "\x0c", "\u2003"]
+BAD_TOKENS = ["x", "1.0", "_1", "1_", "--1", "", "e"]
+
+
+def _token(gen, value: int) -> str:
+    """`value` as text, now and then with a sign, a leading zero, a `_`
+    between digits or an Arabic-Indic digit, all of which `int` accepts."""
+    text = str(value)
+    r = gen.random()
+    if r < 0.04:
+        return "+" + text
+    if r < 0.07 and len(text) > 1 and text[0] != "-":
+        return text[0] + "_" + text[1:]
+    if r < 0.09:
+        return "0" + text
+    if r < 0.10 and value == 1:
+        return "\u0661"
+    return text
+
+
+def _line(gen, tokens: list[str]) -> str:
+    spaces = [gen.choice(SPACES) for _ in tokens]
+    text = "".join(s + t for s, t in zip(spaces, tokens))
+    return text if gen.random() < 0.5 else text.lstrip()
+
+
+def random_edge_list_text(gen, tag: str) -> str:
+    """Mostly well-formed `og`/`adj` text with, at a low rate per line,
+    wrong token counts, bad tags or integers, reversed pairs, duplicates,
+    self-loops, out-of-range endpoints, blank lines and CRLF endings."""
+    n = gen.randint(0, 8)
+    pairs = list(pair_iter(n))
+    edges = gen.sample(pairs, gen.randint(0, len(pairs)))
+    lines = []
+    for i, j in edges:
+        r = gen.random()
+        if r < 0.03 and lines:
+            i, j = gen.choice(edges[:len(lines)])  # duplicate
+        elif r < 0.05:
+            j = i  # self-loop
+        elif r < 0.08:
+            i, j = gen.choice([(0, j), (i, n + 1), (-1, j), (i, n + 2)])
+        if gen.random() < 0.5:
+            i, j = j, i
+        tokens = ["e", _token(gen, i), _token(gen, j)]
+        r = gen.random()
+        if r < 0.02:
+            tokens.pop(gen.randrange(3))
+        elif r < 0.04:
+            tokens.insert(gen.randrange(4), _token(gen, gen.randint(0, n)))
+        elif r < 0.06:
+            tokens[0] = gen.choice(["E", "f", "ee", "og", tag])
+        elif r < 0.08:
+            tokens[gen.randint(1, 2)] = gen.choice(BAD_TOKENS)
+        lines.append(_line(gen, tokens))
+    m = len(lines) + (gen.choice([-1, 1]) if gen.random() < 0.05 else 0)
+    header = [tag, _token(gen, n), _token(gen, m)]
+    r = gen.random()
+    if r < 0.02:
+        header[0] = gen.choice(["og", "adj", "OG", "e"])
+    elif r < 0.04:
+        header.append("0")
+    elif r < 0.05:
+        header[gen.randint(1, 2)] = gen.choice(BAD_TOKENS + ["-1"])
+    lines.insert(0, _line(gen, header))
+    for _ in range(gen.choice([0, 0, 0, 1, 2])):
+        lines.insert(gen.randint(0, len(lines)), gen.choice(["", "  ", "\t", "\x0c"]))
+    end = "\r\n" if gen.random() < 0.2 else "\n"
+    return end.join(lines) + (end if gen.random() < 0.7 else "")
+
+
+def _graph_outcome(parse, text):
+    try:
+        g = parse(text)
+    except FormatError as exc:
+        return "error", str(exc), exc.line
+    return "ok", g.n, g.adj, g.edges
+
+
+@pytest.mark.parametrize("tag, parse, reference", [
+    ("og", parse_ordered_graph, reference_parse_ordered_graph),
+    ("adj", parse_unordered_graph, reference_parse_unordered_graph),
+], ids=["og", "adj"])
+def test_edge_list_readers_match_the_reference_reader(tag, parse, reference):
+    gen = random.Random(20261018)
+    kinds = {"ok": 0, "error": 0}
+    for _ in range(2000):
+        text = random_edge_list_text(gen, tag)
+        expected = _graph_outcome(reference, text)
+        assert _graph_outcome(parse, text) == expected, text
+        kinds[expected[0]] += 1
+    assert min(kinds.values()) >= 400, kinds  # both outcomes well covered
