@@ -8,7 +8,6 @@ from orl.core import (
     IntervalPartition,
     OrderedGraph,
     RED,
-    UnorderedGraph,
     complete_graph,
     contains,
     interval_chromatic_number,

@@ -264,6 +264,12 @@ def _check_nmax(nmax: Optional[int], size: int) -> None:
         raise ValueError(f"--nmax {nmax}: must be at least the pattern size {size}")
 
 
+def _check_n_limit(n: int, limit: int, method: str) -> None:
+    """`--n` above the limit of an exhaustive method is a ValueError naming the option."""
+    if n > limit:
+        raise ValueError(f"--n {n}: {method} is limited to n <= {limit}")
+
+
 def cmd_ramsey_exact(args, ctx: RunContext) -> int:
     pattern = ctx.read(args.pattern, parse_ordered_graph)
     _check_nmax(args.nmax, pattern.n)
@@ -314,6 +320,7 @@ def cmd_verify(args, ctx: RunContext) -> int:
 
 def cmd_ramsey_count_regular(args, ctx: RunContext) -> int:
     rho = _parse_fraction("--rho", args.rho)
+    _check_n_limit(args.n, ramsey.EXACT_COUNT_LIMIT, "exact enumeration")
     report = ramsey.count_rho_regular(rho, args.n)
     print(f"exact {report.exact_count}")
     if report.formula_lower_bound is not None:
@@ -332,9 +339,10 @@ def cmd_sample(args, ctx: RunContext) -> int:
         graph = stochastic.sample_permutation_matching(args.n, args.seed)
         text = serialize_ordered_graph(graph)
     elif args.what == "regular":
-        graph = stochastic.sample_rho_regular(
-            _parse_fraction("--rho", args.rho), args.n, args.seed, mode=args.mode
-        )
+        rho = _parse_fraction("--rho", args.rho)
+        if args.mode == "exact":
+            _check_n_limit(args.n, ramsey.LISTING_LIMIT, "exhaustive listing")
+        graph = stochastic.sample_rho_regular(rho, args.n, args.seed, mode=args.mode)
         text = serialize_unordered_graph(graph)
     else:
         coloring = stochastic.blown_up_random_coloring(args.t, args.s, args.seed)
@@ -356,6 +364,7 @@ def cmd_experiment_pairprob(args, ctx: RunContext) -> int:
     n = args.n
     if n < 2:
         raise ValueError("--n must be at least 2")
+    _check_n_limit(n, stochastic.EXACT_PROBABILITY_LIMIT, "exact enumeration")
     lines = []
     for k in range(args.trials):
         gen = stochastic.stream_for_trial(args.seed, k)

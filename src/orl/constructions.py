@@ -2,7 +2,8 @@
 
 Positions are 1-based throughout.  Blocked graphs carry their block
 intervals plus the designated inner/outer edges used when nesting cycles.
-`order_max_degree_two` is the one nesting of alternating cycles;
+`order_max_degree_two` is the one nesting of alternating cycles, and reads
+only the edges and degrees of the graph it orders, not its vertex order;
 `order_two_regular` is that ordering of the disjoint union of a spec's cycles.
 """
 
@@ -17,7 +18,6 @@ from orl.core import (
     FormatError,
     OrderedGraph,
     RED,
-    UnorderedGraph,
     content_lines,
 )
 
@@ -256,7 +256,7 @@ def order_two_regular(spec: TwoRegularSpec, bipartite_mode: bool = False) -> Ord
         end = start + length - 1
         edges += [(v, v + 1) for v in range(start, end)] + [(start, end)]
         start = end + 1
-    return order_max_degree_two(UnorderedGraph(spec.total, edges), bipartite_mode)
+    return order_max_degree_two(OrderedGraph(spec.total, edges), bipartite_mode)
 
 
 def _walk(neighbors: Callable[[int], Iterable[int]], start: int) -> list[int]:
@@ -271,7 +271,7 @@ def _walk(neighbors: Callable[[int], Iterable[int]], start: int) -> list[int]:
         walk.append(nxt[0])
 
 
-def order_max_degree_two(g: UnorderedGraph, bipartite_mode: bool = False) -> OrderedGraph:
+def order_max_degree_two(g: OrderedGraph, bipartite_mode: bool = False) -> OrderedGraph:
     """Order a maximum-degree-2 graph by nesting alternating cycles.
 
     Each cycle of g, then each path (an isolated vertex is a path), becomes an
@@ -286,14 +286,14 @@ def order_max_degree_two(g: UnorderedGraph, bipartite_mode: bool = False) -> Ord
     cycle's inner edge like the even case.  The nesting is then restricted
     to g's vertices, each piece laid along its cycle's walk from position 1.
     """
-    if g.max_degree() > 2:
+    if any(g.degree(v) > 2 for v in range(1, g.n + 1)):
         raise ValueError("maximum degree exceeds 2")
     cycles, paths = [], []
     seen: set[int] = set()
     # walks from the endpoints (degree <= 1) first, so later walks are cycles
     for start in sorted(range(1, g.n + 1), key=lambda v: g.degree(v) == 2):
         if start not in seen:
-            walk = _walk(g.adj.__getitem__, start)
+            walk = _walk(g.neighbors, start)
             seen.update(walk)
             (cycles if g.degree(start) == 2 else paths).append(walk)
 

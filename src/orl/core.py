@@ -3,7 +3,9 @@
 Vertices of an ordered graph are the positions 1..n under the total order,
 so two ordered graphs are isomorphic exactly when their sizes and edge sets
 coincide; every structural comparison in this package reduces to edge-set
-equality.  All types here are immutable after construction.
+equality.  A plain graph on vertices 1..n, whose orderings the package
+enumerates, is an `OrderedGraph` too: its users read only its edges and
+degrees.  All types here are immutable after construction.
 """
 
 from __future__ import annotations
@@ -48,26 +50,6 @@ def pair_index(i: int, j: int, n: int) -> int:
 # graphs
 # ---------------------------------------------------------------------------
 
-def _normalized_edges(n: int, edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """The edges as pairs (a, b) with 1 <= a < b <= n.
-
-    Shared by the graph classes: each edge may be given in either order; a
-    self-loop, an endpoint outside 1..n or a negative n is a ValueError.
-    """
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    norm = set()
-    for a, b in edges:
-        if a == b:
-            raise ValueError(f"self-loop at vertex {a}")
-        if a > b:
-            a, b = b, a
-        if a < 1 or b > n:
-            raise ValueError(f"edge ({a},{b}) out of range 1..{n}")
-        norm.add((a, b))
-    return frozenset(norm)
-
-
 class OrderedGraph:
     """An ordered graph on positions 1..n with a set of position-pair edges.
 
@@ -80,13 +62,23 @@ class OrderedGraph:
     __slots__ = ("n", "adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        self.n = n
-        self._edges = _normalized_edges(n, edges)
+        """Each edge may be given in either order, and repeats are merged; a
+        self-loop, an endpoint outside 1..n or a negative n is a ValueError."""
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
         adj = [0] * (n + 1)
-        for a, b in self._edges:
+        for a, b in edges:
+            if a == b:
+                raise ValueError(f"self-loop at vertex {a}")
+            if a > b:
+                a, b = b, a
+            if a < 1 or b > n:
+                raise ValueError(f"edge ({a},{b}) out of range 1..{n}")
             adj[a] |= 1 << b
             adj[b] |= 1 << a
+        self.n = n
         self.adj = tuple(adj)
+        self._edges = None
 
     @classmethod
     def _from_adj(cls, n: int, adj: Sequence[int]) -> "OrderedGraph":
@@ -115,8 +107,13 @@ class OrderedGraph:
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
-        mask = self.adj[v]
-        return [u for u in range(1, self.n + 1) if (mask >> u) & 1]
+        """The neighbours of v in increasing order, read off its set bits."""
+        out, mask = [], self.adj[v]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out.append(low.bit_length() - 1)
+        return out
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return list(_mask_edges(self.adj))
@@ -149,44 +146,6 @@ def _mask_edges(adj: Sequence[int]) -> Iterator[tuple[int, int]]:
 def complete_graph(n: int) -> OrderedGraph:
     """The ordered complete graph on n positions."""
     return OrderedGraph(n, pair_iter(n))
-
-
-class UnorderedGraph:
-    """A plain labeled graph on vertices 1..n (no order semantics)."""
-
-    __slots__ = ("n", "edges", "adj")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        self.n = n
-        self.edges = _normalized_edges(n, edges)
-        adj: list[set[int]] = [set() for _ in range(n + 1)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        self.adj = tuple(frozenset(s) for s in adj)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def max_degree(self) -> int:
-        return max((len(self.adj[v]) for v in range(1, self.n + 1)), default=0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UnorderedGraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash(("unordered", self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"UnorderedGraph(n={self.n}, m={self.m})"
 
 
 # ---------------------------------------------------------------------------
@@ -409,22 +368,24 @@ def parse_ordered_graph(text: str) -> OrderedGraph:
     return OrderedGraph._from_adj(*_parse_edge_list(text, "og"))
 
 
-def serialize_ordered_graph(g: OrderedGraph) -> str:
-    lines = [f"og {g.n} {g.m}"]
+def _serialize_edge_list(g: OrderedGraph, tag: str) -> str:
+    lines = [f"{tag} {g.n} {g.m}"]
     lines.extend(f"e {i} {j}" for i, j in g.sorted_edges())
     return "\n".join(lines) + "\n"
 
 
-def parse_unordered_graph(text: str) -> UnorderedGraph:
-    """Parse the `adj` format (same shape as `og`, unordered semantics)."""
-    n, adj = _parse_edge_list(text, "adj")
-    return UnorderedGraph(n, _mask_edges(adj))
+def serialize_ordered_graph(g: OrderedGraph) -> str:
+    return _serialize_edge_list(g, "og")
 
 
-def serialize_unordered_graph(g: UnorderedGraph) -> str:
-    lines = [f"adj {g.n} {g.m}"]
-    lines.extend(f"e {i} {j}" for i, j in sorted(g.edges))
-    return "\n".join(lines) + "\n"
+def parse_unordered_graph(text: str) -> OrderedGraph:
+    """Parse the `adj` format: the `og` shape under the header `adj <n> <m>`.
+    Its readers use only the edges and degrees, never the vertex order."""
+    return OrderedGraph._from_adj(*_parse_edge_list(text, "adj"))
+
+
+def serialize_unordered_graph(g: OrderedGraph) -> str:
+    return _serialize_edge_list(g, "adj")
 
 
 def parse_coloring(text: str) -> Coloring:

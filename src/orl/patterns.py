@@ -7,9 +7,13 @@ hosts given as row bitmasks on an explicit stack, with a greedy column
 check after every row choice.  `orl.core.search_embedding` forward-checks
 the same way; what still keeps this a separate engine is the row/column
 structure (it branches on rows only; the columns, a second order, are
-settled by the greedy check alone), and speed: a merge through the graph
-engine measured 14.5 s against 0.073 s, before the graph engine had its
-forward check.
+settled by the greedy check alone), and speed.  A merge through the
+forward-checking graph engine (host rows, then one separator vertex joined
+to every row and column, then the columns) agreed with this engine on
+3,000 random pairs, but on the matrix benchmark's calls it took 4.2 s
+against 0.47 s for the exhaustive 2-in-4 scan and 1.5 s against 0.33 s
+for four 1,000-trial 3-in-6 samples (medians of six runs, Python 3.11.7,
+2 vCPUs).
 The matching/coloring converters translate avoidance certificates into
 matrices that dodge a permutation pattern both ways.
 """

@@ -25,7 +25,6 @@ from orl.core import (
     Coloring,
     OrderedGraph,
     RED,
-    UnorderedGraph,
     pair_count,
     pair_iter,
 )
@@ -291,7 +290,7 @@ def verify_certificate(cert: Certificate) -> bool:
 # min/max over orderings
 # ---------------------------------------------------------------------------
 
-def distinct_orderings(g: UnorderedGraph) -> dict[frozenset, list[int]]:
+def distinct_orderings(g: OrderedGraph) -> dict[frozenset, list[int]]:
     """Map each distinct ordered edge set to one witnessing vertex order.
 
     The witnessing order lists the original vertex placed at each position.
@@ -311,7 +310,7 @@ def distinct_orderings(g: UnorderedGraph) -> dict[frozenset, list[int]]:
 
 @dataclass(frozen=True)
 class MinMaxReport:
-    graph: UnorderedGraph
+    graph: OrderedGraph
     results: tuple[tuple[OrderedGraph, tuple[int, ...], RamseyResult], ...]
 
     @property
@@ -323,8 +322,9 @@ class MinMaxReport:
         return max(self.results, key=lambda r: (r[2].value, not r[2].exact))[2]
 
 
-def min_max_ordered_ramsey(g: UnorderedGraph, N_max: int) -> MinMaxReport:
-    """Ordered Ramsey extremes over all orderings of an unordered graph.
+def min_max_ordered_ramsey(g: OrderedGraph, N_max: int) -> MinMaxReport:
+    """Ordered Ramsey extremes over all orderings of g, whose own vertex
+    order is ignored.
 
     Enumerates the n! vertex orders, deduplicates isomorphic ordered graphs
     by their edge sets, and computes each distinct value (capped at N_max).
@@ -345,6 +345,7 @@ def min_max_ordered_ramsey(g: UnorderedGraph, N_max: int) -> MinMaxReport:
 # ---------------------------------------------------------------------------
 
 EXACT_COUNT_LIMIT = 10  # largest n that count_rho_regular enumerates
+LISTING_LIMIT = 8  # largest n that enumerate_rho_regular lists
 
 
 def rho_regular_degree_data(rho: Fraction, n: int) -> tuple[int, int, int]:
@@ -509,6 +510,6 @@ def graphs_with_degrees(degrees: tuple[int, ...]) -> Iterator[frozenset]:
 def enumerate_rho_regular(rho: Fraction, n: int) -> list[frozenset]:
     """All rho-regular graphs on [n] as edge sets, in a fixed deterministic order."""
     rho = Fraction(rho)
-    if n > 8:
-        raise ValueError("exhaustive listing is limited to n <= 8")
+    if n > LISTING_LIMIT:
+        raise ValueError(f"exhaustive listing is limited to n <= {LISTING_LIMIT}")
     return [g for seq in _rho_regular_degree_sequences(rho, n) for g in graphs_with_degrees(seq)]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Optional
 
-from orl.core import BLUE, Coloring, OrderedGraph, RED, UnorderedGraph
+from orl.core import BLUE, Coloring, OrderedGraph, RED
 from orl.ramsey import (
     Certificate,
     avoids,
@@ -38,7 +38,7 @@ def sample_permutation_matching(n: int, seed: int) -> OrderedGraph:
 
 def sample_rho_regular(
     rho: Fraction, n: int, seed: int, mode: str = "configuration"
-) -> UnorderedGraph:
+) -> OrderedGraph:
     """A random rho-regular graph on [n].
 
     mode "exact" (n <= 8): enumerate all rho-regular graphs and pick one
@@ -48,15 +48,18 @@ def sample_rho_regular(
     this is only approximately uniform across degree-sequence classes.
     """
     rho = Fraction(rho)
+    if mode not in ("exact", "configuration"):
+        raise ValueError("mode must be 'exact' or 'configuration'")
+    d, surplus, _ = rho_regular_degree_data(rho, n)
+    # degrees that differ by at most 1 and have an even sum are graphical
+    # exactly when the largest is at most n - 1; past that, re-pairing the
+    # configuration model would never end
+    if d + (surplus > 0) > n - 1:
+        raise ValueError("no graph realizes these parameters")
     gen = Xoshiro256StarStar(seed)
     if mode == "exact":
         graphs = enumerate_rho_regular(rho, n)
-        if not graphs:
-            raise ValueError("no graph realizes these parameters")
-        return UnorderedGraph(n, graphs[gen.next_below(len(graphs))])
-    if mode != "configuration":
-        raise ValueError("mode must be 'exact' or 'configuration'")
-    d, surplus, _ = rho_regular_degree_data(rho, n)
+        return OrderedGraph(n, graphs[gen.next_below(len(graphs))])
     high = set(gen.subset(n, surplus))
     degrees = [d + 1 if v in high else d for v in range(1, n + 1)]
     stubs_template = [v for v in range(1, n + 1) for _ in range(degrees[v - 1])]
@@ -75,7 +78,7 @@ def sample_rho_regular(
                 break
             edges.add(e)
         if ok:
-            return UnorderedGraph(n, edges)
+            return OrderedGraph(n, edges)
 
 
 def blown_up_random_coloring(t: int, s: int, seed: int) -> Coloring:
@@ -132,11 +135,14 @@ class PairSetQuery:
                 raise ValueError("T indexes a missing set")
 
 
+EXACT_PROBABILITY_LIMIT = 8  # largest n that matching_pair_probability enumerates
+
+
 def matching_pair_probability(query: PairSetQuery, n: int) -> Fraction:
     """Exact probability that the random matching has no edge between X_i and
     Y_j for every (i, j) in T, over all n! permutations."""
-    if n > 8:
-        raise ValueError("exact enumeration is limited to n <= 8")
+    if n > EXACT_PROBABILITY_LIMIT:
+        raise ValueError(f"exact enumeration is limited to n <= {EXACT_PROBABILITY_LIMIT}")
     query.validate(n)
     forbidden = [set() for _ in range(n + 1)]  # forbidden[e]: banned right targets
     for i, j in query.T:
@@ -164,9 +170,7 @@ def pairset_avoidance_bound(d: int, r: int, S: int, n: int) -> float:
 # pair coverage
 # ---------------------------------------------------------------------------
 
-def pair_coverage_stats(
-    g: OrderedGraph | UnorderedGraph, parts: Iterable[Iterable[int]]
-) -> int:
+def pair_coverage_stats(g: OrderedGraph, parts: Iterable[Iterable[int]]) -> int:
     """Number of index pairs (i <= j) whose part pair spans at least one edge.
 
     `parts` must cover the vertex set with pairwise disjoint sets.
@@ -199,7 +203,7 @@ class CoverageTrial:
 
 
 def coverage_experiment(
-    g: OrderedGraph | UnorderedGraph,
+    g: OrderedGraph,
     part_count: int,
     max_size: int,
     trials: int,

@@ -14,7 +14,6 @@ from orl.core import (
     FormatError,
     OrderedGraph,
     RED,
-    UnorderedGraph,
     pair_iter,
 )
 
@@ -146,8 +145,8 @@ def reference_parse_ordered_graph(text: str) -> OrderedGraph:
     return OrderedGraph(*reference_edge_list(text, "og"))
 
 
-def reference_parse_unordered_graph(text: str) -> UnorderedGraph:
-    return UnorderedGraph(*reference_edge_list(text, "adj"))
+def reference_parse_unordered_graph(text: str) -> OrderedGraph:
+    return OrderedGraph(*reference_edge_list(text, "adj"))
 
 
 def random_og_text(gen, n: int, p: float) -> str:

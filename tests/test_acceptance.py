@@ -24,7 +24,6 @@ from orl.constructions import (
 )
 from orl.core import (
     OrderedGraph,
-    UnorderedGraph,
     complete_graph,
     contains,
     embedding_maps_edges,
@@ -74,7 +73,7 @@ def test_criterion_2_nested_matching_ramsey_number():
 
 def test_criterion_3_min_max_four_vertex_matching():
     with criterion(3, "min/max over the 3 orderings of the 4-vertex matching", 60):
-        report = min_max_ordered_ramsey(UnorderedGraph(4, [(1, 2), (3, 4)]), 8)
+        report = min_max_ordered_ramsey(OrderedGraph(4, [(1, 2), (3, 4)]), 8)
         assert len(report.results) == 3
         assert report.minr.value <= report.maxr.value
         assert report.minr.exact and report.maxr.exact

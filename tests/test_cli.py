@@ -1,8 +1,11 @@
 """Command-line surface: round trips, exit codes, manifests, replay."""
 
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -607,6 +610,12 @@ def test_missing_option_is_a_usage_error(capsys, argv, flag):
           "--seed", "1"], "argument --s: must"),
         (["experiment", "montecarlo", "--pattern", "{d}/k3.og", "--config-n", "1",
           "--seed", "1"], "error: --config-n 1: must be at least 2"),
+        (["experiment", "pairprob", "--n", "9", "--seed", "1"],
+         "error: --n 9: exact enumeration is limited to n <= 8"),
+        (["ramsey", "count-regular", "--rho", "2", "--n", "11"],
+         "error: --n 11: exact enumeration is limited to n <= 10"),
+        (["sample", "regular", "--rho", "2", "--n", "9", "--seed", "1", "--mode", "exact"],
+         "error: --n 9: exhaustive listing is limited to n <= 8"),
     ],
 )
 def test_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv, flag):
@@ -615,6 +624,22 @@ def test_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv, flag):
     code, _, err = run(capsys, *(a.replace("{d}", str(tmp_path)) for a in argv))
     assert code == EXIT_USAGE and flag in err
     assert "Traceback" not in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("rho, n", [("5/2", "3"), ("7/2", "4")])
+def test_sample_regular_rejects_degrees_above_n_minus_1(rho, n):
+    # the degree-(d + 1) vertices would need degree n; the command runs in a
+    # subprocess so that a sampler that never returns fails instead of hanging
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for mode in ("configuration", "exact"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "orl.cli", "sample", "regular", "--rho", rho, "--n", n,
+             "--seed", "1", "--mode", mode],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert proc.stderr == "error: no graph realizes these parameters\n"
+        assert proc.stdout == ""
 
 
 FOREIGN_OPTION_CASES = [

@@ -27,7 +27,6 @@ from orl.core import (
     BLUE,
     OrderedGraph,
     RED,
-    UnorderedGraph,
     contains,
     interval_chromatic_number,
     serialize_ordered_graph,
@@ -249,29 +248,29 @@ def test_order_two_regular_validation():
 
 def test_order_max_degree_two_restriction():
     # two paths and an isolated vertex: 1-2-3, 4-5, 6
-    g = UnorderedGraph(6, [(1, 2), (2, 3), (4, 5)])
+    g = OrderedGraph(6, [(1, 2), (2, 3), (4, 5)])
     ordered = order_max_degree_two(g)
     assert ordered.n == 6 and ordered.m == 3
     assert sorted(ordered.degree(v) for v in range(1, 7)) == [0, 1, 1, 1, 1, 2]
     # a cycle plus a path, bipartite mode
-    g2 = UnorderedGraph(7, [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (6, 7)])
+    g2 = OrderedGraph(7, [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (6, 7)])
     ordered2 = order_max_degree_two(g2, bipartite_mode=True)
     assert ordered2.n == 7 and ordered2.m == 6
     with pytest.raises(ValueError):
         order_max_degree_two(
-            UnorderedGraph(3, [(1, 2), (2, 3), (1, 3)]), bipartite_mode=True
+            OrderedGraph(3, [(1, 2), (2, 3), (1, 3)]), bipartite_mode=True
         )
     with pytest.raises(ValueError):
-        order_max_degree_two(UnorderedGraph(4, [(1, 2), (1, 3), (1, 4)]))
+        order_max_degree_two(OrderedGraph(4, [(1, 2), (1, 3), (1, 4)]))
 
 
 def test_order_max_degree_two_empty_graph():
     for mode in (False, True):
-        assert order_max_degree_two(UnorderedGraph(0), bipartite_mode=mode) == OrderedGraph(0)
+        assert order_max_degree_two(OrderedGraph(0), bipartite_mode=mode) == OrderedGraph(0)
 
 
 def test_order_max_degree_two_output_embeds_in_eff():
-    g = UnorderedGraph(5, [(1, 2), (2, 3), (4, 5)])
+    g = OrderedGraph(5, [(1, 2), (2, 3), (4, 5)])
     ordered = order_max_degree_two(g)
     # the supergraph uses at most 3 vertices per path, so eff(9, 2) suffices
     assert contains(eff_graph(9, 2).graph, ordered) is not None
@@ -284,7 +283,7 @@ def _ordering_text(build, *args, **kwargs) -> str:
         return "ValueError\n"
 
 
-def _random_max_degree_two(rng: random.Random) -> UnorderedGraph:
+def _random_max_degree_two(rng: random.Random) -> OrderedGraph:
     n = rng.randint(1, 16)
     degree = [0] * (n + 1)
     edges = set()
@@ -294,7 +293,7 @@ def _random_max_degree_two(rng: random.Random) -> UnorderedGraph:
             edges.add((a, b))
             degree[a] += 1
             degree[b] += 1
-    return UnorderedGraph(n, edges)
+    return OrderedGraph(n, edges)
 
 
 def test_max_degree_two_orderings_golden():
@@ -309,9 +308,9 @@ def test_max_degree_two_orderings_golden():
         assert order_two_regular(TwoRegularSpec(lengths)).sorted_edges() == edges
     assert order_two_regular(TwoRegularSpec((4, 6)), bipartite_mode=True).sorted_edges() == [
         (1, 9), (1, 10), (2, 9), (2, 10), (3, 7), (3, 8), (4, 6), (4, 8), (5, 6), (5, 7)]
-    paths = UnorderedGraph(6, [(1, 2), (2, 3), (4, 5)])
+    paths = OrderedGraph(6, [(1, 2), (2, 3), (4, 5)])
     assert order_max_degree_two(paths).sorted_edges() == [(1, 5), (2, 4), (5, 6)]
-    square_and_path = UnorderedGraph(7, [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (6, 7)])
+    square_and_path = OrderedGraph(7, [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (6, 7)])
     assert order_max_degree_two(square_and_path, bipartite_mode=True).sorted_edges() == [
         (1, 6), (1, 7), (2, 6), (2, 7), (3, 5), (4, 5)]
 

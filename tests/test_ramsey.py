@@ -17,7 +17,6 @@ from orl.core import (
     Coloring,
     OrderedGraph,
     RED,
-    UnorderedGraph,
     complete_graph,
     contains,
 )
@@ -299,20 +298,20 @@ def test_ordered_ramsey_at_least_pattern_size_and_subgraph_monotone():
 # ---------------------------------------------------------------------------
 
 def test_min_max_single_edge():
-    rep = min_max_ordered_ramsey(UnorderedGraph(2, [(1, 2)]), 4)
+    rep = min_max_ordered_ramsey(OrderedGraph(2, [(1, 2)]), 4)
     assert len(rep.results) == 1
     assert rep.minr.value == rep.maxr.value == 2
 
 
 def test_min_max_triangle():
-    rep = min_max_ordered_ramsey(UnorderedGraph(3, [(1, 2), (1, 3), (2, 3)]), 8)
+    rep = min_max_ordered_ramsey(OrderedGraph(3, [(1, 2), (1, 3), (2, 3)]), 8)
     assert len(rep.results) == 1
     assert rep.minr.value == rep.maxr.value == 6
 
 
 def test_min_max_complete_graphs_have_one_ordering():
     for n in range(2, 5):
-        g = UnorderedGraph(
+        g = OrderedGraph(
             n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         )
         rep = min_max_ordered_ramsey(g, max(n, 6))
@@ -321,7 +320,7 @@ def test_min_max_complete_graphs_have_one_ordering():
 
 
 def test_min_max_four_vertex_matching():
-    rep = min_max_ordered_ramsey(UnorderedGraph(4, [(1, 2), (3, 4)]), 8)
+    rep = min_max_ordered_ramsey(OrderedGraph(4, [(1, 2), (3, 4)]), 8)
     patterns = {tuple(pat.sorted_edges()): res for pat, _, res in rep.results}
     assert set(patterns) == {
         ((1, 2), (3, 4)),
@@ -340,7 +339,7 @@ def test_min_max_four_vertex_matching():
 
 def test_min_max_size_guard():
     with pytest.raises(ValueError):
-        min_max_ordered_ramsey(UnorderedGraph(8), 8)
+        min_max_ordered_ramsey(OrderedGraph(8), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +433,7 @@ def test_count_and_enumeration_agree():
 
 def test_enumerated_graphs_are_valid():
     for edges in enumerate_rho_regular(Fraction(2), 5):
-        g = UnorderedGraph(5, edges)
+        g = OrderedGraph(5, edges)
         assert all(g.degree(v) == 2 for v in range(1, 6))
 
 

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from orl.cli import build_parser
-from orl.core import OrderedGraph
+from orl.cli import EXIT_OK, build_parser, dispatch
+from orl.core import OrderedGraph, parse_unordered_graph
 from orl.ramsey import count_rho_regular, ordered_ramsey
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -74,6 +74,24 @@ def test_readme_command_examples_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {shlex.join(argv)}")
+
+
+def test_readme_adj_round_trip_runs(tmp_path, monkeypatch, capsys):
+    # the examples that write an `adj` file run first, then those that read it
+    examples = [argv[1:] for argv in command_examples() if any(a.endswith(".adj") for a in argv)]
+    writers = [argv for argv in examples if "-o" in argv]
+    readers = [argv for argv in examples if "-o" not in argv]
+    assert [argv[:2] for argv in writers] == [["sample", "regular"]]
+    assert sorted(argv[:2] for argv in readers) == [["experiment", "coverage"],
+                                                    ["ramsey", "minmax"]]
+    monkeypatch.chdir(tmp_path)
+    for argv in writers + readers:
+        assert dispatch(argv) == EXIT_OK, shlex.join(argv)
+    graph = parse_unordered_graph((tmp_path / "r.adj").read_text())
+    assert graph.n == 4 and graph.m == 2
+    # a perfect matching on 4 vertices: its crossing ordering is the easiest
+    out = capsys.readouterr().out
+    assert "minr 5\nmaxr 6\n" in out and '"summary": "min_covered"' in out
 
 
 def value_rows() -> list[tuple[str, int]]:

@@ -15,7 +15,13 @@ from orl.core import (
     complete_graph,
     interval_chromatic_number,
 )
-from orl.ramsey import Certificate, avoids, enumerate_rho_regular, verify_certificate
+from orl.ramsey import (
+    Certificate,
+    avoids,
+    count_rho_regular,
+    enumerate_rho_regular,
+    verify_certificate,
+)
 from orl.rng import Xoshiro256StarStar, splitmix64_stream, stream_for_trial
 from orl.stochastic import (
     PairSetQuery,
@@ -146,6 +152,38 @@ def test_sample_rho_regular_degree_at_least_vertex_count():
     for seed in range(3):
         with pytest.raises(ValueError, match="degrees must be below the vertex count"):
             sample_rho_regular(Fraction(2), 2, seed)
+
+
+def test_sample_rho_regular_rejects_exactly_the_unrealizable_parameters(monkeypatch):
+    # degrees that differ by at most 1 with an even sum are graphical exactly
+    # when the largest is at most n - 1; the exact count is the oracle.  The
+    # configuration model's first shuffle raises, so reaching it shows the
+    # parameters were accepted, and a missed rejection fails instead of looping
+    class Accepted(Exception):
+        pass
+
+    def shuffle(gen, items):
+        raise Accepted
+
+    monkeypatch.setattr(Xoshiro256StarStar, "shuffle", shuffle)
+    unrealizable = 0
+    for n in range(1, 9):
+        for rho in sorted({Fraction(a, b) for b in range(1, 5) for a in range(1, b * n + 1)}):
+            try:
+                count = count_rho_regular(rho, n).exact_count
+            except ValueError:  # no degree sequence at all
+                with pytest.raises(ValueError):
+                    sample_rho_regular(rho, n, 1)
+                continue
+            if count:
+                with pytest.raises(Accepted):
+                    sample_rho_regular(rho, n, 1)
+                continue
+            unrealizable += 1
+            for mode in ("configuration", "exact"):
+                with pytest.raises(ValueError, match="no graph realizes these parameters"):
+                    sample_rho_regular(rho, n, 1, mode=mode)
+    assert unrealizable >= 10
 
 
 def test_blown_up_coloring_monochromatic_single_interval():
