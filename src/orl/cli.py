@@ -343,6 +343,11 @@ def cmd_sample(args, ctx: RunContext) -> int:
         if args.mode == "exact":
             _check_n_limit(args.n, ramsey.LISTING_LIMIT, "exhaustive listing")
         graph = stochastic.sample_rho_regular(rho, args.n, args.seed, mode=args.mode)
+        if graph is None:
+            print(f"no simple pairing in {stochastic.MAX_RESHUFFLES} configuration-model"
+                  f" shuffles; `--mode exact` samples n <= {ramsey.LISTING_LIMIT}",
+                  file=sys.stderr)
+            return EXIT_INCONCLUSIVE
         text = serialize_unordered_graph(graph)
     else:
         coloring = stochastic.blown_up_random_coloring(args.t, args.s, args.seed)

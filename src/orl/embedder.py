@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from orl.constructions import (
     alternating_path,
@@ -176,11 +176,8 @@ def _find_kkk_between(
     return None
 
 
-def blowup_pipeline(
-    host: OrderedGraph, parts: IntervalPartition, n: int, k: int
-) -> PipelineResult:
-    """Harvest one k-by-k copy per interval pair, keep the largest same-type
-    class, find an alternating path on the class graph, and expand it."""
+def _check_pipeline_args(host: OrderedGraph, parts: IntervalPartition, n: int, k: int) -> int:
+    """The common interval size, after the argument checks both pipelines share."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     if parts.n != host.n:
@@ -188,7 +185,15 @@ def blowup_pipeline(
     sizes = set(parts.sizes)
     if len(sizes) != 1:
         raise ValueError("intervals must all have the same size")
-    d = sizes.pop()
+    return sizes.pop()
+
+
+def blowup_pipeline(
+    host: OrderedGraph, parts: IntervalPartition, n: int, k: int
+) -> PipelineResult:
+    """Harvest one k-by-k copy per interval pair, keep the largest same-type
+    class, find an alternating path on the class graph, and expand it."""
+    d = _check_pipeline_args(host, parts, n, k)
     if k > d:
         return PipelineResult(None, "bipartite-cliques")
     bounds = parts.bounds()
@@ -251,34 +256,45 @@ def is_block_respecting(
 # triangles and the tee extraction
 # ---------------------------------------------------------------------------
 
-def _triangle_rows(host: OrderedGraph) -> Iterator[tuple[int, int, int]]:
-    """(a, b, bitmask of the common neighbours above b) for every edge
-    a < b, in lexicographic order, read off the adjacency rows."""
-    adj = host.adj
-    for a in range(1, host.n + 1):
-        row = adj[a]
-        above = row >> (a + 1)
-        while above:
-            low = above & -above
-            above ^= low
-            b = a + low.bit_length()
-            yield a, b, (row & adj[b]) >> (b + 1)
-
-
 def count_triangles(host: OrderedGraph) -> int:
-    """Exact number of vertex triples inducing a triangle."""
-    return sum(common.bit_count() for _, _, common in _triangle_rows(host))
+    """Exact number of vertex triples inducing a triangle: per edge a < b,
+    the common neighbours above b."""
+    adj = host.adj
+    return sum(((adj[a] & adj[b]) >> (b + 1)).bit_count() for a, b in host.sorted_edges())
 
 
-def enumerate_triangles(host: OrderedGraph) -> list[tuple[int, int, int]]:
-    """Every triangle u < v < w of the host, in lexicographic order."""
-    out = []
-    for a, b, common in _triangle_rows(host):
-        while common:
-            low = common & -common
-            common ^= low
-            out.append((a, b, b + low.bit_length()))
-    return out
+def _tee_split(host: OrderedGraph, epsilon: Fraction) -> str | tuple[int, list[tuple[int, int]]]:
+    """Stages (a)-(d) of `tee_pipeline`: the split index j and the supported
+    left legs, sorted, or the name of the stage that gave out."""
+    if not count_triangles(host):
+        return "triangles"
+    big_n, adj, edges = host.n, host.adj, host.sorted_edges()
+    min_leg = math.ceil(epsilon * big_n / 2)  # legs are integers
+
+    # (b)+(c) a triangle u < v < w with a long right leg is in T_j for
+    # v <= j < w, so each long edge (v, w) adds its apexes u < v from v to w-1
+    delta = [0] * (big_n + 1)
+    for v, w in edges:
+        if w - v >= min_leg:
+            apexes = (adj[v] & adj[w] & ((1 << v) - 1)).bit_count()
+            delta[v] += apexes
+            delta[w] -= apexes
+    j, best_tj, tj = 0, 0, 0
+    for i in range(1, big_n):
+        tj += delta[i]
+        if tj > best_tj:  # ties toward the smaller index
+            j, best_tj = i, tj
+    if not best_tj:
+        return "long-right-legs"
+
+    # (d) a left leg (u, v), v <= j, supports the triangles of T_j over it:
+    # its common neighbours w > j with w - v >= min_leg
+    min_support = math.ceil(epsilon * epsilon * big_n / 4)  # supports are integers
+    legs = [
+        (u, v) for u, v in edges
+        if v <= j and ((adj[u] & adj[v]) >> max(j + 1, v + min_leg)).bit_count() >= min_support
+    ]
+    return (j, legs) if legs else "supported-left-legs"
 
 
 def tee_pipeline(
@@ -290,57 +306,23 @@ def tee_pipeline(
 ) -> PipelineResult:
     """Stage-by-stage extraction of the tee gadget from a triangle-rich host.
 
-    Stages: (a) enumerate triangles, (b) keep those with right legs of length
-    at least eps*N/2, (c) pick the split index maximizing the triangles with
-    two vertices on its left (ties toward smaller index), (d) keep left legs
+    Stages: (a) check for a triangle, (b) count, for every split index j,
+    the triangles u < v <= j < w with a right leg w - v of at least eps*N/2,
+    (c) take the first j with the most, (d) keep the left legs (u, v)
     supporting at least eps^2*N/4 of them, (e) take a longest chain of those
     legs, a largest nested matching, (f) link matched pairs to intervals
     holding at least k shared triangle apexes, (g) take n links (b, interval)
     of a longest chain with b ascending and intervals descending, and
-    assemble the witness.
+    assemble the witness.  Stages (a)-(d) take bit counts of common-neighbour
+    masks and list no triangle.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    if parts.n != host.n:
-        raise ValueError("partition must cover the host")
-    if len(set(parts.sizes)) != 1:
-        raise ValueError("intervals must all have the same size")
+    _check_pipeline_args(host, parts, n, k)
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
-    big_n = host.n
-
-    triangles = enumerate_triangles(host)
-    if not triangles:
-        return PipelineResult(None, "triangles")
-
-    min_leg = math.ceil(epsilon * big_n / 2)  # legs are integers
-    long_legged = [t for t in triangles if t[2] - t[1] >= min_leg]
-    if not long_legged:
-        return PipelineResult(None, "long-right-legs")
-
-    # split index j: triangles with two vertices <= j and the apex beyond,
-    # counted for every j at once from where each triangle enters and leaves
-    delta = [0] * (big_n + 1)
-    for _, v, w in long_legged:
-        delta[v] += 1
-        delta[w] -= 1
-    best_j, best_tj, tj = 0, -1, delta[1]
-    for j in range(2, big_n):
-        tj += delta[j]
-        if tj > best_tj:
-            best_j, best_tj = j, tj
-    if best_tj <= 0:
-        return PipelineResult(None, "split-index")
-    j = best_j
-    t_j = [t for t in long_legged if t[1] <= j < t[2]]
-
-    support: dict[tuple[int, int], int] = {}
-    for u, v, _ in t_j:
-        support[u, v] = support.get((u, v), 0) + 1
-    threshold = epsilon * epsilon * big_n / 4
-    legs = sorted(leg for leg, cnt in support.items() if cnt >= threshold)
-    if not legs:
-        return PipelineResult(None, "supported-left-legs")
+    split = _tee_split(host, epsilon)
+    if isinstance(split, str):
+        return PipelineResult(None, split)
+    j, legs = split
 
     # (e) largest nested matching among the supported legs on {1..j}; it is
     # never empty, since legs is not

@@ -451,26 +451,19 @@ def regular_count_formula(rho: Fraction, n: int) -> float:
     return numerator / denominator / math.exp(d * d)
 
 
-def _rho_regular_degree_sequences(rho: Fraction, n: int) -> Iterator[tuple[int, ...]]:
-    """The degree sequence of each choice of the degree-(d+1) vertices."""
-    d, surplus, _ = rho_regular_degree_data(rho, n)
-    for subset in combinations(range(n), surplus):
-        degrees = [d] * n
-        for v in subset:
-            degrees[v] = d + 1
-        yield tuple(degrees)
-
-
 def count_rho_regular(rho: Fraction, n: int) -> RegularCountReport:
     """Exact count of rho-regular graphs on [n] plus the formula estimate.
 
-    Sums the labeled graphs of each degree sequence; exactness is required,
-    speed is not.
+    Relabelling maps the graphs of one choice of the degree-(d+1) vertices
+    onto those of any other, so the count is C(n, surplus) times the labeled
+    graphs of one degree sequence.
     """
     rho = Fraction(rho)
     if n > EXACT_COUNT_LIMIT:
         raise ValueError(f"exact enumeration is limited to n <= {EXACT_COUNT_LIMIT}")
-    total = sum(map(count_labeled_graphs_with_degrees, _rho_regular_degree_sequences(rho, n)))
+    d, surplus, _ = rho_regular_degree_data(rho, n)
+    degrees = (d + 1,) * surplus + (d,) * (n - surplus)
+    total = math.comb(n, surplus) * count_labeled_graphs_with_degrees(degrees)
     formula = regular_count_formula(rho, n) if rho >= 2 else None
     return RegularCountReport(rho, n, total, formula)
 
@@ -512,4 +505,11 @@ def enumerate_rho_regular(rho: Fraction, n: int) -> list[frozenset]:
     rho = Fraction(rho)
     if n > LISTING_LIMIT:
         raise ValueError(f"exhaustive listing is limited to n <= {LISTING_LIMIT}")
-    return [g for seq in _rho_regular_degree_sequences(rho, n) for g in graphs_with_degrees(seq)]
+    d, surplus, _ = rho_regular_degree_data(rho, n)
+    graphs = []
+    for subset in combinations(range(n), surplus):  # the degree-(d+1) vertices
+        degrees = [d] * n
+        for v in subset:
+            degrees[v] = d + 1
+        graphs.extend(graphs_with_degrees(tuple(degrees)))
+    return graphs

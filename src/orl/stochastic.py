@@ -36,16 +36,24 @@ def sample_permutation_matching(n: int, seed: int) -> OrderedGraph:
     return OrderedGraph(2 * n, [(i, n + pi[i - 1]) for i in range(1, n + 1)])
 
 
+MAX_RESHUFFLES = 10_000  # configuration-model pairings tried before giving up
+
+
 def sample_rho_regular(
     rho: Fraction, n: int, seed: int, mode: str = "configuration"
-) -> OrderedGraph:
-    """A random rho-regular graph on [n].
+) -> Optional[OrderedGraph]:
+    """A random rho-regular graph on [n], or None when the configuration
+    model gives up.
 
     mode "exact" (n <= 8): enumerate all rho-regular graphs and pick one
     uniformly.  mode "configuration": pick the set of degree-(d+1) vertices
     uniformly, run the configuration model on the resulting stubs, and
     re-pair on loop/multi-edge rejections while keeping the degree sequence;
-    this is only approximately uniform across degree-sequence classes.
+    this is only approximately uniform across degree-sequence classes.  It
+    gives up after MAX_RESHUFFLES pairings, on inputs whose pairings are
+    rarely simple: near-complete graphs (K_6's with probability about 5e-4,
+    so about 1% of seeds give up; K_7's 8e-6, K_8's 5e-8) and, on many
+    vertices, d-regular ones with d >= 6 (about exp(-(d^2-1)/4)).
     """
     rho = Fraction(rho)
     if mode not in ("exact", "configuration"):
@@ -63,7 +71,7 @@ def sample_rho_regular(
     high = set(gen.subset(n, surplus))
     degrees = [d + 1 if v in high else d for v in range(1, n + 1)]
     stubs_template = [v for v in range(1, n + 1) for _ in range(degrees[v - 1])]
-    while True:
+    for _ in range(MAX_RESHUFFLES):
         stubs = list(stubs_template)
         gen.shuffle(stubs)
         edges = set()
@@ -79,6 +87,7 @@ def sample_rho_regular(
             edges.add(e)
         if ok:
             return OrderedGraph(n, edges)
+    return None
 
 
 def blown_up_random_coloring(t: int, s: int, seed: int) -> Coloring:

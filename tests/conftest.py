@@ -3,6 +3,7 @@ implementations they check."""
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import pytest
@@ -51,12 +52,53 @@ def brute_interval_chromatic(g: OrderedGraph) -> int:
     return best
 
 
-def brute_triangles(g: OrderedGraph) -> int:
-    return sum(
-        1
+def brute_triangle_list(g: OrderedGraph) -> list[tuple[int, int, int]]:
+    """Every triangle u < v < w, in lexicographic order."""
+    return [
+        (u, v, w)
         for u, v, w in combinations(range(1, g.n + 1), 3)
         if g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)
-    )
+    ]
+
+
+def brute_triangles(g: OrderedGraph) -> int:
+    return len(brute_triangle_list(g))
+
+
+def reference_tee_split(g: OrderedGraph, epsilon):
+    """Stages (a)-(d) of the tee pipeline on the listed triangles: the split
+    index j and the supported left legs, sorted, or the stage that gave out.
+    Per-triangle lists and a support dict, independent of the bit counts."""
+    big_n = g.n
+    triangles = brute_triangle_list(g)
+    if not triangles:
+        return "triangles"
+    min_leg = math.ceil(epsilon * big_n / 2)
+    long_legged = [t for t in triangles if t[2] - t[1] >= min_leg]
+    if not long_legged:
+        return "long-right-legs"
+    # T_j: the long-legged triangles with two vertices <= j and the apex beyond
+    delta = [0] * (big_n + 1)
+    for _, v, w in long_legged:
+        delta[v] += 1
+        delta[w] -= 1
+    best_j, best_tj, tj = 0, -1, delta[1]
+    for j in range(2, big_n):
+        tj += delta[j]
+        if tj > best_tj:
+            best_j, best_tj = j, tj
+    if best_tj <= 0:
+        return "split-index"
+    j = best_j
+    t_j = [t for t in long_legged if t[1] <= j < t[2]]
+    support: dict[tuple[int, int], int] = {}
+    for u, v, _ in t_j:
+        support[u, v] = support.get((u, v), 0) + 1
+    threshold = epsilon * epsilon * big_n / 4
+    legs = sorted(leg for leg, cnt in support.items() if cnt >= threshold)
+    if not legs:
+        return "supported-left-legs"
+    return j, legs
 
 
 def brute_longest_chain(pairs) -> int:

@@ -642,6 +642,24 @@ def test_sample_regular_rejects_degrees_above_n_minus_1(rho, n):
         assert proc.stdout == ""
 
 
+def test_sample_regular_configuration_gives_up_on_complete_graphs():
+    # a pairing of K_8's 56 stubs is simple about 5e-8 of the time: the
+    # configuration model stops after its bound with exit 2 and points to the
+    # exact mode, which returns K_8 at once; the timeout turns a sampler
+    # that keeps reshuffling into a failure instead of a stall
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "orl.cli", "sample", "regular", "--rho", "7", "--n", "8",
+            "--seed", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=20, env=env)
+    assert proc.returncode == EXIT_INCONCLUSIVE, proc.stderr
+    assert "`--mode exact`" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    proc = subprocess.run(argv + ["--mode", "exact"], capture_output=True, text=True,
+                          timeout=30, env=env)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert parse_unordered_graph(proc.stdout).m == 28
+
+
 FOREIGN_OPTION_CASES = [
     (["matrix", "contains", "--a", "{d}/a.mat", "--b", "{d}/a.mat", "--seed", "5"], "--seed"),
     (["matrix", "contains", "--a", "{d}/a.mat", "--b", "{d}/a.mat", "-o", "{d}/x.mat"], "-o"),

@@ -2,8 +2,8 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -14,6 +14,7 @@ from conftest import (
     brute_removal_process,
     brute_triangles,
     random_og_text,
+    reference_tee_split,
 )
 from orl.constructions import (
     alternating_cycle,
@@ -39,13 +40,13 @@ from orl.core import (
 from orl.embedder import (
     blowup_pipeline,
     count_triangles,
-    enumerate_triangles,
     find_alternating_path,
     find_monochromatic,
     is_block_respecting,
     largest_nested_matching,
     tee_pipeline,
     _run_removal_process,
+    _tee_split,
 )
 
 
@@ -232,15 +233,20 @@ def test_count_triangles_matches_brute_force(rng):
         assert count_triangles(g) == brute_triangles(g)
 
 
-def test_enumerate_triangles_in_lexicographic_order(rng):
-    for _ in range(40):
-        n = rng.randint(0, 16)
-        density = rng.random()
-        g = OrderedGraph(n, [e for e in pair_iter(n) if rng.random() < density])
-        assert enumerate_triangles(g) == [
-            (u, v, w) for u, v, w in combinations(range(1, n + 1), 3)
-            if g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)
-        ]
+def test_tee_split_matches_listed_triangles():
+    # stages (a)-(d) from bit counts against the per-triangle lists
+    gen = random.Random(20261019)
+    epsilons = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+    reached = Counter()
+    for _ in range(2000):
+        n = gen.randint(0, 40)
+        density = gen.uniform(0.05, 1)
+        g = OrderedGraph(n, [e for e in pair_iter(n) if gen.random() < density])
+        eps = gen.choice(epsilons)
+        expected = reference_tee_split(g, eps)
+        assert _tee_split(g, eps) == expected, (n, density, eps)
+        reached[expected if isinstance(expected, str) else "legs"] += 1
+    assert set(reached) == {"triangles", "long-right-legs", "supported-left-legs", "legs"}
 
 
 def test_embed_pipelines_never_build_the_host_edge_set():
@@ -254,7 +260,7 @@ def test_embed_pipelines_never_build_the_host_edge_set():
     assert blowup_pipeline(big, IntervalPartition.equal(40, 6), 4, 2).embedding is not None
     assert find_alternating_path(dense, 6) is not None
     assert tee_pipeline(dense, IntervalPartition.equal(10, 4), 2, 1, Fraction(1, 8)).embedding is not None
-    assert count_triangles(dense) == len(enumerate_triangles(dense))
+    assert count_triangles(dense) == brute_triangles(dense)
     assert big._edges is None and dense._edges is None
 
 
