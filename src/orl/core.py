@@ -10,7 +10,11 @@ degrees.  All types here are immutable after construction.
 
 from __future__ import annotations
 
+import operator
+import sys
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 RED = "R"
@@ -311,7 +315,8 @@ def parse_line_format(
 ) -> tuple[list[int], list[tuple[int, str]]]:
     """The shared skeleton of the `og`, `adj`, `col` and `mat` readers: the
     header `<tag> <field>...` holds an integer of at least `least` per field
-    (else `too_small`).  Returns them and all `content_lines`, header first."""
+    (else `too_small`), and below `sys.maxsize`, so that a reader can size a
+    list by it.  Returns them and all `content_lines`, header first."""
     lines = content_lines(text)
     if not lines:
         raise FormatError(1, f"missing `{tag}` header")
@@ -325,17 +330,78 @@ def parse_line_format(
         raise FormatError(no, usage) from None
     if min(values) < least:
         raise FormatError(no, too_small)
+    if max(values) >= sys.maxsize:
+        raise FormatError(no, f"header value {max(values)} is too large")
     return values, lines
+
+
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _read_serialized_edge_list(text: str, tag: str) -> Optional[tuple[int, list[int]]]:
+    """n and the adjacency bitmasks of `text` if it is in the form
+    `_serialize_edge_list` writes, with the edge lines in any order; else None.
+
+    That form is the header `<tag> <n> <m>` and m lines `e <i> <j>` with
+    1 <= i < j <= n, no edge twice, single spaces, plain decimals and `\\n`
+    after every line.  The text is read in whole-text passes with no Python
+    loop per edge, and only when its (n + 1)^2-byte grid is no larger than
+    the text.  Counts prove the layout: m lines, each starting `e `, hold
+    3m tokens between single spaces.  Tokens 1 and 2 of every three must be
+    among the strings `1`..`n`, so each line's `e` is token 0 of a three and
+    the line is exactly `e <i> <j>`.  Edge (i, j) sets byte i(n + 1) + j of
+    the grid; m set bytes, none on or below the diagonal, rule out
+    duplicates, loops and reversed pairs.
+    """
+    head, _, body = text.partition("\n")
+    try:
+        _, n, m = head.split(" ")
+        n, m = int(n), int(m)
+    except ValueError:
+        return None
+    if (head != f"{tag} {n} {m}" or min(n, m) < 0 or (n + 1) ** 2 > len(text)
+            or not text.endswith("\n")):
+        return None
+    tokens = body.replace("\n", " ").split(" ")  # ends with "" after the last line
+    if (body.count("\n") != m or ("\n" + body).count("\ne ") != m
+            or len(tokens) != 3 * m + 1):
+        return None
+    w = n + 1
+    column = {str(v): v for v in range(1, w)}
+    row = {str(v): v * w for v in range(1, w)}
+    grid = bytearray(w * w)
+    try:
+        cells = map(operator.add, map(row.__getitem__, tokens[1::3]),
+                    map(column.__getitem__, tokens[2::3]))
+        deque(map(operator.setitem, repeat(grid), cells, repeat(1)), 0)  # runs the map in C
+    except KeyError:  # an endpoint outside 1..n or not written plainly
+        return None
+    if grid.count(1) != m:
+        return None
+    bits = grid.translate(_BITS)
+    adj = []
+    for v in range(w):
+        if b"1" in bits[v * w:v * w + v + 1]:
+            return None
+        # bit u of a mask is character u from the right
+        adj.append(int(bits[v * w:v * w + w][::-1], 2) | int(bits[v::w][::-1], 2))
+    return n, adj
 
 
 def _parse_edge_list(text: str, header: str) -> tuple[int, list[int]]:
     """Shared reader for `og`/`adj` files: header `<tag> n m`, then `e i j` lines.
 
     Returns n and the adjacency bitmasks (bit j of entry i set iff {i, j}
-    is an edge; entry 0 is 0), filled in one pass over the edge lines; a
+    is an edge; entry 0 is 0).  Text in the exact form the serializer
+    writes, with its edge lines in any order, takes the whole-text fast
+    path `_read_serialized_edge_list`, which gives the same result as the
+    line reader below.  Any other text goes to the line reader, where a
     self-loop, an out-of-range endpoint or a duplicate edge is a
     FormatError at its line.
     """
+    fast = _read_serialized_edge_list(text, header)
+    if fast is not None:
+        return fast
     (n, m), lines = parse_line_format(
         text, header, ("<n>", "<m>"), 0, "vertex and edge counts must be non-negative"
     )
@@ -391,10 +457,12 @@ def serialize_unordered_graph(g: OrderedGraph) -> str:
 def parse_coloring(text: str) -> Coloring:
     """Parse the `col` format: header `col <N>`, then one `c <i> <j> <R|B>` per pair.
 
-    Any line order is accepted; the coloring must be total.
+    Any line order is accepted; the coloring must be total.  Colors are
+    kept by pair index as the lines come, so the memory used is bounded by
+    the text, not by the pair count its header claims.
     """
     (n,), lines = parse_line_format(text, "col", ("<N>",), 0, "vertex count must be non-negative")
-    colors: list[Optional[str]] = [None] * pair_count(n)
+    colors: dict[int, str] = {}
     for no, line in lines[1:]:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "c":
@@ -410,13 +478,13 @@ def parse_coloring(text: str) -> Coloring:
         if parts[3] not in COLORS:
             raise FormatError(no, "color must be R or B")
         idx = pair_index(i, j, n)
-        if colors[idx] is not None:
+        if idx in colors:
             raise FormatError(no, f"duplicate pair ({i},{j})")
         colors[idx] = parts[3]
-    missing = colors.count(None)
+    missing = pair_count(n) - len(colors)
     if missing:
         raise FormatError(lines[-1][0], f"coloring is not total: {missing} pairs missing")
-    return Coloring(n, colors)  # type: ignore[arg-type]
+    return Coloring(n, [colors[idx] for idx in range(len(colors))])
 
 
 def serialize_coloring(col: Coloring) -> str:

@@ -494,6 +494,15 @@ MALFORMED_FILE_CASES = [
     (["verify", "--cert", "{f}.json", "--pattern", "{d}/k3.og"],
      '{"kind": "upper", "N": 6, "pattern": "og 3 1\\ne 1 1\\n"}',
      "line 2: self-loop at vertex 1"),
+    # header counts that cannot size a list once leaked as an OverflowError
+    (["embed", "altpath", "--host", "{f}", "--n", "2"], "og 100000000000000000000 0\n",
+     "line 1: header value 100000000000000000000 is too large"),
+    (["ramsey", "minmax", "--graph", "{f}", "--nmax", "5"], "adj 100000000000000000000 0\n",
+     "line 1: header value 100000000000000000000 is too large"),
+    (["verify", "--cert", "{f}.col", "--pattern", "{d}/k3.og"], "col 100000000000000000000\n",
+     "line 1: header value 100000000000000000000 is too large"),
+    (["verify", "--cert", "{f}.col", "--pattern", "{d}/k3.og"], "col 5000000000\n",
+     "line 1: coloring is not total: 12499999997500000000 pairs missing"),
 ]
 
 

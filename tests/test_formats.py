@@ -16,10 +16,12 @@ import random
 import pytest
 
 from conftest import reference_parse_ordered_graph, reference_parse_unordered_graph
+from orl import core
 from orl.constructions import parse_blocks, serialize_blocks
 from orl.core import (
     FormatError,
     OrderedGraph,
+    complete_graph,
     pair_iter,
     parse_coloring,
     parse_ordered_graph,
@@ -294,3 +296,114 @@ def test_edge_list_readers_match_the_reference_reader(tag, parse, reference):
         assert _graph_outcome(parse, text) == expected, text
         kinds[expected[0]] += 1
     assert min(kinds.values()) >= 400, kinds  # both outcomes well covered
+
+
+# ---------------------------------------------------------------------------
+# the whole-text fast path for serialized edge lists
+# ---------------------------------------------------------------------------
+
+def _spy_on_the_line_reader(monkeypatch) -> list[str]:
+    """The texts passed to `core.parse_line_format` from now on."""
+    calls = []
+    real = core.parse_line_format
+
+    def spy(text, *args):
+        calls.append(text)
+        return real(text, *args)
+
+    monkeypatch.setattr(core, "parse_line_format", spy)
+    return calls
+
+
+def _join(head: str, lines: list[str]) -> str:
+    return "\n".join([head, *lines]) + "\n"
+
+
+def edge_list_mutations(gen, text: str) -> dict[str, str]:
+    """Single mutations of a serialized edge list with at least two edges."""
+    head, *lines = text[:-1].split("\n")
+    tag, n, m = head.split(" ")
+    k = gen.randrange(len(lines) - 1)
+    other = gen.choice([x for x in range(len(lines)) if x != k])
+    blank = gen.randint(0, len(lines))
+    _, i, j = lines[k].split(" ")
+    shuffled = gen.sample(lines, len(lines))
+
+    def at_k(line: str) -> str:
+        return _join(head, lines[:k] + [line] + lines[k + 1:])
+
+    return {
+        "reversed pair": at_k(f"e {j} {i}"),
+        "shuffled": _join(head, shuffled),
+        "duplicate": at_k(lines[other]),
+        "j = n+1": at_k(f"e {i} {int(n) + 1}"),
+        "i = 0": at_k(f"e 0 {j}"),
+        "self-loop": at_k(f"e {i} {i}"),
+        "leading zero": at_k(f"e 0{i} {j}"),
+        "plus": at_k(f"e {i} +{j}"),
+        "tab": at_k(f"e\t{i} {j}"),
+        "trailing space": at_k(f"e {i} {j} "),
+        "crlf": text.replace("\n", "\r\n"),
+        "no final newline": text[:-1],
+        "blank line": _join(head, lines[:blank] + [""] + lines[blank:]),
+        "token shift": _join(head, lines[:k] + [lines[k] + " e", lines[k + 1][2:]] + lines[k + 2:]),
+        "header tag": _join(f"{'adj' if tag == 'og' else 'og'} {n} {m}", lines),
+        "m - 1": _join(f"{tag} {n} {int(m) - 1}", lines),
+        "m + 1": _join(f"{tag} {n} {int(m) + 1}", lines),
+    }
+
+
+@pytest.mark.parametrize("parse, serialize, reference", [
+    (parse_ordered_graph, serialize_ordered_graph, reference_parse_ordered_graph),
+    (parse_unordered_graph, serialize_unordered_graph, reference_parse_unordered_graph),
+], ids=["og", "adj"])
+def test_serialized_edge_lists_take_the_fast_path(monkeypatch, parse, serialize, reference):
+    """Serialized graphs parse back as the reference reader parses them,
+    without the line reader exactly when their (n + 1)^2 grid fits in the
+    text; single mutations of them give the reference reader's outcome."""
+    calls = _spy_on_the_line_reader(monkeypatch)
+    gen = random.Random(20261019)
+    graphs = [OrderedGraph(n) for n in (0, 1, 2, 60)] + [complete_graph(n) for n in (0, 1, 2, 60)]
+    while len(graphs) < 1000:
+        n, p = gen.randint(0, 60), gen.random()
+        graphs.append(OrderedGraph(n, [e for e in pair_iter(n) if gen.random() < p]))
+    seen = {"fast": 0, "line reader": 0, "mutated": 0}
+    for g in graphs:
+        text = serialize(g)
+        fits = (g.n + 1) ** 2 <= len(text)
+        calls.clear()
+        expected = _graph_outcome(reference, text)
+        assert expected == ("ok", g.n, g.adj, g.edges)
+        assert _graph_outcome(parse, text) == expected, text
+        assert calls == ([] if fits else [text]), text
+        seen["fast" if fits else "line reader"] += 1
+        if fits and g.m >= 2 and g.n <= 16:
+            seen["mutated"] += 1
+            for kind, mutated in edge_list_mutations(gen, text).items():
+                assert _graph_outcome(parse, mutated) == _graph_outcome(reference, mutated), (
+                    kind, mutated
+                )
+    assert min(seen.values()) >= 100, seen
+
+
+def test_the_fast_path_grid_is_bounded_by_the_text(monkeypatch):
+    # a 25 MB grid for 10 and 16 bytes of text: the line reader reads these
+    texts = ["og 5000 0\n", "og 5000 1\ne 1 2\n"]
+    calls = _spy_on_the_line_reader(monkeypatch)
+    for text in texts:
+        assert _graph_outcome(parse_ordered_graph, text) == _graph_outcome(
+            reference_parse_ordered_graph, text
+        )
+    assert calls == texts
+
+
+@pytest.mark.parametrize("text", [
+    "og -1 0\n",
+    "og 2 1\ne 1\n2 1",  # every count holds but the final newline
+    "og 2 1\ne 1\n2\n",  # a newline inside the line
+    "og 2 1\ne 1 2 1 1 2\n",  # two lines' tokens on one line
+])
+def test_near_misses_of_the_fast_path_give_the_line_readers_outcome(text):
+    assert _graph_outcome(parse_ordered_graph, text) == _graph_outcome(
+        reference_parse_ordered_graph, text
+    )
