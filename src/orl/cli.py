@@ -35,6 +35,7 @@ from orl import constructions, embedder, patterns, ramsey, stochastic
 from orl.core import (
     BLUE,
     IntervalPartition,
+    OrderedGraph,
     RED,
     parse_coloring,
     parse_ordered_graph,
@@ -68,13 +69,16 @@ class RunContext:
     def read(self, path: str, parse: Callable[[str], Any]) -> Any:
         """`parse` of the text of the file at `path`, the one way commands read
         files; a ValueError (a FormatError, a JSON or decoding error) is raised
-        again with the path in front: `g.og: line 2: ...`."""
+        again with the path in front: `g.og: line 2: ...`.  A MemoryError
+        (a header that claims more than memory holds) is one too."""
         p = Path(path)
         self.inputs.append(p)
         try:
             return parse(p.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+        except MemoryError:
+            raise ValueError(f"{path}: too large to read") from None
 
     def write_text(self, path: str, text: str) -> None:
         target = self.redirect(path) if self.redirect else Path(path)
@@ -237,23 +241,20 @@ def cmd_embed(args, ctx: RunContext) -> int:
 # ramsey
 # ---------------------------------------------------------------------------
 
-def _emit_ramsey_certs(ctx: RunContext, outdir: str, result) -> None:
+def _emit_ramsey_certs(ctx: RunContext, outdir: str, result: ramsey.RamseyResult) -> None:
     base = Path(outdir)
     if result.lower is not None:
-        ctx.write_text(
-            str(base / f"lower_N{result.lower.N}.col"),
-            serialize_coloring(result.lower.coloring),
-        )
+        ctx.write_text(str(base / f"lower_N{result.lower.n}.col"), serialize_coloring(result.lower))
     if result.upper is not None:
         payload = {
             "kind": "upper",
-            "N": result.upper.N,
-            "nodes": result.upper.stats.nodes if result.upper.stats else None,
-            "prunes": result.upper.stats.prunes if result.upper.stats else None,
-            "pattern": serialize_ordered_graph(result.upper.pattern),
+            "N": result.value,
+            "nodes": result.upper.nodes,
+            "prunes": result.upper.prunes,
+            "pattern": serialize_ordered_graph(result.pattern),
         }
         ctx.write_text(
-            str(base / f"upper_N{result.upper.N}.json"),
+            str(base / f"upper_N{result.value}.json"),
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
         )
 
@@ -284,36 +285,37 @@ def cmd_ramsey_minmax(args, ctx: RunContext) -> int:
     graph = ctx.read(args.graph, parse_unordered_graph)
     _check_nmax(args.nmax, graph.n)
     report = ramsey.min_max_ordered_ramsey(graph, args.nmax)
-    for pattern, order, res in report.results:
-        edges = ",".join(f"{a}-{b}" for a, b in pattern.sorted_edges())
+    for order, res in report.results:
+        edges = ",".join(f"{a}-{b}" for a, b in res.pattern.sorted_edges())
         print(f"ordering {' '.join(map(str, order))} edges {edges} OR {res.describe()}")
     print(f"minr {report.minr.describe()}")
     print(f"maxr {report.maxr.describe()}")
     if args.emit_cert:
-        for idx, (_, _, res) in enumerate(report.results):
+        for idx, (_, res) in enumerate(report.results):
             sub = str(Path(args.emit_cert) / f"ordering{idx}")
             _emit_ramsey_certs(ctx, sub, res)
-    capped = any(not res.exact for _, _, res in report.results)
+    capped = any(not res.exact for _, res in report.results)
     return EXIT_INCONCLUSIVE if capped else EXIT_OK
 
 
-def _upper_certificate(text: str) -> ramsey.Certificate:
-    """An upper certificate as `_emit_ramsey_certs` writes it, with its own pattern."""
+def _upper_certificate(text: str) -> tuple[OrderedGraph, int]:
+    """The pattern and N of an upper certificate as `_emit_ramsey_certs` writes it."""
     kind, n, pattern = _fields(json.loads(text), "json certificate", kind=str, N=int, pattern=str)
     if kind != "upper":
         raise ValueError("json certificate field `kind` must be 'upper'")
-    return ramsey.Certificate("upper", parse_ordered_graph(pattern), n)
+    if n < 0:
+        raise ValueError("json certificate field `N` must be non-negative")
+    return parse_ordered_graph(pattern), n
 
 
 def cmd_verify(args, ctx: RunContext) -> int:
     pattern = ctx.read(args.pattern, parse_ordered_graph)
     if Path(args.cert).suffix == ".json":
-        cert = ctx.read(args.cert, _upper_certificate)
+        own, cert = ctx.read(args.cert, _upper_certificate)
     else:
-        coloring = ctx.read(args.cert, parse_coloring)
-        cert = ramsey.Certificate("lower", pattern, coloring.n, coloring=coloring)
+        own, cert = pattern, ctx.read(args.cert, parse_coloring)
     # an upper certificate for another pattern is false without a search
-    ok = cert.pattern == pattern and ramsey.verify_certificate(cert)
+    ok = own == pattern and ramsey.verify_certificate(pattern, cert)
     print("true" if ok else "false")
     return EXIT_OK if ok else EXIT_INCONCLUSIVE
 
@@ -441,7 +443,7 @@ def cmd_experiment_montecarlo(args, ctx: RunContext) -> int:
     cert_path = None
     if report.certificate is not None and args.emit_cert:
         cert_path = str(Path(args.emit_cert) / f"avoid_N{s * t}.col")
-        ctx.write_text(cert_path, serialize_coloring(report.certificate.coloring))
+        ctx.write_text(cert_path, serialize_coloring(report.certificate))
     lines = [
         {
             "trial": tr.trial,

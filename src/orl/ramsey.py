@@ -7,12 +7,14 @@ a copy one pair short of that forces its last pair to the other color (unit
 propagation: the other color is the only one any avoiding extension can
 give it).  It branches on the pair that lies in the most nearly complete
 copies, and breaks the global color-swap symmetry by making the first
-decision red.  Upper bounds are exhausted searches; lower bounds are
-concrete avoiding colorings, both re-checkable from their certificates.
+decision red.  A lower bound N < OR is certified by an avoiding coloring of
+K_N, an upper bound OR <= N by the exhausted search at N, whose counters
+are kept; `verify_certificate` re-checks either.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,30 +37,6 @@ from orl.embedder import find_monochromatic
 class SearchStats:
     nodes: int = 0
     prunes: int = 0
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Machine-checkable witness for one side of an ordered Ramsey bound.
-
-    kind "lower": `coloring` (on N positions) contains no monochromatic copy
-    of `pattern`, proving the Ramsey value exceeds N.  kind "upper": the
-    avoiding-coloring search at size N was exhausted without success, with
-    its node/prune counters recorded.
-    """
-
-    kind: str
-    pattern: OrderedGraph
-    N: int
-    coloring: Optional[Coloring] = None
-    stats: Optional[SearchStats] = None
-
-    def __post_init__(self):
-        if self.kind not in ("lower", "upper"):
-            raise ValueError("certificate kind must be 'lower' or 'upper'")
-        if self.kind == "lower":
-            if self.coloring is None or self.coloring.n != self.N:
-                raise ValueError("a lower certificate stores a coloring of K_N")
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +200,18 @@ def avoiding_coloring(
 
 @dataclass(frozen=True)
 class RamseyResult:
-    """Outcome of an ordered Ramsey computation, possibly capped at N_max."""
+    """Outcome of an ordered Ramsey computation, possibly capped at N_max.
+
+    `lower` is an avoiding coloring of K_{value - 1} (None when no size was
+    searched below `value`), `upper` the counters of the exhausted search at
+    `value` (None unless exact).
+    """
 
     pattern: OrderedGraph
     value: int
     exact: bool  # False: every N <= N_max admitted an avoiding coloring
-    lower: Optional[Certificate]
-    upper: Optional[Certificate]
+    lower: Optional[Coloring]
+    upper: Optional[SearchStats]
 
     def describe(self) -> str:
         return str(self.value) if self.exact else f">= {self.value}"
@@ -246,7 +229,7 @@ def ordered_ramsey(pattern: OrderedGraph, N_max: Optional[int] = None) -> Ramsey
         N_max = 2 ** (2 * pattern.n)
     if N_max < pattern.n:
         raise ValueError("N_max must be at least the pattern size")
-    best_lower: Optional[Certificate] = None
+    best_lower: Optional[Coloring] = None
     start = 0 if pattern.n == 0 else pattern.n - 1
     for N in range(start, N_max + 1):
         if copy_count(pattern, N) > MAX_COPIES:
@@ -254,14 +237,8 @@ def ordered_ramsey(pattern: OrderedGraph, N_max: Optional[int] = None) -> Ramsey
         stats = SearchStats()
         col = avoiding_coloring(pattern, N, stats)
         if col is None:
-            return RamseyResult(
-                pattern,
-                N,
-                True,
-                best_lower,
-                Certificate("upper", pattern, N, stats=stats),
-            )
-        best_lower = Certificate("lower", pattern, N, coloring=col)
+            return RamseyResult(pattern, N, True, best_lower, stats)
+        best_lower = col
     return RamseyResult(pattern, N_max + 1, False, best_lower, None)
 
 
@@ -274,52 +251,49 @@ def avoids(coloring: Coloring, pattern: OrderedGraph) -> bool:
     )
 
 
-def verify_certificate(cert: Certificate) -> bool:
-    """Re-check a certificate from scratch.
+def verify_certificate(pattern: OrderedGraph, cert: Coloring | int) -> bool:
+    """Re-check one side of a bound from its certificate alone.
 
-    Lower: exhaustively confirm the stored coloring has no monochromatic
-    copy of the pattern.  Upper: re-run the exhausted search at size N.
+    A coloring of K_N (OR > N): confirm it has no monochromatic copy of the
+    pattern.  An int N (OR <= N): re-run the search at size N and confirm
+    it is exhausted.
     """
-    if cert.kind == "lower":
-        assert cert.coloring is not None
-        return avoids(cert.coloring, cert.pattern)
-    return avoiding_coloring(cert.pattern, cert.N) is None
+    if isinstance(cert, Coloring):
+        return avoids(cert, pattern)
+    return avoiding_coloring(pattern, cert) is None
 
 
 # ---------------------------------------------------------------------------
 # min/max over orderings
 # ---------------------------------------------------------------------------
 
-def distinct_orderings(g: OrderedGraph) -> dict[frozenset, list[int]]:
-    """Map each distinct ordered edge set to one witnessing vertex order.
+def distinct_orderings(g: OrderedGraph) -> dict[OrderedGraph, list[int]]:
+    """Map each distinct ordering of g to one witnessing vertex order.
 
     The witnessing order lists the original vertex placed at each position.
     """
     from itertools import permutations
 
-    seen: dict[frozenset, list[int]] = {}
+    seen: dict[OrderedGraph, list[int]] = {}
     for perm in permutations(range(1, g.n + 1)):
         position = {v: p for p, v in enumerate(perm, start=1)}
-        edges = frozenset(
-            tuple(sorted((position[a], position[b]))) for a, b in g.edges
-        )
-        if edges not in seen:
-            seen[edges] = list(perm)
+        ordered = OrderedGraph(g.n, [(position[a], position[b]) for a, b in g.edges])
+        seen.setdefault(ordered, list(perm))
     return seen
 
 
 @dataclass(frozen=True)
 class MinMaxReport:
     graph: OrderedGraph
-    results: tuple[tuple[OrderedGraph, tuple[int, ...], RamseyResult], ...]
+    results: tuple[tuple[tuple[int, ...], RamseyResult], ...]  # (order, result)
 
     @property
     def minr(self) -> RamseyResult:
-        return min(self.results, key=lambda r: (r[2].value, r[2].exact))[2]
+        return min((r for _, r in self.results), key=lambda r: (r.value, r.exact))
 
     @property
     def maxr(self) -> RamseyResult:
-        return max(self.results, key=lambda r: (r[2].value, not r[2].exact))[2]
+        return max((r for _, r in self.results), key=lambda r: (r.value, not r.exact))
 
 
 def min_max_ordered_ramsey(g: OrderedGraph, N_max: int) -> MinMaxReport:
@@ -331,13 +305,10 @@ def min_max_ordered_ramsey(g: OrderedGraph, N_max: int) -> MinMaxReport:
     """
     if g.n > 7:
         raise ValueError("factorial enumeration is limited to n <= 7")
-    results = []
-    for edges, order in sorted(
-        distinct_orderings(g).items(), key=lambda kv: sorted(kv[0])
-    ):
-        pattern = OrderedGraph(g.n, edges)
-        results.append((pattern, tuple(order), ordered_ramsey(pattern, N_max)))
-    return MinMaxReport(g, tuple(results))
+    orderings = sorted(distinct_orderings(g).items(), key=lambda kv: kv[0].sorted_edges())
+    return MinMaxReport(
+        g, tuple((tuple(order), ordered_ramsey(pattern, N_max)) for pattern, order in orderings)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -374,58 +345,24 @@ def rho_regular_degree_data(rho: Fraction, n: int) -> tuple[int, int, int]:
 def count_labeled_graphs_with_degrees(degrees: tuple[int, ...]) -> int:
     """Number of labeled simple graphs with the given degree sequence.
 
-    Dynamic program over the multiset of remaining degrees: the completion
-    count only depends on that multiset, and choosing which equal-degree
-    vertices the current vertex joins contributes binomial factors.
+    The vertex with the largest degree left picks its neighbours among the
+    other vertices with degree left.  The completions depend only on the
+    multiset of degrees left, so the count is cached on them, sorted.
     """
-    memo: dict[tuple[int, ...], int] = {}
 
-    def count(remaining: tuple[int, ...]) -> int:
-        # remaining degrees sorted descending; first vertex connects onward
-        while remaining and remaining[-1] == 0:
-            remaining = remaining[:-1]
-        if not remaining:
+    @functools.cache
+    def count(left: tuple[int, ...]) -> int:  # positive degrees, descending
+        if not left:
             return 1
-        if remaining[0] > len(remaining) - 1:
-            return 0
-        cached = memo.get(remaining)
-        if cached is not None:
-            return cached
-        first, rest = remaining[0], list(remaining[1:])
-        # group the rest by value
-        groups: list[tuple[int, int]] = []
-        for value in rest:
-            if groups and groups[-1][0] == value:
-                groups[-1] = (value, groups[-1][1] + 1)
-            else:
-                groups.append((value, 1))
         total = 0
-
-        def choose(gi: int, still: int, picked: list[int], ways: int) -> None:
-            nonlocal total
-            if still == 0:
-                new = []
-                for (value, count_), take in zip(groups, picked + [0] * len(groups)):
-                    new.extend([value - 1] * take)
-                    new.extend([value] * (count_ - take))
-                total += ways * count(tuple(sorted(new, reverse=True)))
-                return
-            if gi == len(groups):
-                return
-            value, count_ = groups[gi]
-            for take in range(min(count_, still) + 1):
-                choose(
-                    gi + 1,
-                    still - take,
-                    picked + [take],
-                    ways * math.comb(count_, take),
-                )
-
-        choose(0, first, [], 1)
-        memo[remaining] = total
+        for picked in combinations(range(1, len(left)), left[0]):
+            after = list(left)
+            for v in picked:
+                after[v] -= 1
+            total += count(tuple(sorted(filter(None, after[1:]), reverse=True)))
         return total
 
-    return count(tuple(sorted(degrees, reverse=True)))
+    return count(tuple(sorted(filter(None, degrees), reverse=True)))
 
 
 @dataclass(frozen=True)

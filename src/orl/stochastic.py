@@ -14,12 +14,7 @@ from itertools import permutations
 from typing import Iterable, Optional
 
 from orl.core import BLUE, Coloring, OrderedGraph, RED
-from orl.ramsey import (
-    Certificate,
-    avoids,
-    enumerate_rho_regular,
-    rho_regular_degree_data,
-)
+from orl.ramsey import avoids, enumerate_rho_regular, rho_regular_degree_data
 from orl.rng import Xoshiro256StarStar, stream_for_trial
 
 
@@ -256,7 +251,7 @@ class AvoidanceReport:
     t: int
     s: int
     trials: tuple[AvoidanceTrial, ...]
-    certificate: Optional[Certificate]
+    certificate: Optional[Coloring]  # the first avoiding coloring, of K_{st}
 
     @property
     def avoidance_fraction(self) -> Fraction:
@@ -280,13 +275,13 @@ def monte_carlo_avoidance(
     A pattern larger than st is avoided vacuously by every trial.
     """
     records = []
-    best: Optional[Certificate] = None
+    best: Optional[Coloring] = None
     for k in range(trials):
         col = blown_up_random_coloring(t, s, seed ^ k)
         avoided = avoids(col, pattern)
         records.append(AvoidanceTrial(k, seed ^ k, avoided))
         if avoided and best is None:
-            best = Certificate("lower", pattern, s * t, coloring=col)
+            best = col
     return AvoidanceReport(pattern, t, s, tuple(records), best)
 
 

@@ -32,7 +32,6 @@ from orl.core import (
 from orl.embedder import find_alternating_path
 from orl.patterns import complement, permutation_unavoidable
 from orl.ramsey import (
-    Certificate,
     count_rho_regular,
     min_max_ordered_ramsey,
     ordered_ramsey,
@@ -54,11 +53,10 @@ def test_criterion_1_triangle_ramsey_number():
     with criterion(1, "exact OR of the ordered triangle is 6 with verified certificates", 10):
         result = ordered_ramsey(complete_graph(3), 8)
         assert result.exact and result.value == 6
-        assert result.lower is not None and result.lower.N == 5
-        assert verify_certificate(result.lower)
-        assert result.upper is not None and result.upper.N == 6
-        assert result.upper.stats.nodes > 0
-        assert verify_certificate(result.upper)
+        assert result.lower is not None and result.lower.n == 5
+        assert verify_certificate(result.pattern, result.lower)
+        assert result.upper is not None and result.upper.nodes > 0
+        assert verify_certificate(result.pattern, result.value)
 
 
 def test_criterion_2_nested_matching_ramsey_number():
@@ -67,8 +65,8 @@ def test_criterion_2_nested_matching_ramsey_number():
         assert result.exact
         assert result.value == 6  # derived golden value, first computed here
         assert result.value <= 4 * 2 - 2
-        assert verify_certificate(result.lower)
-        assert verify_certificate(result.upper)
+        assert verify_certificate(result.pattern, result.lower)
+        assert verify_certificate(result.pattern, result.value)
 
 
 def test_criterion_3_min_max_four_vertex_matching():
@@ -77,9 +75,9 @@ def test_criterion_3_min_max_four_vertex_matching():
         assert len(report.results) == 3
         assert report.minr.value <= report.maxr.value
         assert report.minr.exact and report.maxr.exact
-        for _, _, res in report.results:
-            assert verify_certificate(res.lower)
-            assert verify_certificate(res.upper)
+        for _, res in report.results:
+            assert verify_certificate(res.pattern, res.lower)
+            assert verify_certificate(res.pattern, res.value)
 
 
 def test_criterion_4_alternating_path_threshold_suite():
@@ -137,8 +135,7 @@ def test_criterion_6_quadratic_lower_bound_instance():
     with criterion(6, "the 40-vertex interval coloring avoids its 18-vertex pattern", 1800):
         g, col = quadratic_lb_instance(18)
         assert g.n == 18 and col.n == 40
-        cert = Certificate("lower", g, col.n, coloring=col)
-        assert verify_certificate(cert)
+        assert verify_certificate(g, col)
 
 
 def test_criterion_7_regular_graph_counts():

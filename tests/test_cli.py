@@ -160,7 +160,9 @@ def test_verify_rejects_bad_certificate(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "payload, field",
-    [('{"kind": "upper"}', "`N`"), ('{"kind": "upper", "N": 6}', "`pattern`"), ("[1, 2]", "object")],
+    [('{"kind": "upper"}', "`N`"), ('{"kind": "upper", "N": 6}', "`pattern`"), ("[1, 2]", "object"),
+     ('{"kind": "upper", "N": -1, "pattern": "og 3 3\\ne 1 2\\ne 1 3\\ne 2 3\\n"}',
+      "field `N` must be non-negative")],
 )
 def test_verify_rejects_malformed_upper_certificate(tmp_path, capsys, payload, field):
     pattern = tmp_path / "k3.og"
@@ -168,7 +170,30 @@ def test_verify_rejects_malformed_upper_certificate(tmp_path, capsys, payload, f
     cert = tmp_path / "upper_N6.json"
     cert.write_text(payload)
     code, _, err = run(capsys, "verify", "--cert", str(cert), "--pattern", str(pattern))
-    assert code == EXIT_USAGE and field in err
+    assert code == EXIT_USAGE and field in err and str(cert) in err
+
+
+def test_verify_upper_certificate_of_another_pattern_is_false_without_search(
+    tmp_path, capsys, monkeypatch
+):
+    k3 = tmp_path / "k3.og"
+    k3.write_text("og 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    certs = tmp_path / "certs"
+    assert dispatch(["ramsey", "exact", "--pattern", str(k3), "--emit-cert", str(certs)]) == 0
+    capsys.readouterr()
+
+    def no_search(*args):
+        raise RuntimeError("verify searched")
+
+    monkeypatch.setattr(ramsey, "avoiding_coloring", no_search)
+    other = tmp_path / "m.og"
+    other.write_text("og 4 2\ne 1 4\ne 2 3\n")
+    cert = str(certs / "upper_N6.json")
+    code, out, err = run(capsys, "verify", "--cert", cert, "--pattern", str(other))
+    assert (code, out, err) == (EXIT_INCONCLUSIVE, "false\n", "")
+    # the same certificate against its own pattern reaches the search
+    code, _, err = run(capsys, "verify", "--cert", cert, "--pattern", str(k3))
+    assert code == EXIT_INTERNAL and "verify searched" in err
 
 
 def test_ramsey_minmax(tmp_path, capsys):
@@ -504,6 +529,26 @@ MALFORMED_FILE_CASES = [
     (["verify", "--cert", "{f}.col", "--pattern", "{d}/k3.og"], "col 5000000000\n",
      "line 1: coloring is not total: 12499999997500000000 pairs missing"),
 ]
+
+
+def test_header_too_large_for_memory_is_a_usage_error(tmp_path):
+    # `og 200000000 0` asks the line reader for a list of 2 * 10^8 entries;
+    # the child caps its own address space at 1 GiB, so that request fails
+    # with a MemoryError, which must be reported as bad input
+    host = tmp_path / "big.og"
+    host.write_text("og 200000000 0\n")
+    code = (
+        "import resource, sys; sys.path.insert(0, sys.argv[1])\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from orl.cli import dispatch\n"
+        "sys.exit(dispatch(['embed', 'altpath', '--host', sys.argv[2], '--n', '2']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", code, str(Path(cli.__file__).parents[1]), str(host)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr == f"error: {host}: too large to read\n"
 
 
 @pytest.mark.parametrize("argv, text, message", MALFORMED_FILE_CASES)

@@ -21,7 +21,6 @@ from orl.core import (
     contains,
 )
 from orl.ramsey import (
-    Certificate,
     SearchStats,
     avoiding_coloring,
     avoids,
@@ -56,7 +55,7 @@ def test_avoiding_coloring_k3():
     k3 = complete_graph(3)
     col = avoiding_coloring(k3, 5)
     assert col is not None
-    assert verify_certificate(Certificate("lower", k3, 5, coloring=col))
+    assert verify_certificate(k3, col)
     assert avoiding_coloring(k3, 6) is None
 
 
@@ -75,9 +74,7 @@ def test_avoiding_coloring_found_colorings_actually_avoid(rng):
         for N in range(pattern.n - 1, pattern.n + 2):
             col = avoiding_coloring(pattern, N)
             if col is not None:
-                assert verify_certificate(
-                    Certificate("lower", pattern, N, coloring=col)
-                )
+                assert verify_certificate(pattern, col)
 
 
 def test_avoiding_coloring_matches_full_enumeration():
@@ -168,7 +165,7 @@ def test_avoiding_coloring_depth_is_not_bounded_by_recursion():
     pattern = OrderedGraph(50, [(2 * i - 1, 2 * i) for i in range(1, 26)])
     col = avoiding_coloring(pattern, 50)
     assert col is not None
-    assert verify_certificate(Certificate("lower", pattern, 50, coloring=col))
+    assert verify_certificate(pattern, col)
 
 
 def test_avoiding_coloring_copy_table_bound(monkeypatch):
@@ -194,8 +191,8 @@ def test_ordered_ramsey_stops_at_the_copy_table_bound(monkeypatch):
     monkeypatch.setattr(ramsey, "MAX_COPIES", 10)
     result = ordered_ramsey(complete_graph(3), 10)
     assert not result.exact and result.value == 6 and result.describe() == ">= 6"
-    assert result.upper is None and result.lower.N == 5
-    assert verify_certificate(result.lower)
+    assert result.upper is None and result.lower.n == 5
+    assert verify_certificate(result.pattern, result.lower)
 
 
 def test_avoiding_coloring_edgeless_patterns():
@@ -212,9 +209,9 @@ def test_ordered_ramsey_k2_k3():
     assert ordered_ramsey(complete_graph(2), 4).value == 2
     result = ordered_ramsey(complete_graph(3), 10)
     assert result.exact and result.value == 6
-    assert result.lower.N == 5 and result.upper.N == 6
-    assert verify_certificate(result.lower)
-    assert verify_certificate(result.upper)
+    assert result.lower.n == 5 and result.upper.nodes > 0
+    assert verify_certificate(result.pattern, result.lower)
+    assert verify_certificate(result.pattern, result.value)
 
 
 def test_ordered_ramsey_nested_matching_2_golden():
@@ -234,7 +231,7 @@ def test_ordered_ramsey_monotone_path_4_golden():
     # the classical value (n - 1)^2 + 1 of the monotone path on n vertices
     result = ordered_ramsey(OrderedGraph(4, [(1, 2), (2, 3), (3, 4)]), 12)
     assert result.exact and result.value == (4 - 1) ** 2 + 1
-    assert verify_certificate(result.lower)
+    assert verify_certificate(result.pattern, result.lower)
 
 
 # the matchings {i, 3 + pi(i)} of interval chromatic number 2, for each
@@ -248,13 +245,13 @@ def test_ordered_ramsey_interval_chromatic_2_matchings_golden(pi, value):
     pattern = OrderedGraph(6, [(i, 3 + pi[i - 1]) for i in range(1, 4)])
     result = ordered_ramsey(pattern, 12)
     assert result.exact and result.value == value
-    assert verify_certificate(result.lower)
+    assert verify_certificate(result.pattern, result.lower)
 
 
 def test_ordered_ramsey_capped():
     result = ordered_ramsey(complete_graph(3), 5)
     assert not result.exact and result.value == 6
-    assert result.upper is None and result.lower.N == 5
+    assert result.upper is None and result.lower.n == 5
 
 
 def test_ordered_ramsey_trivial_patterns():
@@ -321,7 +318,7 @@ def test_min_max_complete_graphs_have_one_ordering():
 
 def test_min_max_four_vertex_matching():
     rep = min_max_ordered_ramsey(OrderedGraph(4, [(1, 2), (3, 4)]), 8)
-    patterns = {tuple(pat.sorted_edges()): res for pat, _, res in rep.results}
+    patterns = {tuple(res.pattern.sorted_edges()): res for _, res in rep.results}
     assert set(patterns) == {
         ((1, 2), (3, 4)),
         ((1, 3), (2, 4)),
@@ -331,10 +328,10 @@ def test_min_max_four_vertex_matching():
     assert patterns[((1, 3), (2, 4))].value == OR_CROSSING_MATCHING
     assert patterns[((1, 4), (2, 3))].value == OR_NESTED_MATCHING_2
     assert rep.minr.value <= rep.maxr.value
-    for _, _, res in rep.results:
+    for _, res in rep.results:
         assert res.exact
-        assert verify_certificate(res.lower)
-        assert verify_certificate(res.upper)
+        assert verify_certificate(res.pattern, res.lower)
+        assert verify_certificate(res.pattern, res.value)
 
 
 def test_min_max_size_guard():
@@ -349,25 +346,17 @@ def test_min_max_size_guard():
 def test_verify_certificate_pentagon():
     red = {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}
     col = Coloring.from_function(5, lambda i, j: RED if (i, j) in red else BLUE)
-    assert verify_certificate(Certificate("lower", complete_graph(3), 5, coloring=col))
+    assert verify_certificate(complete_graph(3), col)
 
 
 def test_verify_certificate_rejects_bad_lower():
     allred = Coloring.from_function(3, lambda i, j: RED)
-    cert = Certificate("lower", complete_graph(3), 3, coloring=allred)
-    assert not verify_certificate(cert)
+    assert not verify_certificate(complete_graph(3), allred)
 
 
 def test_verify_certificate_upper():
-    assert verify_certificate(Certificate("upper", complete_graph(3), 6))
-    assert not verify_certificate(Certificate("upper", complete_graph(3), 5))
-
-
-def test_certificate_validation():
-    with pytest.raises(ValueError):
-        Certificate("sideways", complete_graph(2), 3)
-    with pytest.raises(ValueError):
-        Certificate("lower", complete_graph(2), 3)  # missing coloring
+    assert verify_certificate(complete_graph(3), 6)
+    assert not verify_certificate(complete_graph(3), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +388,56 @@ def test_count_formula_comparison():
         assert report.formula_lower_bound is not None
         assert report.exact_count >= report.formula_lower_bound
     assert count_rho_regular(Fraction(1), 2).formula_lower_bound is None
+
+
+# count_rho_regular for every rho with denominator at most 4 that passes
+# rho_regular_degree_data on n = 7..10 vertices, recorded from the counter
+# that grouped equal degrees; the 2- and 3-regular rows are OEIS A001205 and
+# A002829, and a 0 is a degree sequence with a degree above n - 1
+RHO_REGULAR_COUNTS = {
+    7: {
+        "1/4": 21, "1/2": 105, "3/4": 105, "4/3": 2625, "5/3": 3507, "2": 465, "9/4": 9660,
+        "5/2": 19355, "11/4": 5670, "10/3": 19355, "11/3": 9660, "4": 465, "17/4": 3507,
+        "9/2": 2625, "19/4": 315, "16/3": 105, "17/3": 21, "6": 1, "25/4": 0, "13/2": 0,
+        "27/4": 0,
+    },
+    8: {
+        "1/4": 28, "1/2": 210, "2/3": 420, "3/4": 420, "1": 105, "5/4": 5040, "3/2": 27510,
+        "5/3": 30016, "7/4": 30016, "2": 3507, "9/4": 119420, "5/2": 423990, "8/3": 282660,
+        "11/4": 282660, "3": 19355, "13/4": 440720, "7/2": 1024380, "11/3": 440720,
+        "15/4": 440720, "4": 19355, "17/4": 282660, "9/2": 423990, "14/3": 119420,
+        "19/4": 119420, "5": 3507, "21/4": 30016, "11/2": 27510, "17/3": 5040, "23/4": 5040,
+        "6": 105, "25/4": 420, "13/2": 210, "20/3": 28, "27/4": 28, "7": 1, "29/4": 0,
+        "15/2": 0, "23/3": 0, "31/4": 0,
+    },
+    9: {
+        "2/3": 1260, "5/4": 76860, "4/3": 76860, "3/2": 310716, "7/4": 286884, "2": 30016,
+        "8/3": 11180820, "13/4": 37539180, "10/3": 37539180, "7/2": 66462606,
+        "15/4": 25106760, "4": 1024380, "14/3": 37539180, "21/4": 11180820, "16/3": 11180820,
+        "11/2": 8933652, "23/4": 1555092, "6": 30016, "20/3": 76860, "29/4": 1260,
+        "22/3": 1260, "15/2": 378, "31/4": 36, "8": 1, "26/3": 0,
+    },
+    10: {
+        "1/3": 630, "3/4": 4725, "1": 945, "4/3": 1181250, "7/4": 3026655, "2": 286884,
+        "7/3": 186541320, "11/4": 195192900, "3": 11180820, "10/3": 3625164900,
+        "15/4": 1745845920, "4": 66462606, "13/3": 10728320400, "19/4": 2512972350,
+        "5": 66462606, "16/3": 5188453830, "23/4": 596943900, "6": 11180820,
+        "19/3": 390385800, "27/4": 21448980, "7": 286884, "22/3": 3782520, "31/4": 94500,
+        "8": 945, "25/3": 3150, "35/4": 45, "9": 1, "28/3": 0, "39/4": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("n", sorted(RHO_REGULAR_COUNTS))
+def test_count_rho_regular_golden(n):
+    counts = {}
+    for rho in sorted({Fraction(p, q) for q in range(1, 5) for p in range(1, 4 * n)}):
+        try:
+            rho_regular_degree_data(rho, n)
+        except ValueError:
+            continue
+        counts[str(rho)] = count_rho_regular(rho, n).exact_count
+    assert counts == RHO_REGULAR_COUNTS[n]
 
 
 def test_count_matches_adjacency_matrix_oracle():

@@ -16,7 +16,6 @@ from orl.core import (
     interval_chromatic_number,
 )
 from orl.ramsey import (
-    Certificate,
     avoids,
     count_rho_regular,
     enumerate_rho_regular,
@@ -351,7 +350,7 @@ def test_monte_carlo_k2_never_avoids():
 def test_monte_carlo_quadratic_injection():
     g, col = quadratic_lb_instance(9)
     assert avoids(col, g)
-    assert verify_certificate(Certificate("lower", g, col.n, coloring=col))
+    assert verify_certificate(g, col)
 
 
 def test_monte_carlo_searches_each_trial_once(monkeypatch):
@@ -371,7 +370,7 @@ def test_monte_carlo_searches_each_trial_once(monkeypatch):
     report = monte_carlo_avoidance(complete_graph(3), 5, 1, trials, 12)
     assert report.certificate is not None
     assert len(calls) <= 2 * trials
-    found = report.certificate.coloring
+    found = report.certificate
     assert [color for col, _, color in calls if col is found] == [RED, BLUE]
 
 
@@ -382,14 +381,15 @@ def test_monte_carlo_matching_experiment_certificates_verify():
     report = monte_carlo_avoidance(pattern, t, s, 6, 31)
     assert 0 <= report.avoidance_fraction <= 1
     if report.certificate is not None:
-        assert verify_certificate(report.certificate)
+        assert report.certificate.n == s * t
+        assert verify_certificate(pattern, report.certificate)
 
 
 def test_monte_carlo_finds_certificates_for_k3():
     # st = 5 < 6 = the triangle's Ramsey value, so avoiding colorings exist
     report = monte_carlo_avoidance(complete_graph(3), 5, 1, 400, 12)
     assert report.certificate is not None
-    assert verify_certificate(report.certificate)
+    assert verify_certificate(complete_graph(3), report.certificate)
     assert report.avoidance_fraction > 0
 
 
