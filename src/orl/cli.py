@@ -314,7 +314,14 @@ def cmd_verify(args, ctx: RunContext) -> int:
         own, cert = ctx.read(args.cert, _upper_certificate)
     else:
         own, cert = pattern, ctx.read(args.cert, parse_coloring)
-    # an upper certificate for another pattern is false without a search
+    # an upper certificate for another pattern is false without a search, and
+    # one whose search would pass the copy bound is inconclusive without one
+    if own == pattern and isinstance(cert, int):
+        copies = ramsey.copy_count(pattern, cert)
+        if copies > ramsey.MAX_COPIES:
+            print(f"{args.cert}: cannot re-run the search at N = {cert}: {copies} copies"
+                  f" exceed MAX_COPIES = {ramsey.MAX_COPIES}", file=sys.stderr)
+            return EXIT_INCONCLUSIVE
     ok = own == pattern and ramsey.verify_certificate(pattern, cert)
     print("true" if ok else "false")
     return EXIT_OK if ok else EXIT_INCONCLUSIVE
@@ -343,11 +350,11 @@ def cmd_sample(args, ctx: RunContext) -> int:
     elif args.what == "regular":
         rho = _parse_fraction("--rho", args.rho)
         if args.mode == "exact":
-            _check_n_limit(args.n, ramsey.LISTING_LIMIT, "exhaustive listing")
+            _check_n_limit(args.n, ramsey.EXACT_COUNT_LIMIT, "exact sampling")
         graph = stochastic.sample_rho_regular(rho, args.n, args.seed, mode=args.mode)
         if graph is None:
             print(f"no simple pairing in {stochastic.MAX_RESHUFFLES} configuration-model"
-                  f" shuffles; `--mode exact` samples n <= {ramsey.LISTING_LIMIT}",
+                  f" shuffles; `--mode exact` samples n <= {ramsey.EXACT_COUNT_LIMIT}",
                   file=sys.stderr)
             return EXIT_INCONCLUSIVE
         text = serialize_unordered_graph(graph)
@@ -372,30 +379,19 @@ def cmd_experiment_pairprob(args, ctx: RunContext) -> int:
     if n < 2:
         raise ValueError("--n must be at least 2")
     _check_n_limit(n, stochastic.EXACT_PROBABILITY_LIMIT, "exact enumeration")
-    lines = []
-    for k in range(args.trials):
-        gen = stochastic.stream_for_trial(args.seed, k)
-        d = 2
-        picks = gen.subset(n, min(n, 2 * d))
-        left = [frozenset({picks[0]}), frozenset({picks[1]})]
-        rpicks = gen.subset(n, min(n, 2 * d))
-        right = [frozenset({n + rpicks[0]}), frozenset({n + rpicks[1]})]
-        query = stochastic.PairSetQuery(
-            tuple(left), tuple(right), ((1, 1), (1, 2), (2, 1), (2, 2))
-        )
-        exact = stochastic.matching_pair_probability(query, n)
-        s_cap = 1  # |X_d| * |Y_d| with singleton sets
-        bound = stochastic.pairset_avoidance_bound(d, 4, s_cap, n)
-        lines.append(
-            {
-                "trial": k,
-                "seed": args.seed ^ k,
-                "exact": str(exact),
-                "bound": bound,
-                "bound_applies": bound < 1,
-                "holds": (not bound < 1) or float(exact) < bound,
-            }
-        )
+    # two distinct singletons on each side, all four crossings banned: the
+    # probability, (n-2)(n-3)/(n(n-1)), is the same for every choice of the
+    # four vertices, so one query stands for every trial's
+    query = stochastic.PairSetQuery(
+        (frozenset({1}), frozenset({2})), (frozenset({n + 1}), frozenset({n + 2})),
+        ((1, 1), (1, 2), (2, 1), (2, 2)),
+    )
+    exact = stochastic.matching_pair_probability(query, n)
+    # d = 2 with r = 4 banned pairs, and S = |X_d| * |Y_d| = 1 with singletons
+    bound = stochastic.pairset_avoidance_bound(2, 4, 1, n)
+    outcome = {"exact": str(exact), "bound": bound, "bound_applies": bound < 1,
+               "holds": (not bound < 1) or float(exact) < bound}
+    lines = [{"trial": k, "seed": args.seed ^ k, **outcome} for k in range(args.trials)]
     _report_lines(args, ctx, lines)
     return EXIT_OK
 

@@ -18,8 +18,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator, Optional
+from itertools import combinations, islice
+from typing import Optional
 
 from orl.core import (
     BLUE,
@@ -316,11 +316,10 @@ def min_max_ordered_ramsey(g: OrderedGraph, N_max: int) -> MinMaxReport:
 # ---------------------------------------------------------------------------
 
 EXACT_COUNT_LIMIT = 10  # largest n that count_rho_regular enumerates
-LISTING_LIMIT = 8  # largest n that enumerate_rho_regular lists
 
 
-def rho_regular_degree_data(rho: Fraction, n: int) -> tuple[int, int, int]:
-    """(d, surplus, edge count) for rho-regular graphs on n vertices.
+def rho_regular_degree_data(rho: Fraction, n: int) -> tuple[int, int]:
+    """(d, surplus) for rho-regular graphs on n vertices.
 
     Degrees are d = floor(rho) or d + 1, with `surplus` vertices of degree
     d + 1 so the degree sum equals ceil(rho * n); that total must be even.
@@ -339,30 +338,29 @@ def rho_regular_degree_data(rho: Fraction, n: int) -> tuple[int, int, int]:
             raise ValueError("rho admits no valid degree sequence")
     if d >= n:
         raise ValueError("degrees must be below the vertex count")
-    return d, surplus, total // 2
+    return d, surplus
 
 
-def count_labeled_graphs_with_degrees(degrees: tuple[int, ...]) -> int:
+@functools.cache
+def count_labeled_graphs(degrees: tuple[int, ...]) -> int:
     """Number of labeled simple graphs with the given degree sequence.
 
-    The vertex with the largest degree left picks its neighbours among the
-    other vertices with degree left.  The completions depend only on the
-    multiset of degrees left, so the count is cached on them, sorted.
+    The vertex with the largest degree picks its neighbours among the other
+    vertices of positive degree.  The completions depend only on the
+    multiset of degrees left, so the recursion passes them sorted and
+    positive, and the counts are cached across calls.
     """
-
-    @functools.cache
-    def count(left: tuple[int, ...]) -> int:  # positive degrees, descending
-        if not left:
-            return 1
-        total = 0
-        for picked in combinations(range(1, len(left)), left[0]):
-            after = list(left)
-            for v in picked:
-                after[v] -= 1
-            total += count(tuple(sorted(filter(None, after[1:]), reverse=True)))
-        return total
-
-    return count(tuple(sorted(filter(None, degrees), reverse=True)))
+    left = sorted(filter(None, degrees))
+    if not left:
+        return 1
+    top = left.pop()
+    total = 0
+    for picked in combinations(range(len(left)), top):
+        after = list(left)
+        for v in picked:
+            after[v] -= 1
+        total += count_labeled_graphs(tuple(sorted(filter(None, after))))
+    return total
 
 
 @dataclass(frozen=True)
@@ -398,55 +396,42 @@ def count_rho_regular(rho: Fraction, n: int) -> RegularCountReport:
     rho = Fraction(rho)
     if n > EXACT_COUNT_LIMIT:
         raise ValueError(f"exact enumeration is limited to n <= {EXACT_COUNT_LIMIT}")
-    d, surplus, _ = rho_regular_degree_data(rho, n)
+    d, surplus = rho_regular_degree_data(rho, n)
     degrees = (d + 1,) * surplus + (d,) * (n - surplus)
-    total = math.comb(n, surplus) * count_labeled_graphs_with_degrees(degrees)
+    total = math.comb(n, surplus) * count_labeled_graphs(degrees)
     formula = regular_count_formula(rho, n) if rho >= 2 else None
     return RegularCountReport(rho, n, total, formula)
 
 
-def graphs_with_degrees(degrees: tuple[int, ...]) -> Iterator[frozenset]:
-    """All labeled simple graphs realizing the degree sequence (1-based vertices).
+def rho_regular_graph(rho: Fraction, n: int, index: int) -> list[tuple[int, int]]:
+    """The edges, in lexicographic order, of the `index`-th of the
+    `count_rho_regular(rho, n)` rho-regular graphs on [n].
 
-    Vertex v picks its neighbor set among later vertices with residual
-    capacity; emitted edge sets are in a fixed deterministic order.
+    The graphs are ordered by their set of degree-(d+1) vertices, then
+    vertex by vertex by the neighbour set among later vertices with degree
+    left, both lexicographically.  Each set of degree-(d+1) vertices has the
+    same number of graphs, and each candidate neighbour set is skipped by
+    its count of completions, so only the index-th graph is built.
     """
-    n = len(degrees)
-    residual = [0] + list(degrees)
-
-    def rec(v: int, edges: list[tuple[int, int]]) -> Iterator[frozenset]:
-        if v > n:
-            yield frozenset(edges)
-            return
-        need = residual[v]
-        if need == 0:
-            yield from rec(v + 1, edges)
-            return
-        candidates = [u for u in range(v + 1, n + 1) if residual[u] > 0]
-        if need > len(candidates):
-            return
-        for chosen in combinations(candidates, need):
+    d, surplus = rho_regular_degree_data(rho, n)
+    per = count_labeled_graphs((d + 1,) * surplus + (d,) * (n - surplus))
+    total = math.comb(n, surplus) * per
+    if not 0 <= index < total:
+        raise ValueError(f"index {index} outside [0, {total})")
+    block, index = divmod(index, per)
+    high = next(islice(combinations(range(1, n + 1), surplus), block, None))
+    left = [0] + [d + (v in high) for v in range(1, n + 1)]  # degree left per vertex
+    edges = []
+    for v in range(1, n + 1):
+        later = [u for u in range(v + 1, n + 1) if left[u]]
+        for chosen in combinations(later, left[v]):
             for u in chosen:
-                residual[u] -= 1
-            edges.extend((v, u) for u in chosen)
-            yield from rec(v + 1, edges)
-            del edges[-need:]
+                left[u] -= 1
+            ways = count_labeled_graphs(tuple(left[v + 1:]))
+            if index < ways:
+                break
+            index -= ways
             for u in chosen:
-                residual[u] += 1
-
-    yield from rec(1, [])
-
-
-def enumerate_rho_regular(rho: Fraction, n: int) -> list[frozenset]:
-    """All rho-regular graphs on [n] as edge sets, in a fixed deterministic order."""
-    rho = Fraction(rho)
-    if n > LISTING_LIMIT:
-        raise ValueError(f"exhaustive listing is limited to n <= {LISTING_LIMIT}")
-    d, surplus, _ = rho_regular_degree_data(rho, n)
-    graphs = []
-    for subset in combinations(range(n), surplus):  # the degree-(d+1) vertices
-        degrees = [d] * n
-        for v in subset:
-            degrees[v] = d + 1
-        graphs.extend(graphs_with_degrees(tuple(degrees)))
-    return graphs
+                left[u] += 1
+        edges.extend((v, u) for u in chosen)
+    return edges

@@ -14,7 +14,7 @@ from itertools import permutations
 from typing import Iterable, Optional
 
 from orl.core import BLUE, Coloring, OrderedGraph, RED
-from orl.ramsey import avoids, enumerate_rho_regular, rho_regular_degree_data
+from orl.ramsey import avoids, count_rho_regular, rho_regular_degree_data, rho_regular_graph
 from orl.rng import Xoshiro256StarStar, stream_for_trial
 
 
@@ -40,10 +40,11 @@ def sample_rho_regular(
     """A random rho-regular graph on [n], or None when the configuration
     model gives up.
 
-    mode "exact" (n <= 8): enumerate all rho-regular graphs and pick one
-    uniformly.  mode "configuration": pick the set of degree-(d+1) vertices
-    uniformly, run the configuration model on the resulting stubs, and
-    re-pair on loop/multi-edge rejections while keeping the degree sequence;
+    mode "exact" (n <= ramsey.EXACT_COUNT_LIMIT): draw a uniform index below
+    the count of rho-regular graphs and build that one graph.  mode
+    "configuration": pick the set of degree-(d+1) vertices uniformly, run
+    the configuration model on the resulting stubs, and re-pair on
+    loop/multi-edge rejections while keeping the degree sequence;
     this is only approximately uniform across degree-sequence classes.  It
     gives up after MAX_RESHUFFLES pairings, on inputs whose pairings are
     rarely simple: near-complete graphs (K_6's with probability about 5e-4,
@@ -53,7 +54,7 @@ def sample_rho_regular(
     rho = Fraction(rho)
     if mode not in ("exact", "configuration"):
         raise ValueError("mode must be 'exact' or 'configuration'")
-    d, surplus, _ = rho_regular_degree_data(rho, n)
+    d, surplus = rho_regular_degree_data(rho, n)
     # degrees that differ by at most 1 and have an even sum are graphical
     # exactly when the largest is at most n - 1; past that, re-pairing the
     # configuration model would never end
@@ -61,8 +62,8 @@ def sample_rho_regular(
         raise ValueError("no graph realizes these parameters")
     gen = Xoshiro256StarStar(seed)
     if mode == "exact":
-        graphs = enumerate_rho_regular(rho, n)
-        return OrderedGraph(n, graphs[gen.next_below(len(graphs))])
+        index = gen.next_below(count_rho_regular(rho, n).exact_count)
+        return OrderedGraph(n, rho_regular_graph(rho, n, index))
     high = set(gen.subset(n, surplus))
     degrees = [d + 1 if v in high else d for v in range(1, n + 1)]
     stubs_template = [v for v in range(1, n + 1) for _ in range(degrees[v - 1])]

@@ -298,6 +298,44 @@ def brute_count_with_degrees(degrees: tuple[int, ...]) -> int:
     return count
 
 
+def listed_graphs_with_degrees(degrees: tuple[int, ...]):
+    """Every labeled graph with the degree sequence, as an edge frozenset,
+    by the listing recursion: vertex v picks its neighbour set among the
+    later vertices with degree left, in lexicographic order."""
+    n = len(degrees)
+    residual = [0] + list(degrees)
+
+    def rec(v: int, edges: list[tuple[int, int]]):
+        if v > n:
+            yield frozenset(edges)
+            return
+        need = residual[v]
+        candidates = [u for u in range(v + 1, n + 1) if residual[u] > 0]
+        for chosen in combinations(candidates, need):
+            for u in chosen:
+                residual[u] -= 1
+            edges.extend((v, u) for u in chosen)
+            yield from rec(v + 1, edges)
+            del edges[len(edges) - need:]
+            for u in chosen:
+                residual[u] += 1
+
+    yield from rec(1, [])
+
+
+def listed_rho_regular(rho, n: int) -> list[frozenset]:
+    """Every rho-regular graph on [n]: for each set of degree-(d+1) vertices,
+    in lexicographic order, `listed_graphs_with_degrees` of its sequence."""
+    d = math.floor(rho)
+    surplus = math.ceil(rho * n) - d * n
+    graphs = []
+    for high in combinations(range(1, n + 1), surplus):
+        graphs.extend(listed_graphs_with_degrees(
+            tuple(d + 1 if v in high else d for v in range(1, n + 1))
+        ))
+    return graphs
+
+
 def brute_matrix_contained(a, b) -> bool:
     """Exhaustive row/column subset enumeration."""
     for rows in combinations(range(a.rows), b.rows):

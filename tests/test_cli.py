@@ -1,11 +1,13 @@
 """Command-line surface: round trips, exit codes, manifests, replay."""
 
 import json
+import math
 import os
 import random
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -196,6 +198,26 @@ def test_verify_upper_certificate_of_another_pattern_is_false_without_search(
     assert code == EXIT_INTERNAL and "verify searched" in err
 
 
+def test_verify_past_the_copy_bound_is_inconclusive_without_search(
+    tmp_path, capsys, monkeypatch
+):
+    # C(1000, 3) copies of K3 exceed MAX_COPIES: the search at N = 1000 cannot
+    # be re-run, which is neither true nor false nor a malformed file
+    k3 = tmp_path / "k3.og"
+    k3.write_text("og 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    cert = tmp_path / "upper_N1000.json"
+    cert.write_text(json.dumps({"kind": "upper", "N": 1000, "pattern": k3.read_text()}))
+
+    def no_search(*args):
+        raise RuntimeError("verify searched")
+
+    monkeypatch.setattr(ramsey, "avoiding_coloring", no_search)
+    code, out, err = run(capsys, "verify", "--cert", str(cert), "--pattern", str(k3))
+    assert (code, out) == (EXIT_INCONCLUSIVE, "")
+    assert err == (f"{cert}: cannot re-run the search at N = 1000: 166167000 copies"
+                   f" exceed MAX_COPIES = {ramsey.MAX_COPIES}\n")
+
+
 def test_ramsey_minmax(tmp_path, capsys):
     graph = tmp_path / "m4.adj"
     graph.write_text("adj 4 2\ne 1 2\ne 3 4\n")
@@ -296,6 +318,15 @@ def test_sample_commands_deterministic(tmp_path, capsys):
     assert g.n == 10 and g.m == 5
 
 
+def test_sample_regular_exact_up_to_the_count_limit(capsys):
+    # K_10 minus a perfect matching, from an index into its 945 graphs
+    code, out, _ = run(capsys, "sample", "regular", "--rho", "8", "--n", "10", "--seed", "1",
+                       "--mode", "exact")
+    assert code == EXIT_OK
+    g = parse_unordered_graph(out)
+    assert g.m == 40 and all(g.degree(v) == 8 for v in range(1, 11))
+
+
 def test_sample_regular_and_coloring(tmp_path, capsys):
     out = tmp_path / "g.adj"
     code, _, _ = run(
@@ -346,6 +377,35 @@ def test_experiment_coverage_and_pairprob(tmp_path, capsys):
     for line in out.splitlines():
         record = json.loads(line)
         assert record["holds"]
+
+
+# `experiment pairprob --n 6 --trials 3 --seed 5`, recorded when every trial
+# still drew its own vertices
+PAIRPROB_N6_SEED5 = (
+    '{"bound": 0.8464817248906141, "bound_applies": true, "exact": "2/5", "holds": true,'
+    ' "seed": 5, "trial": 0}\n'
+    '{"bound": 0.8464817248906141, "bound_applies": true, "exact": "2/5", "holds": true,'
+    ' "seed": 4, "trial": 1}\n'
+    '{"bound": 0.8464817248906141, "bound_applies": true, "exact": "2/5", "holds": true,'
+    ' "seed": 7, "trial": 2}\n'
+)
+
+
+def test_experiment_pairprob_is_the_closed_form(capsys):
+    # two distinct singletons on each side, all four crossings banned: every
+    # trial is (n-2)(n-3)/(n(n-1)) against exp(-1/n), whatever it would draw
+    for n in range(2, 9):
+        code, out, _ = run(capsys, "experiment", "pairprob", "--n", str(n), "--trials", "4",
+                           "--seed", "9")
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["seed"] for r in records] == [9, 8, 11, 10]
+        for r in records:
+            assert Fraction(r["exact"]) == Fraction((n - 2) * (n - 3), n * (n - 1))
+            assert r["bound"] == math.exp(-1 / n)
+    code, out, _ = run(capsys, "experiment", "pairprob", "--n", "6", "--trials", "3",
+                       "--seed", "5")
+    assert (code, out) == (EXIT_OK, PAIRPROB_N6_SEED5)
 
 
 def test_matrix_commands(tmp_path, capsys):
@@ -668,8 +728,8 @@ def test_missing_option_is_a_usage_error(capsys, argv, flag):
          "error: --n 9: exact enumeration is limited to n <= 8"),
         (["ramsey", "count-regular", "--rho", "2", "--n", "11"],
          "error: --n 11: exact enumeration is limited to n <= 10"),
-        (["sample", "regular", "--rho", "2", "--n", "9", "--seed", "1", "--mode", "exact"],
-         "error: --n 9: exhaustive listing is limited to n <= 8"),
+        (["sample", "regular", "--rho", "2", "--n", "11", "--seed", "1", "--mode", "exact"],
+         "error: --n 11: exact sampling is limited to n <= 10"),
     ],
 )
 def test_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv, flag):

@@ -1,6 +1,8 @@
 """Exact ordered Ramsey computation, certificates, and regular-graph counts."""
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +11,8 @@ from conftest import (
     brute_avoiding_exists,
     brute_count_with_degrees,
     lex_avoiding_coloring,
+    listed_graphs_with_degrees,
+    listed_rho_regular,
 )
 from orl import ramsey
 from orl.constructions import alternating_path, nested_matching
@@ -24,14 +28,13 @@ from orl.ramsey import (
     SearchStats,
     avoiding_coloring,
     avoids,
-    count_labeled_graphs_with_degrees,
+    count_labeled_graphs,
     count_rho_regular,
-    enumerate_rho_regular,
-    graphs_with_degrees,
     min_max_ordered_ramsey,
     ordered_ramsey,
     regular_count_formula,
     rho_regular_degree_data,
+    rho_regular_graph,
     verify_certificate,
 )
 
@@ -364,8 +367,8 @@ def test_verify_certificate_upper():
 # ---------------------------------------------------------------------------
 
 def test_degree_data():
-    assert rho_regular_degree_data(Fraction(3), 4) == (3, 0, 6)
-    assert rho_regular_degree_data(Fraction(5, 2), 4) == (2, 2, 5)
+    assert rho_regular_degree_data(Fraction(3), 4) == (3, 0)
+    assert rho_regular_degree_data(Fraction(5, 2), 4) == (2, 2)
     with pytest.raises(ValueError):
         rho_regular_degree_data(Fraction(1), 3)  # odd degree sum
     with pytest.raises(ValueError):
@@ -452,10 +455,8 @@ def test_count_matches_adjacency_matrix_oracle():
         (Fraction(1), 6),
         (Fraction(5, 3), 6),
     ]
-    from itertools import combinations
-
     for rho, n in cases:
-        d, surplus, _ = rho_regular_degree_data(rho, n)
+        d, surplus = rho_regular_degree_data(rho, n)
         expected = 0
         for subset in combinations(range(n), surplus):
             degrees = [d] * n
@@ -467,22 +468,69 @@ def test_count_matches_adjacency_matrix_oracle():
 
 def test_count_and_enumeration_agree():
     for rho, n in ((Fraction(2), 5), (Fraction(3), 4), (Fraction(5, 2), 4), (Fraction(2), 6)):
-        assert len(enumerate_rho_regular(rho, n)) == count_rho_regular(rho, n).exact_count
+        assert len(listed_rho_regular(rho, n)) == count_rho_regular(rho, n).exact_count
 
 
 def test_enumerated_graphs_are_valid():
-    for edges in enumerate_rho_regular(Fraction(2), 5):
-        g = OrderedGraph(5, edges)
+    for index in range(12):
+        g = OrderedGraph(5, rho_regular_graph(Fraction(2), 5, index))
         assert all(g.degree(v) == 2 for v in range(1, 6))
 
 
+def test_rho_regular_graph_is_the_listing_at_every_index():
+    # every rho = p/q with q <= 4 and rho < 8 that has graphs on n <= 6
+    # vertices: the index-th graph is the listing's index-th, edges in
+    # lexicographic order, and the indices past the listing are rejected
+    cases = graphs = 0
+    for n in range(1, 7):
+        for rho in sorted({Fraction(p, q) for q in range(1, 5) for p in range(1, 8 * q)}):
+            try:
+                count = count_rho_regular(rho, n).exact_count
+            except ValueError:
+                continue
+            listed = listed_rho_regular(rho, n)
+            assert len(listed) == count, (rho, n)
+            for index, edges in enumerate(listed):
+                got = rho_regular_graph(rho, n, index)
+                assert got == sorted(edges), (rho, n, index)
+            for index in (-1, count):
+                with pytest.raises(ValueError, match="outside"):
+                    rho_regular_graph(rho, n, index)
+            cases += 1
+            graphs += count
+    assert (cases, graphs) == (63, 5401)
+
+
+@pytest.mark.parametrize("rho", [Fraction(3), Fraction(5, 2)])
+def test_rho_regular_graph_is_the_listing_at_seeded_indices(rho, rng):
+    # 200 seeded indices on 8 vertices.  Relabelling maps the graphs of one
+    # set of degree-(d+1) vertices onto those of any other, so the listing is
+    # C(8, surplus) blocks of equal length; only the blocks that hold a drawn
+    # index are listed (the whole listing of 5/2 on 8 is 423,990 graphs)
+    n = 8
+    d = math.floor(rho)
+    surplus = math.ceil(rho * n) - d * n
+    blocks = list(combinations(range(1, n + 1), surplus))
+    count = count_rho_regular(rho, n).exact_count
+    per = count // len(blocks)
+    assert per * len(blocks) == count
+    picked = sorted(rng.sample(range(len(blocks)), min(len(blocks), 4)))
+    for b in picked:
+        degrees = tuple(d + 1 if v in blocks[b] else d for v in range(1, n + 1))
+        listed = list(listed_graphs_with_degrees(degrees))
+        assert len(listed) == per
+        for offset in rng.sample(range(per), 200 // len(picked)):
+            index = b * per + offset
+            assert rho_regular_graph(rho, n, index) == sorted(listed[offset]), (rho, index)
+
+
 def test_count_labeled_graphs_basics():
-    assert count_labeled_graphs_with_degrees((1, 1)) == 1
-    assert count_labeled_graphs_with_degrees((2, 2, 2)) == 1
-    assert count_labeled_graphs_with_degrees((1, 1, 1)) == 0
-    assert count_labeled_graphs_with_degrees((3, 1, 1, 1)) == 1
-    assert count_labeled_graphs_with_degrees(()) == 1
-    assert len(list(graphs_with_degrees((2, 2, 2, 2)))) == 3
+    assert count_labeled_graphs((1, 1)) == 1
+    assert count_labeled_graphs((2, 2, 2)) == 1
+    assert count_labeled_graphs((1, 1, 1)) == 0
+    assert count_labeled_graphs((3, 1, 1, 1)) == 1
+    assert count_labeled_graphs(()) == 1
+    assert len(list(listed_graphs_with_degrees((2, 2, 2, 2)))) == 3
 
 
 def test_formula_value_reference():

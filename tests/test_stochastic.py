@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 import pytest
 
+from conftest import listed_rho_regular
 from orl.constructions import nested_matching, quadratic_lb_instance
 from orl import embedder
 from orl.core import (
@@ -18,7 +19,6 @@ from orl.core import (
 from orl.ramsey import (
     avoids,
     count_rho_regular,
-    enumerate_rho_regular,
     verify_certificate,
 )
 from orl.rng import Xoshiro256StarStar, splitmix64_stream, stream_for_trial
@@ -120,6 +120,16 @@ def test_sample_rho_regular_exact_unique_graphs():
     for seed in range(5):
         g = sample_rho_regular(Fraction(3), 4, seed, mode="exact")
         assert g.m == 6  # the complete graph is the only 3-regular graph on 4
+
+
+@pytest.mark.parametrize("rho, n", [(Fraction(3), 8), (Fraction(2), 5), (Fraction(5, 3), 6),
+                                    (Fraction(1), 8)])
+def test_sample_rho_regular_exact_is_the_listed_graph_at_one_draw(rho, n):
+    # one draw below the count picks the graph: the listing's graph at that index
+    listed = listed_rho_regular(rho, n)
+    for seed in range(20):
+        expected = listed[Xoshiro256StarStar(seed).next_below(len(listed))]
+        assert sample_rho_regular(rho, n, seed, mode="exact").edges == expected, seed
 
 
 def test_sample_rho_regular_exact_uniform_cycles():
@@ -323,7 +333,7 @@ def test_configuration_bias_report_small():
     # the uniform distribution over all rho-regular graphs on 4 vertices
     trials = 1200
     for rho, seed, bound in [(Fraction(2), 7, Fraction(1, 10)), (Fraction(3, 2), 9, Fraction(1, 5))]:
-        support = enumerate_rho_regular(rho, 4)
+        support = listed_rho_regular(rho, 4)
         counts = Counter(sample_rho_regular(rho, 4, seed ^ k).edges for k in range(trials))
         assert set(counts) <= set(support)
         uniform = Fraction(1, len(support))

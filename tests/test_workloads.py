@@ -1,6 +1,6 @@
-"""The benchmark's ramsey-exact and montecarlo commands pass its own output
-checks, so a change to the certificate or report format fails here and not
-only in the benchmark."""
+"""Every benchmark workload's commands pass the benchmark's own output
+checks, so a change to a certificate, report or witness format fails here
+and not only in the benchmark."""
 
 import json
 import subprocess
@@ -12,7 +12,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["ramsey-exact", "montecarlo"])
+# the fewest commands one seed-7 pass checks: ramsey-exact's corpus is fixed,
+# montecarlo runs 24 to 48 and embed 64; matrix is one scan and 4 samples
+MIN_CHECKED = {"ramsey-exact": 21, "montecarlo": 24, "embed": 64, "matrix": 5}
+
+
+@pytest.mark.parametrize("workload", MIN_CHECKED)
 def test_benchmark_workload_passes_its_checks(tmp_path, workload):
     # perfbench/ is imported read-only: -B writes no bytecode next to it
     code = (
@@ -42,4 +47,4 @@ def test_benchmark_workload_passes_its_checks(tmp_path, workload):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["problems"] == []
-    assert seen["checked"] >= 21  # 21 commands in ramsey-exact, 24 to 48 in montecarlo
+    assert seen["checked"] >= MIN_CHECKED[workload]
