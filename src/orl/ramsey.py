@@ -427,7 +427,7 @@ def rho_regular_graph(rho: Fraction, n: int, index: int) -> list[tuple[int, int]
         for chosen in combinations(later, left[v]):
             for u in chosen:
                 left[u] -= 1
-            ways = count_labeled_graphs(tuple(left[v + 1:]))
+            ways = count_labeled_graphs(tuple(sorted(filter(None, left[v + 1:]))))
             if index < ways:
                 break
             index -= ways

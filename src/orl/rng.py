@@ -64,6 +64,27 @@ class Xoshiro256StarStar:
     def next_bit(self) -> int:
         return self.next_u64() & 1
 
+    def next_bits(self, count: int) -> int:
+        """`count` draws of `next_bit` in one int: bit i is the i-th draw.
+
+        The state update of `next_u64` runs on locals and is stored once.
+        The low bit of rotl(5 * s1, 7) * 9 is bit 57 of 5 * s1, so the
+        output needs no rotate and no multiply by 9.
+        """
+        s0, s1, s2, s3 = self.s
+        out = 0
+        for i in range(count):
+            out |= ((s1 * 5) >> 57 & 1) << i
+            t = (s1 << 17) & MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
+        self.s[:] = s0, s1, s2, s3
+        return out
+
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates, swapping position i with j <= i for i = n-1..1."""
         for i in range(len(items) - 1, 0, -1):

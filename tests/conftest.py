@@ -4,7 +4,7 @@ implementations they check."""
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -348,6 +348,29 @@ def brute_matrix_contained(a, b) -> bool:
             ):
                 return True
     return False
+
+
+def flat_unavoidable(n: int, N: int):
+    """Exhaustive `permutation_unavoidable` as one flat loop over every N x N
+    matrix, in ascending order of the integer whose bit r * N + c is entry
+    (r, c); the first pattern, in lexicographic order of permutations, that
+    the matrix and its complement both avoid is the counterexample."""
+    from orl.patterns import BinaryMatrix, CompiledMatrixPattern, UnavoidabilityReport
+
+    perms = [
+        BinaryMatrix([[int(c == pi[r]) for c in range(n)] for r in range(n)])
+        for pi in permutations(range(n))
+    ]
+    compiled = [CompiledMatrixPattern(p) for p in perms]
+    full = (1 << N) - 1
+    for bits in range(1 << (N * N)):
+        masks = [(bits >> (r * N)) & full for r in range(N)]
+        flipped = [full ^ m for m in masks]
+        for p, search in zip(perms, compiled):
+            if not search.contained_in(masks, N) and not search.contained_in(flipped, N):
+                grid = [[(m >> c) & 1 for c in range(N)] for m in masks]
+                return UnavoidabilityReport(False, True, BinaryMatrix(grid), p)
+    return UnavoidabilityReport(True, True)
 
 
 def graph_components(g: OrderedGraph) -> list[int]:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import brute_matrix_contained
+from conftest import brute_matrix_contained, flat_unavoidable
 from orl.core import BLUE, Coloring, FormatError, RED
 from orl.patterns import (
     BinaryMatrix,
@@ -77,6 +77,28 @@ def test_pattern_contained_depth_is_not_bounded_by_recursion():
     assert pattern_contained(BinaryMatrix([[1]] * 1500), BinaryMatrix([[1]] * 1200))
 
 
+def test_failing_containment_is_bounded():
+    # a k x 1 all-ones pattern against k - 1 one-rows and then zero-rows was
+    # exponential in k: every placement of the first rows was retried
+    for k, zeros in [(12, 12), (20, 20), (1200, 1200), (1200, 301)]:
+        host = BinaryMatrix([[1]] * (k - 1) + [[0]] * zeros)
+        assert not pattern_contained(host, BinaryMatrix([[1]] * k))
+
+
+def test_bounded_containment_matches_brute_force(rng):
+    # tall sparse patterns in hosts with sparse rows backtrack often, so most
+    # of these searches run on the bounds of `CompiledMatrixPattern.last_rows`
+    found = 0
+    for _ in range(400):
+        hr, pr = rng.randint(2, 8), rng.randint(2, 5)
+        a = random_matrix(rng, hr, rng.randint(2, 5), density=rng.choice([0.3, 0.5, 0.7]))
+        b = random_matrix(rng, pr, rng.randint(1, 3), density=0.5)
+        got = pattern_contained(a, b)
+        assert got == brute_matrix_contained(a, b), (a.entries, b.entries)
+        found += got
+    assert 40 < found < 360
+
+
 def test_contained_monotone(rng):
     for _ in range(40):
         a = random_matrix(rng, 5, 5)
@@ -143,11 +165,29 @@ def test_unavoidable_counterexamples_golden():
     assert report.counterexample_pattern.entries == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
 
 
+def test_unavoidable_exhaustive_matches_flat_scan():
+    # the row-suffix pruning reports what the flat scan over every matrix does
+    for N in range(1, 5):
+        for n in range(1, N + 1):
+            assert permutation_unavoidable(n, N) == flat_unavoidable(n, N), (n, N)
+
+
+def test_unavoidable_size_5_goldens():
+    # the flat scan reaches the same matrix after 46,479 matrices
+    report = permutation_unavoidable(3, 5)
+    assert not report.holds and report.exhaustive
+    assert report.counterexample_matrix.entries == (
+        (0, 1, 1, 1, 0), (0, 0, 1, 1, 0), (1, 0, 1, 1, 0), (1, 0, 0, 0, 0), (0, 0, 0, 0, 0)
+    )
+    assert report.counterexample_pattern.entries == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    assert permutation_unavoidable(2, 5).holds
+
+
 def test_unavoidable_exhaustive_guard():
     with pytest.raises(ValueError):
-        permutation_unavoidable(3, 4)
+        permutation_unavoidable(2, 6)
     with pytest.raises(ValueError):
-        permutation_unavoidable(2, 5)
+        permutation_unavoidable(3, 6)
     with pytest.raises(ValueError):
         permutation_unavoidable(2, 4, mode="nope")
 

@@ -71,6 +71,16 @@ def test_generator_determinism_and_streams():
     assert stream_for_trial(5, 3).next_u64() == Xoshiro256StarStar(5 ^ 3).next_u64()
 
 
+def test_next_bits_is_next_bit_draws():
+    for seed in [0, 1, 7, 20260810, (1 << 64) - 1] + list(range(100, 140)):
+        for k in (0, 1, 36, 64, 100):
+            packed, single = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+            bits = packed.next_bits(k)
+            assert bits == sum(single.next_bit() << i for i in range(k)), (seed, k)
+            assert packed.s == single.s
+            assert packed.next_u64() == single.next_u64()
+
+
 def test_next_below_range_and_shuffle_permutation():
     gen = Xoshiro256StarStar(11)
     draws = [gen.next_below(7) for _ in range(2000)]
