@@ -17,6 +17,7 @@ from orl.core import (
     RED,
     pair_iter,
 )
+from orl.patterns import BinaryMatrix, CompiledMatrixPattern, UnavoidabilityReport
 
 
 def brute_contains(host: OrderedGraph, pattern: OrderedGraph):
@@ -355,8 +356,6 @@ def flat_unavoidable(n: int, N: int):
     matrix, in ascending order of the integer whose bit r * N + c is entry
     (r, c); the first pattern, in lexicographic order of permutations, that
     the matrix and its complement both avoid is the counterexample."""
-    from orl.patterns import BinaryMatrix, CompiledMatrixPattern, UnavoidabilityReport
-
     perms = [
         BinaryMatrix([[int(c == pi[r]) for c in range(n)] for r in range(n)])
         for pi in permutations(range(n))
