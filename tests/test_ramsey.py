@@ -1,5 +1,6 @@
 """Exact ordered Ramsey computation, certificates, and regular-graph counts."""
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -23,6 +24,7 @@ from orl.core import (
     RED,
     complete_graph,
     contains,
+    serialize_coloring,
 )
 from orl.ramsey import (
     SearchStats,
@@ -116,8 +118,8 @@ def test_avoiding_coloring_search_tree_golden(pattern, N, nodes, prunes):
 
 
 # (nodes, prunes) of the propagating search, exhausted at the value of each
-# pattern of the perfbench ramsey-exact corpus; any change to pair choice or
-# propagation shows
+# pattern of the perfbench ramsey-exact corpus and at N = 14 for the matching
+# {i, 4 + pi(i)}, pi = 2143; any change to pair choice or propagation shows
 @pytest.mark.parametrize(
     "edges,N,nodes,prunes",
     [
@@ -128,12 +130,42 @@ def test_avoiding_coloring_search_tree_golden(pattern, N, nodes, prunes):
         ([(1, 2), (1, 3), (2, 4)], 9, 5, 3),
         ([(1, 2), (2, 3), (2, 4)], 9, 103, 52),
         ([(1, 3), (1, 4), (2, 3), (2, 4)], 10, 451, 226),
+        ([(1, 6), (2, 5), (3, 8), (4, 7)], 14, 349, 175),
     ],
 )
 def test_propagating_search_tree_golden(edges, N, nodes, prunes):
     stats = SearchStats()
     assert avoiding_coloring(OrderedGraph(max(max(e) for e in edges), edges), N, stats) is None
     assert (stats.nodes, stats.prunes) == (nodes, prunes)
+
+
+# (nodes, prunes) of the propagating search below the value, and the sha256
+# of the avoider it returns in `col` format; any change to pair choice,
+# propagation or the order of the branches shows
+@pytest.mark.parametrize(
+    "edges,N,nodes,prunes,avoider",
+    [
+        pytest.param([(1, 2), (1, 4), (2, 3), (3, 5), (4, 5)], 14, 152, 64,
+                     "2bbb140e538e6d07bef6568bade099a38af8c93188b26d218eab3f514b905dab",
+                     id="C5-12_14_23_35_45-14"),
+        pytest.param([(1, 2), (1, 4), (2, 3), (3, 5), (4, 5)], 15, 144, 59,
+                     "263dcfe4f948f78b190a979356e92e2abcb1670bc3c7d7d73d2859f66e85d24d",
+                     id="C5-12_14_23_35_45-15"),
+        pytest.param([(1, 2), (1, 3), (3, 5), (4, 5)], 13, 574, 276,
+                     "74faf12248553615d0f32d4abfceebf1dd8c8d715c3d75d6b76fb70c6ae36b29",
+                     id="P5-12_13_35_45-13"),
+        pytest.param(list(combinations(range(1, 5), 2)), 12, 61, 14,
+                     "410e8a0e8dc2122357cd1991337148b2e7444f3745ccdb38c0ef7c7bb6431320",
+                     id="K4-12"),
+    ],
+)
+def test_propagating_search_avoider_golden(edges, N, nodes, prunes, avoider):
+    pattern = OrderedGraph(max(max(e) for e in edges), edges)
+    stats = SearchStats()
+    col = avoiding_coloring(pattern, N, stats)
+    assert (stats.nodes, stats.prunes) == (nodes, prunes)
+    assert hashlib.sha256(serialize_coloring(col).encode()).hexdigest() == avoider
+    assert avoids(col, pattern)
 
 
 # ordered Ramsey value of every ordered graph on n <= 4 vertices, listed in
