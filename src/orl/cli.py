@@ -315,12 +315,12 @@ def cmd_verify(args, ctx: RunContext) -> int:
     else:
         own, cert = pattern, ctx.read(args.cert, parse_coloring)
     # an upper certificate for another pattern is false without a search, and
-    # one whose search would pass the copy bound is inconclusive without one
+    # one whose copy table would pass the bound is inconclusive without one
     if own == pattern and isinstance(cert, int):
-        copies = ramsey.copy_count(pattern, cert)
-        if copies > ramsey.MAX_COPIES:
-            print(f"{args.cert}: cannot re-run the search at N = {cert}: {copies} copies"
-                  f" exceed MAX_COPIES = {ramsey.MAX_COPIES}", file=sys.stderr)
+        overflow = ramsey.table_overflow(pattern, cert)
+        if overflow:
+            print(f"{args.cert}: cannot re-run the search at N = {cert}: {overflow}",
+                  file=sys.stderr)
             return EXIT_INCONCLUSIVE
     ok = own == pattern and ramsey.verify_certificate(pattern, cert)
     print("true" if ok else "false")

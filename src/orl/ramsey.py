@@ -1,21 +1,27 @@
 """Exact ordered Ramsey numbers, certificates, and almost-regular graph counts.
 
 The avoiding-coloring search is a DPLL-style search over an explicit table
-of the pattern's copies in K_N.  It keeps, per copy and color, the number of
-the copy's pairs in that color; a copy all in one color is a conflict, and
-a copy one pair short of that forces its last pair to the other color (unit
-propagation: the other color is the only one any avoiding extension can
-give it).  It branches on the pair that lies in the most nearly complete
-copies, and breaks the global color-swap symmetry by making the first
-decision red.  A lower bound N < OR is certified by an avoiding coloring of
-K_N, an upper bound OR <= N by the exhausted search at N, whose counters
-are kept; `verify_certificate` re-checks either.
+of the pattern's copies in K_N, kept as big-int bitmasks: per pair of K_N,
+the set of copies through it, and per color and level k, the set of copies
+with at least k pairs in that color.  Coloring a pair raises the copies
+through it one level of its color, and undoing it lowers them again.  A
+copy all in one color is a conflict, and a copy one pair short of that,
+with no pair in the other color, forces its last pair to the other color
+(unit propagation: the other color is the only one any avoiding extension
+can give it).  The search branches on the pair that lies in the most
+nearly complete copies, scored by one bit count per pair and level, and
+breaks the global color-swap symmetry by making the first decision red.  A
+table is built only when it fits in MAX_TABLE_BITS.  A lower bound N < OR
+is certified by an avoiding coloring of K_N, an upper bound OR <= N by the
+exhausted search at N, whose counters are kept; `verify_certificate`
+re-checks either.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
@@ -28,7 +34,6 @@ from orl.core import (
     OrderedGraph,
     RED,
     pair_count,
-    pair_iter,
 )
 from orl.embedder import find_monochromatic
 
@@ -43,7 +48,8 @@ class SearchStats:
 # avoiding-coloring search
 # ---------------------------------------------------------------------------
 
-MAX_COPIES = 100_000  # largest copy table that avoiding_coloring builds
+MAX_TABLE_BITS = 1 << 28  # largest copy table, in bits, that avoiding_coloring builds
+INDEX_BITS = 8 * array("I").itemsize  # bits of one pair index in copy_table's list
 
 
 def copy_count(pattern: OrderedGraph, N: int) -> int:
@@ -56,31 +62,96 @@ def copy_count(pattern: OrderedGraph, N: int) -> int:
     return math.comb(N - pattern.n + k, k)
 
 
+def table_overflow(pattern: OrderedGraph, N: int) -> Optional[str]:
+    """Why the copy table of the pattern in K_N is past MAX_TABLE_BITS, or
+    None when it fits.
+
+    Each copy takes one bit in the mask of every pair of K_N and its m pair
+    indices of INDEX_BITS bits.  An edgeless pattern needs no table.
+    """
+    copies = copy_count(pattern, N)
+    m = len(pattern.edges)
+    per_copy = pair_count(N) + INDEX_BITS * m
+    if not m or copies * per_copy <= MAX_TABLE_BITS:
+        return None
+    k = sum(1 for v in range(1, pattern.n + 1) if pattern.adj[v])
+    return (f"C({N - pattern.n + k}, {k}) = {copies} copies x ({pair_count(N)} pairs"
+            f" + {INDEX_BITS} x {m} index bits) = {copies * per_copy} table bits"
+            f" exceed MAX_TABLE_BITS = {MAX_TABLE_BITS}")
+
+
+def copy_table(pattern: OrderedGraph, N: int) -> tuple[array, list[int]]:
+    """The pattern's `copy_count` copies in K_N, for a pattern with edges.
+
+    Returns `(pairs, through)`: copy x has the lexicographic pair indices
+    `pairs[x * m:(x + 1) * m]`, one per edge in sorted order, and bit x of
+    `through[t]` is set iff copy x contains pair t.  Each mask is built from
+    one bytearray of ASCII bits, so the build is linear in the table size.
+    """
+    # the images of the non-isolated vertices set a copy: enumerate them in
+    # 1..slots, each moved right by the isolated vertices before it
+    core = [v for v in range(1, pattern.n + 1) if pattern.adj[v]]
+    slots = N - pattern.n + len(core)
+    shift = [v - 1 - i for i, v in enumerate(core)]
+    rank = {v: i for i, v in enumerate(core)}
+    # pair (a, b) of K_N has index row[a] + b, so edge (i, j) of a copy whose
+    # core vertices sit in slots ys has index first[ys[i]] + ys[j], with both
+    # shifts folded into `first`
+    row = [(a - 1) * (2 * N - a) // 2 - a - 1 for a in range(N + 1)]
+    edges = []
+    for a, b in pattern.sorted_edges():
+        i, j = rank[a], rank[b]
+        edges.append(([row[y + shift[i]] + shift[j] for y in range(slots + 1)], i, j))
+    pairs = array("I")
+    copies_of: list[array] = [array("I") for _ in range(pair_count(N))]
+    for x, ys in enumerate(combinations(range(1, slots + 1), len(core))):
+        copy = [first[ys[i]] + ys[j] for first, i, j in edges]
+        pairs.extend(copy)
+        for t in copy:
+            copies_of[t].append(x)
+    zeros = b"0" * (len(pairs) // len(edges))
+    through = []
+    for t, xs in enumerate(copies_of):
+        bits = bytearray(zeros)
+        for x in xs:
+            bits[~x] = 49  # "1"; the last character is bit 0
+        through.append(int(bits, 2))
+        copies_of[t] = None
+    return pairs, through
+
+
 def avoiding_coloring(
     pattern: OrderedGraph, N: int, stats: Optional[SearchStats] = None
 ) -> Optional[Coloring]:
     """A total coloring of K_N with no monochromatic copy of the pattern, or
     None once the propagating depth-first search is exhausted.
 
-    The search works on a table of the pattern's `copy_count` copies in K_N,
-    each the tuple of pair indices its edges map to, with one counter per
-    copy and color of the pairs it has in that color.  Coloring a pair bumps
-    the counters of the copies through it:
-    - a copy with all m pairs in one color is a conflict;
-    - a copy with m - 1 pairs in color c and none in the other color forces
-      its last uncolored pair to the other color, since c there would
-      complete the copy.  Forcing is sound (every avoiding extension of the
-      partial coloring agrees with it), so the forced pairs are colored at
-      once and undone with the decision that caused them.
+    The search works on the `copy_table` of the pattern's m-edge copies in
+    K_N: `through[t]`, the copies through pair t, and per color c the level
+    masks `at[c][k]`, the copies with at least k pairs in c.  Coloring pair
+    t in c sets `at[c][k] |= at[c][k - 1] & through[t]` for k = m down to
+    1, and undo sets `at[c][k] = at[c][k] & ~through[t] | at[c][k + 1] &
+    through[t]` for k = 1 up to m, so no level is saved.  After coloring t:
+    - a copy of `through[t]` in `at[c][m]` is all in c, a conflict;
+    - a copy of `through[t]` with exactly m - 1 pairs in c and none in the
+      other color forces its last uncolored pair, found in the copy's list
+      of pairs, to the other color, since c there would complete the copy.
+      Forcing is sound (every avoiding extension of the partial coloring
+      agrees with it), and unit propagation reaches the same closure, or a
+      conflict, in any order; the forced pairs are colored at once and
+      undone with the decision that caused them.
     A decision goes to the uncolored pair of highest score, the sum over its
-    copies that are not yet bichromatic of 8 ** (colored pairs in the copy),
-    ties to the lowest lexicographic index; red is tried before blue.  The
-    first decision is red only: nothing is colored before it, and swapping
-    the colors maps the search below a blue first decision, forced pairs
-    included, onto the one below red.  Once no uncolored pair lies in a
-    copy that is not bichromatic, no copy can become monochromatic, so the
-    rest is colored red.  `stats.nodes` counts the decisions tried and
-    `stats.prunes` those whose propagation hit a conflict.
+    copies that are not yet bichromatic of 8 ** (colored pairs in the copy):
+    one mask per number j of colored pairs, and per uncolored pair and
+    nonzero mask one bit count, weighted 8 ** j.  Ties go to the lowest
+    lexicographic index, and red is tried before blue.  The first decision
+    is red only: nothing is colored before it, and swapping the colors maps
+    the search below a blue first decision, forced pairs included, onto the
+    one below red.  Once no uncolored pair lies in a copy that is not
+    bichromatic, no copy can become monochromatic, so the rest is colored
+    red.  `stats.nodes` counts the decisions tried and `stats.prunes` those
+    whose propagation hit a conflict.  Raises ValueError, before building
+    anything, when `table_overflow` refuses the table.
     """
     if N < 0:
         raise ValueError("N must be non-negative")
@@ -94,30 +165,16 @@ def avoiding_coloring(
         return Coloring(N, [RED] * n_pairs)
     if pattern.n > N:
         return Coloring(N, [RED] * n_pairs)
-    core = [v for v in range(1, pattern.n + 1) if pattern.adj[v]]  # non-isolated
-    slots = N - pattern.n + len(core)
-    n_copies = copy_count(pattern, N)
-    if n_copies > MAX_COPIES:
-        raise ValueError(
-            f"C({slots}, {len(core)}) = {n_copies} copies exceed MAX_COPIES = {MAX_COPIES}"
-        )
+    overflow = table_overflow(pattern, N)
+    if overflow:
+        raise ValueError(overflow)
 
-    # the images of the non-isolated vertices set a copy: enumerate them in
-    # 1..slots, each moved right by the isolated vertices before it
-    index = {pair: t for t, pair in enumerate(pair_iter(N))}
-    ends = [(core.index(a), core.index(b)) for a, b in pattern.sorted_edges()]
-    shift = [v - 1 - i for i, v in enumerate(core)]
-    copies = []
-    for ys in combinations(range(1, slots + 1), len(core)):
-        image = [y + s for y, s in zip(ys, shift)]
-        copies.append(tuple(index[image[i], image[j]] for i, j in ends))
-    through: list[list[int]] = [[] for _ in range(n_pairs)]
-    for x, copy in enumerate(copies):
-        for t in copy:
-            through[t].append(x)
-    m = len(ends)
-    weight = [8 ** k for k in range(m + 1)]
-    counts = ([0] * len(copies), [0] * len(copies))  # per color, per copy
+    pairs, through = copy_table(pattern, N)
+    m = len(pattern.edges)
+    every = (1 << (len(pairs) // m)) - 1
+    # per color c, at[c][k]: the copies with at least k pairs in c
+    at = ([every] + [0] * (m + 1), [every] + [0] * (m + 1))
+    free = list(through)  # through[t] while pair t is uncolored, then 0
     color: list[Optional[int]] = [None] * n_pairs  # 0 red, 1 blue
     trail: list[int] = []  # colored pairs, in the order they were colored
 
@@ -126,48 +183,72 @@ def avoiding_coloring(
         queue = [(t, c)]
         while queue:
             t, c = queue.pop()
-            if color[t] is not None:
-                if color[t] != c:
+            got = color[t]
+            if got is not None:
+                if got != c:
                     return False
                 continue
             color[t] = c
             trail.append(t)
-            mine, other = counts[c], counts[1 - c]
-            conflict = False
-            for x in through[t]:
-                k = mine[x] = mine[x] + 1
-                if k >= m - 1 and not other[x]:
-                    if k == m:
-                        conflict = True  # finish the bumps, so undo stays exact
-                    else:
-                        last = next(u for u in copies[x] if color[u] is None)
-                        queue.append((last, 1 - c))
-            if conflict:
+            s = free[t]
+            free[t] = 0
+            level = at[c]
+            # raise the copies through t one level of c: `raised` had at least
+            # k - 1 pairs in c and now have at least k; `up` had k already
+            k = raised = 0
+            up = s
+            while up:
+                k += 1
+                raised, up = up, level[k] & s
+                level[k] |= raised
+            # now `raised` are the copies through t with exactly k pairs in c
+            if k == m:
                 return False
+            if k == m - 1:
+                forced = raised & ~at[1 - c][1]
+                while forced:
+                    low = forced & -forced
+                    forced ^= low
+                    x = (low.bit_length() - 1) * m
+                    for u in pairs[x:x + m]:
+                        if color[u] is None:
+                            queue.append((u, 1 - c))
+                            break
         return True
 
     def undo(mark: int) -> None:
-        while len(trail) > mark:
-            t = trail.pop()
-            cnt = counts[color[t]]
+        for t in trail[mark:]:
+            level = at[color[t]]
             color[t] = None
-            for x in through[t]:
-                cnt[x] -= 1
-
-    red, blue = counts
+            s = free[t] = through[t]
+            # lower the copies through t one level: `down` had at least k
+            # pairs in the color of t, `nxt` at least k + 1
+            down = s
+            k = 1
+            while down:
+                nxt = level[k + 1] & s
+                level[k] ^= down ^ nxt
+                down = nxt
+                k += 1
+        del trail[mark:]
 
     def choose() -> Optional[int]:
-        best, best_score = None, 0
-        for t in range(n_pairs):
-            if color[t] is None:
-                score = sum(
-                    weight[red[x] + blue[x]]
-                    for x in through[t]
-                    if not (red[x] and blue[x])
-                )
-                if score > best_score:
-                    best, best_score = t, score
-        return best
+        red, blue = at
+        no_red, no_blue = every ^ red[1], every ^ blue[1]
+        # the copies not yet bichromatic with exactly j colored pairs, all in
+        # one color; j = 0 and 1 are scored in one pass
+        def exactly(j: int) -> int:
+            return no_red & (blue[j] ^ blue[j + 1]) | no_blue & (red[j] ^ red[j + 1])
+
+        none, one = no_red & no_blue, exactly(1)
+        scores = [(s & none).bit_count() + 8 * (s & one).bit_count() for s in free]
+        for j in range(2, m):
+            mask = exactly(j)
+            if mask:
+                w = 8 ** j
+                scores = [a + w * (s & mask).bit_count() for a, s in zip(scores, free)]
+        best = max(scores)
+        return scores.index(best) if best else None
 
     # decisions: (pair, color, trail length before it) of each decision on
     # the trail; the depth-first search runs on this explicit stack
@@ -222,8 +303,8 @@ def ordered_ramsey(pattern: OrderedGraph, N_max: Optional[int] = None) -> Ramsey
 
     Returns the exact value with both certificates, or a lower-bound-only
     result when every size up to the cap still admits an avoiding coloring:
-    at N_max + 1, or at the first N whose copy table would exceed
-    MAX_COPIES.
+    at N_max + 1, or at the first N whose copy table `table_overflow`
+    refuses.
     """
     if N_max is None:  # the classical exponential bound; callers usually pass less
         N_max = 2 ** (2 * pattern.n)
@@ -232,7 +313,7 @@ def ordered_ramsey(pattern: OrderedGraph, N_max: Optional[int] = None) -> Ramsey
     best_lower: Optional[Coloring] = None
     start = 0 if pattern.n == 0 else pattern.n - 1
     for N in range(start, N_max + 1):
-        if copy_count(pattern, N) > MAX_COPIES:
+        if table_overflow(pattern, N):
             return RamseyResult(pattern, N, False, best_lower, None)
         stats = SearchStats()
         col = avoiding_coloring(pattern, N, stats)

@@ -109,8 +109,9 @@ def test_ramsey_exact_capped(tmp_path, capsys):
 
 
 def test_ramsey_exact_stops_at_the_copy_table_bound(tmp_path, capsys, monkeypatch):
-    # C(6, 3) = 20 copies exceed a bound of 10: stop there as at the --nmax cap
-    monkeypatch.setattr(ramsey, "MAX_COPIES", 10)
+    # K3's table in K_6 (2220 bits) exceeds a bound of 1060 bits, its table in
+    # K_5: stop there as at the --nmax cap
+    monkeypatch.setattr(ramsey, "MAX_TABLE_BITS", 1060)
     pattern = tmp_path / "k3.og"
     pattern.write_text("og 3 3\ne 1 2\ne 1 3\ne 2 3\n")
     certdir = tmp_path / "certs"
@@ -201,8 +202,8 @@ def test_verify_upper_certificate_of_another_pattern_is_false_without_search(
 def test_verify_past_the_copy_bound_is_inconclusive_without_search(
     tmp_path, capsys, monkeypatch
 ):
-    # C(1000, 3) copies of K3 exceed MAX_COPIES: the search at N = 1000 cannot
-    # be re-run, which is neither true nor false nor a malformed file
+    # K3's copy table in K_1000 exceeds MAX_TABLE_BITS: the search at N = 1000
+    # cannot be re-run, which is neither true nor false nor a malformed file
     k3 = tmp_path / "k3.og"
     k3.write_text("og 3 3\ne 1 2\ne 1 3\ne 2 3\n")
     cert = tmp_path / "upper_N1000.json"
@@ -214,8 +215,9 @@ def test_verify_past_the_copy_bound_is_inconclusive_without_search(
     monkeypatch.setattr(ramsey, "avoiding_coloring", no_search)
     code, out, err = run(capsys, "verify", "--cert", str(cert), "--pattern", str(k3))
     assert (code, out) == (EXIT_INCONCLUSIVE, "")
-    assert err == (f"{cert}: cannot re-run the search at N = 1000: 166167000 copies"
-                   f" exceed MAX_COPIES = {ramsey.MAX_COPIES}\n")
+    assert err == (f"{cert}: cannot re-run the search at N = 1000: C(1000, 3) = 166167000"
+                   f" copies x (499500 pairs + 32 x 3 index bits) = 83016368532000 table bits"
+                   f" exceed MAX_TABLE_BITS = 268435456\n")
 
 
 def test_ramsey_minmax(tmp_path, capsys):

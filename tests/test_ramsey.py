@@ -24,6 +24,7 @@ from orl.core import (
     RED,
     complete_graph,
     contains,
+    pair_iter,
     serialize_coloring,
 )
 from orl.ramsey import (
@@ -203,15 +204,60 @@ def test_avoiding_coloring_depth_is_not_bounded_by_recursion():
     assert verify_certificate(pattern, col)
 
 
+def refuse_to_build(pattern, N):
+    raise AssertionError("the copy table was built")
+
+
 def test_avoiding_coloring_copy_table_bound(monkeypatch):
     # C(60, 30) copies of 15 side-by-side pairs: refused before any table is built
     pairs = OrderedGraph(30, [(2 * i - 1, 2 * i) for i in range(1, 16)])
-    with pytest.raises(ValueError, match=r"C\(60, 30\) = 118264581564861424 copies"):
-        avoiding_coloring(pairs, 60)
-    monkeypatch.setattr(ramsey, "MAX_COPIES", 10)
-    assert avoiding_coloring(complete_graph(3), 5) is not None  # C(5, 3) = 10
-    with pytest.raises(ValueError, match=r"C\(6, 3\) = 20 copies"):
+    with monkeypatch.context() as patched:
+        patched.setattr(ramsey, "copy_table", refuse_to_build)
+        with pytest.raises(ValueError, match=r"C\(60, 30\) = 118264581564861424 copies"):
+            avoiding_coloring(pairs, 60)
+    # K3 in K_5: 10 copies x (10 pairs + 32 x 3 index bits) = 1060 bits
+    monkeypatch.setattr(ramsey, "MAX_TABLE_BITS", 1060)
+    assert avoiding_coloring(complete_graph(3), 5) is not None
+    with pytest.raises(ValueError, match=(
+        r"^C\(6, 3\) = 20 copies x \(15 pairs \+ 32 x 3 index bits\) = 2220 table bits"
+        r" exceed MAX_TABLE_BITS = 1060$"
+    )):
         avoiding_coloring(complete_graph(3), 6)
+
+
+def test_copy_table_bound_is_on_bits_not_copies(monkeypatch):
+    # a single edge at N = 447 has C(447, 2) = 99681 copies, but its table
+    # would take 99681 x (99681 + 32) bits, over 1.2 GB
+    edge = OrderedGraph(2, [(1, 2)])
+    assert ramsey.table_overflow(edge, 447)
+    monkeypatch.setattr(ramsey, "copy_table", refuse_to_build)
+    with pytest.raises(ValueError, match=r"^C\(447, 2\) = 99681 copies x \(99681 pairs"):
+        avoiding_coloring(edge, 447)
+    # the matching {i, 5 + pi(i)}, pi = 13452, at N = 22: C(22, 10) = 646646
+    # copies x (231 pairs + 32 x 5 index bits) fit; no table is built here
+    matching = OrderedGraph(10, [(i, 5 + p) for i, p in enumerate((1, 3, 4, 5, 2), 1)])
+    assert ramsey.copy_count(matching, 22) == 646646
+    assert ramsey.table_overflow(matching, 22) is None
+    assert ramsey.table_overflow(matching, 23)
+    # an edgeless pattern needs no table at any N
+    assert ramsey.table_overflow(OrderedGraph(3), 10**6) is None
+
+
+def test_copy_table_masks_match_the_copies():
+    pattern = OrderedGraph(6, [(1, 3), (3, 6), (2, 4)])  # vertex 5 isolated
+    N = 8
+    pairs, through = ramsey.copy_table(pattern, N)
+    m = len(pattern.edges)
+    index = {pair: t for t, pair in enumerate(pair_iter(N))}
+    images = sorted({
+        tuple(index[ys[a - 1], ys[b - 1]] for a, b in pattern.sorted_edges())
+        for ys in combinations(range(1, N + 1), pattern.n)
+    })
+    copies = [tuple(pairs[x:x + m]) for x in range(0, len(pairs), m)]
+    assert sorted(copies) == images and len(copies) == ramsey.copy_count(pattern, N)
+    assert through == [
+        sum(1 << x for x, copy in enumerate(copies) if t in copy) for t in range(len(index))
+    ]
 
 
 def test_copy_count_skips_isolated_vertices():
@@ -223,7 +269,7 @@ def test_copy_count_skips_isolated_vertices():
 
 
 def test_ordered_ramsey_stops_at_the_copy_table_bound(monkeypatch):
-    monkeypatch.setattr(ramsey, "MAX_COPIES", 10)
+    monkeypatch.setattr(ramsey, "MAX_TABLE_BITS", 1060)  # K3 in K_5, not K_6
     result = ordered_ramsey(complete_graph(3), 10)
     assert not result.exact and result.value == 6 and result.describe() == ">= 6"
     assert result.upper is None and result.lower.n == 5
