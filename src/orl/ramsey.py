@@ -34,6 +34,7 @@ from orl.core import (
     OrderedGraph,
     RED,
     pair_count,
+    pair_index,
 )
 from orl.embedder import find_monochromatic
 
@@ -81,7 +82,8 @@ def table_overflow(pattern: OrderedGraph, N: int) -> Optional[str]:
 
 
 def copy_table(pattern: OrderedGraph, N: int) -> tuple[array, list[int]]:
-    """The pattern's `copy_count` copies in K_N, for a pattern with edges.
+    """The pattern's `copy_count` copies in K_N, for a pattern with edges
+    and N at least its size.
 
     Returns `(pairs, through)`: copy x has the lexicographic pair indices
     `pairs[x * m:(x + 1) * m]`, one per edge in sorted order, and bit x of
@@ -97,7 +99,7 @@ def copy_table(pattern: OrderedGraph, N: int) -> tuple[array, list[int]]:
     # pair (a, b) of K_N has index row[a] + b, so edge (i, j) of a copy whose
     # core vertices sit in slots ys has index first[ys[i]] + ys[j], with both
     # shifts folded into `first`
-    row = [(a - 1) * (2 * N - a) // 2 - a - 1 for a in range(N + 1)]
+    row = [pair_index(a, a + 1, N) - a - 1 for a in range(N + 1)]
     edges = []
     for a, b in pattern.sorted_edges():
         i, j = rank[a], rank[b]
