@@ -265,12 +265,6 @@ def _check_nmax(nmax: Optional[int], size: int) -> None:
         raise ValueError(f"--nmax {nmax}: must be at least the pattern size {size}")
 
 
-def _check_n_limit(n: int, limit: int, method: str) -> None:
-    """`--n` above the limit of an exhaustive method is a ValueError naming the option."""
-    if n > limit:
-        raise ValueError(f"--n {n}: {method} is limited to n <= {limit}")
-
-
 def cmd_ramsey_exact(args, ctx: RunContext) -> int:
     pattern = ctx.read(args.pattern, parse_ordered_graph)
     _check_nmax(args.nmax, pattern.n)
@@ -329,7 +323,9 @@ def cmd_verify(args, ctx: RunContext) -> int:
 
 def cmd_ramsey_count_regular(args, ctx: RunContext) -> int:
     rho = _parse_fraction("--rho", args.rho)
-    _check_n_limit(args.n, ramsey.EXACT_COUNT_LIMIT, "exact enumeration")
+    limit = ramsey.EXACT_COUNT_LIMIT
+    if args.n > limit:
+        raise ValueError(f"--n {args.n}: exact enumeration is limited to n <= {limit}")
     report = ramsey.count_rho_regular(rho, args.n)
     print(f"exact {report.exact_count}")
     if report.formula_lower_bound is not None:
@@ -349,13 +345,10 @@ def cmd_sample(args, ctx: RunContext) -> int:
         text = serialize_ordered_graph(graph)
     elif args.what == "regular":
         rho = _parse_fraction("--rho", args.rho)
-        if args.mode == "exact":
-            _check_n_limit(args.n, ramsey.EXACT_COUNT_LIMIT, "exact sampling")
-        graph = stochastic.sample_rho_regular(rho, args.n, args.seed, mode=args.mode)
+        graph = stochastic.sample_rho_regular(rho, args.n, args.seed)
         if graph is None:
             print(f"no simple pairing in {stochastic.MAX_RESHUFFLES} configuration-model"
-                  f" shuffles; `--mode exact` samples n <= {ramsey.EXACT_COUNT_LIMIT}",
-                  file=sys.stderr)
+                  " shuffles", file=sys.stderr)
             return EXIT_INCONCLUSIVE
         text = serialize_unordered_graph(graph)
     else:
@@ -372,28 +365,6 @@ def cmd_sample(args, ctx: RunContext) -> int:
 def _report_lines(args, ctx: RunContext, lines: list[dict]) -> None:
     payload = "\n".join(json.dumps(line, sort_keys=True) for line in lines) + "\n"
     _emit(ctx, args.report, payload)
-
-
-def cmd_experiment_pairprob(args, ctx: RunContext) -> int:
-    n = args.n
-    if n < 2:
-        raise ValueError("--n must be at least 2")
-    _check_n_limit(n, stochastic.EXACT_PROBABILITY_LIMIT, "exact enumeration")
-    # two distinct singletons on each side, all four crossings banned: the
-    # probability, (n-2)(n-3)/(n(n-1)), is the same for every choice of the
-    # four vertices, so one query stands for every trial's
-    query = stochastic.PairSetQuery(
-        (frozenset({1}), frozenset({2})), (frozenset({n + 1}), frozenset({n + 2})),
-        ((1, 1), (1, 2), (2, 1), (2, 2)),
-    )
-    exact = stochastic.matching_pair_probability(query, n)
-    # d = 2 with r = 4 banned pairs, and S = |X_d| * |Y_d| = 1 with singletons
-    bound = stochastic.pairset_avoidance_bound(2, 4, 1, n)
-    outcome = {"exact": str(exact), "bound": bound, "bound_applies": bound < 1,
-               "holds": (not bound < 1) or float(exact) < bound}
-    lines = [{"trial": k, "seed": args.seed ^ k, **outcome} for k in range(args.trials)]
-    _report_lines(args, ctx, lines)
-    return EXIT_OK
 
 
 def cmd_experiment_coverage(args, ctx: RunContext) -> int:
@@ -424,17 +395,15 @@ def cmd_experiment_coverage(args, ctx: RunContext) -> int:
 
 
 def cmd_experiment_montecarlo(args, ctx: RunContext) -> int:
-    if args.config_n is not None:
-        if args.t is not None or args.s is not None:
-            raise ValueError("--config-n is not allowed with --t or --s")
-        if args.config_n < 2:
-            raise ValueError(f"--config-n {args.config_n}: must be at least 2")
-        t, s = stochastic.matching_blowup_shape(args.config_n)
-    elif args.t is None or args.s is None:
-        raise ValueError("either --config-n or both --t and --s are required")
-    else:
-        t, s = args.t, args.s
+    if (args.t is None) != (args.s is None):
+        raise ValueError("--t and --s must be given together")
     pattern = ctx.read(args.pattern, parse_ordered_graph)
+    if args.t is not None:
+        t, s = args.t, args.s
+    elif pattern.n < 3:
+        raise ValueError(f"--t and --s are required for a pattern on {pattern.n} vertices")
+    else:  # the blow-up shape for a random matching with the pattern's pair count
+        t, s = stochastic.matching_blowup_shape((pattern.n + 1) // 2)
     report = stochastic.monte_carlo_avoidance(pattern, t, s, args.trials, args.seed)
     cert_path = None
     if report.certificate is not None and args.emit_cert:
@@ -609,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = rsub.add_parser("count-regular")
     q.add_argument("--rho", required=True, help="rational like 5/2")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_count, required=True)
     q.set_defaults(func=cmd_ramsey_count_regular)
 
     p = sub.add_parser("sample", help="seeded random models")
@@ -622,21 +591,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=_count, required=True)
     q = ssub.add_parser("regular", parents=[seeded])
     q.add_argument("--rho", required=True, help="rational like 5/2")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--mode", choices=["exact", "configuration"], default="configuration")
+    q.add_argument("--n", type=_count, required=True)
     q = ssub.add_parser("coloring", parents=[seeded])
     q.add_argument("--t", type=_count, required=True)
     q.add_argument("--s", type=_count, required=True)
 
     p = sub.add_parser("experiment", help="seeded experiment drivers (JSON lines)")
     esub = p.add_subparsers(dest="what", required=True)
-
-    q = esub.add_parser("pairprob")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--trials", type=_count, default=20)
-    q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--report", default=None)
-    q.set_defaults(func=cmd_experiment_pairprob)
 
     q = esub.add_parser("coverage")
     source = q.add_mutually_exclusive_group()
@@ -651,9 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = esub.add_parser("montecarlo")
     q.add_argument("--pattern", required=True)
-    q.add_argument("--t", type=_count, default=None)
-    q.add_argument("--s", type=_count, default=None)
-    q.add_argument("--config-n", type=int, default=None, help="excludes --t and --s")
+    q.add_argument("--t", type=_count, default=None, help="with --s; default from the pattern")
+    q.add_argument("--s", type=_count, default=None, help="with --t")
     q.add_argument("--trials", type=_count, default=20)
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--emit-cert", default=None)

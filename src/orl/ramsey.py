@@ -398,7 +398,7 @@ def min_max_ordered_ramsey(g: OrderedGraph, N_max: int) -> MinMaxReport:
 # almost-regular graph counting
 # ---------------------------------------------------------------------------
 
-EXACT_COUNT_LIMIT = 10  # largest n that count_rho_regular enumerates
+EXACT_COUNT_LIMIT = 10  # largest n whose rho-regular graphs are counted and ranked
 
 
 def rho_regular_degree_data(rho: Fraction, n: int) -> tuple[int, int]:

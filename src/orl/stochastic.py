@@ -13,8 +13,9 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Optional
 
+from orl import ramsey
 from orl.core import BLUE, Coloring, OrderedGraph, RED
-from orl.ramsey import avoids, count_rho_regular, rho_regular_degree_data, rho_regular_graph
+from orl.ramsey import avoids, rho_regular_degree_data
 from orl.rng import Xoshiro256StarStar, stream_for_trial
 
 
@@ -34,26 +35,21 @@ def sample_permutation_matching(n: int, seed: int) -> OrderedGraph:
 MAX_RESHUFFLES = 10_000  # configuration-model pairings tried before giving up
 
 
-def sample_rho_regular(
-    rho: Fraction, n: int, seed: int, mode: str = "configuration"
-) -> Optional[OrderedGraph]:
-    """A random rho-regular graph on [n], or None when the configuration
-    model gives up.
+def sample_rho_regular(rho: Fraction, n: int, seed: int) -> Optional[OrderedGraph]:
+    """A uniform random rho-regular graph on [n], or None when the
+    configuration model gives up.
 
-    mode "exact" (n <= ramsey.EXACT_COUNT_LIMIT): draw a uniform index below
-    the count of rho-regular graphs and build that one graph.  mode
-    "configuration": pick the set of degree-(d+1) vertices uniformly, run
-    the configuration model on the resulting stubs, and re-pair on
-    loop/multi-edge rejections while keeping the degree sequence;
-    this is only approximately uniform across degree-sequence classes.  It
-    gives up after MAX_RESHUFFLES pairings, on inputs whose pairings are
-    rarely simple: near-complete graphs (K_6's with probability about 5e-4,
-    so about 1% of seeds give up; K_7's 8e-6, K_8's 5e-8) and, on many
-    vertices, d-regular ones with d >= 6 (about exp(-(d^2-1)/4)).
+    Up to n = ramsey.EXACT_COUNT_LIMIT, draw a uniform index below the count
+    of rho-regular graphs and build that one graph.  Past it, pick the set
+    of degree-(d+1) vertices uniformly and pair their stubs by the
+    configuration model, reshuffling all of them after a loop or a repeated
+    edge; every simple graph with those degrees is equally likely to come
+    out, so both paths draw uniformly.  The configuration model gives up
+    after MAX_RESHUFFLES pairings, on inputs whose pairings are rarely
+    simple: near-complete graphs (K_11's with probability about 4e-17)
+    and d-regular ones with d >= 6 (about exp(-(d^2-1)/4)).
     """
     rho = Fraction(rho)
-    if mode not in ("exact", "configuration"):
-        raise ValueError("mode must be 'exact' or 'configuration'")
     d, surplus = rho_regular_degree_data(rho, n)
     # degrees that differ by at most 1 and have an even sum are graphical
     # exactly when the largest is at most n - 1; past that, re-pairing the
@@ -61,9 +57,9 @@ def sample_rho_regular(
     if d + (surplus > 0) > n - 1:
         raise ValueError("no graph realizes these parameters")
     gen = Xoshiro256StarStar(seed)
-    if mode == "exact":
-        index = gen.next_below(count_rho_regular(rho, n).exact_count)
-        return OrderedGraph(n, rho_regular_graph(rho, n, index))
+    if n <= ramsey.EXACT_COUNT_LIMIT:
+        index = gen.next_below(ramsey.count_rho_regular(rho, n).exact_count)
+        return OrderedGraph(n, ramsey.rho_regular_graph(rho, n, index))
     high = set(gen.subset(n, surplus))
     degrees = [d + 1 if v in high else d for v in range(1, n + 1)]
     stubs_template = [v for v in range(1, n + 1) for _ in range(degrees[v - 1])]

@@ -219,15 +219,15 @@ def test_criterion_9_permutation_unavoidability():
 
 SEEDED_COMMANDS = [
     ["sample", "matching", "--n", "8", "--seed", "7", "-o", "m.og"],
-    ["sample", "regular", "--rho", "2", "--n", "6", "--seed", "3", "--mode", "exact", "-o", "r.adj"],
-    ["sample", "regular", "--rho", "5/2", "--n", "4", "--seed", "9", "-o", "rc.adj"],
+    ["sample", "regular", "--rho", "2", "--n", "6", "--seed", "3", "-o", "r.adj"],
+    ["sample", "regular", "--rho", "5/2", "--n", "12", "--seed", "9", "-o", "rc.adj"],
     ["sample", "coloring", "--t", "3", "--s", "2", "--seed", "5", "-o", "c.col"],
     ["experiment", "montecarlo", "--pattern", "PATTERN", "--t", "3", "--s", "2",
      "--trials", "6", "--seed", "11", "--report", "mc.jsonl", "--emit-cert", "certs"],
+    ["experiment", "montecarlo", "--pattern", "PATTERN", "--trials", "4", "--seed", "19",
+     "--report", "mcd.jsonl"],
     ["experiment", "coverage", "--og", "PATTERN", "--parts", "2", "--max-size", "2",
      "--trials", "4", "--seed", "13", "--report", "cov.jsonl"],
-    ["experiment", "pairprob", "--n", "5", "--trials", "4", "--seed", "17",
-     "--report", "pp.jsonl"],
 ]
 
 

@@ -1,19 +1,17 @@
 """Command-line surface: round trips, exit codes, manifests, replay."""
 
 import json
-import math
 import os
 import random
 import shlex
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import random_og_text
-from orl import cli, ramsey
+from orl import cli, ramsey, stochastic
 from orl.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, dispatch
 from orl.constructions import parse_blocks
 from orl.core import parse_coloring, parse_ordered_graph, parse_unordered_graph
@@ -322,18 +320,19 @@ def test_sample_commands_deterministic(tmp_path, capsys):
 
 def test_sample_regular_exact_up_to_the_count_limit(capsys):
     # K_10 minus a perfect matching, from an index into its 945 graphs
-    code, out, _ = run(capsys, "sample", "regular", "--rho", "8", "--n", "10", "--seed", "1",
-                       "--mode", "exact")
+    code, out, _ = run(capsys, "sample", "regular", "--rho", "8", "--n", "10", "--seed", "1")
     assert code == EXIT_OK
     g = parse_unordered_graph(out)
     assert g.m == 40 and all(g.degree(v) == 8 for v in range(1, 11))
+    # K_8, whose stub pairings the configuration model almost never makes simple
+    code, out, _ = run(capsys, "sample", "regular", "--rho", "7", "--n", "8", "--seed", "1")
+    assert (code, parse_unordered_graph(out).m) == (EXIT_OK, 28)
 
 
 def test_sample_regular_and_coloring(tmp_path, capsys):
     out = tmp_path / "g.adj"
     code, _, _ = run(
-        capsys, "sample", "regular", "--rho", "2", "--n", "6", "--seed", "8",
-        "--mode", "exact", "-o", str(out),
+        capsys, "sample", "regular", "--rho", "2", "--n", "6", "--seed", "8", "-o", str(out),
     )
     assert code == EXIT_OK
     g = parse_unordered_graph(out.read_text())
@@ -363,6 +362,16 @@ def test_experiment_montecarlo_jsonl(tmp_path, capsys):
     assert lines[-1]["summary"] == "avoidance_fraction"
 
 
+def test_experiment_montecarlo_shape_defaults_to_the_pair_count(tmp_path, capsys):
+    pattern = tmp_path / "m.og"
+    pattern.write_text("og 16 8\n" + "".join(f"e {i} {17 - i}\n" for i in range(1, 9)))
+    code, out, _ = run(capsys, "experiment", "montecarlo", "--pattern", str(pattern),
+                       "--trials", "2", "--seed", "3")
+    summary = json.loads(out.splitlines()[-1])
+    assert code == EXIT_OK
+    assert (summary["t"], summary["s"]) == stochastic.matching_blowup_shape(8) == (1, 16)
+
+
 def test_experiment_coverage_and_pairprob(tmp_path, capsys):
     graph = tmp_path / "nm3.og"
     graph.write_text("og 6 3\ne 1 6\ne 2 5\ne 3 4\n")
@@ -372,42 +381,9 @@ def test_experiment_coverage_and_pairprob(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out.splitlines()[-1])["summary"] == "min_covered"
-    code, out, _ = run(
-        capsys, "experiment", "pairprob", "--n", "5", "--trials", "3", "--seed", "6"
-    )
-    assert code == EXIT_OK
-    for line in out.splitlines():
-        record = json.loads(line)
-        assert record["holds"]
-
-
-# `experiment pairprob --n 6 --trials 3 --seed 5`, recorded when every trial
-# still drew its own vertices
-PAIRPROB_N6_SEED5 = (
-    '{"bound": 0.8464817248906141, "bound_applies": true, "exact": "2/5", "holds": true,'
-    ' "seed": 5, "trial": 0}\n'
-    '{"bound": 0.8464817248906141, "bound_applies": true, "exact": "2/5", "holds": true,'
-    ' "seed": 4, "trial": 1}\n'
-    '{"bound": 0.8464817248906141, "bound_applies": true, "exact": "2/5", "holds": true,'
-    ' "seed": 7, "trial": 2}\n'
-)
-
-
-def test_experiment_pairprob_is_the_closed_form(capsys):
-    # two distinct singletons on each side, all four crossings banned: every
-    # trial is (n-2)(n-3)/(n(n-1)) against exp(-1/n), whatever it would draw
-    for n in range(2, 9):
-        code, out, _ = run(capsys, "experiment", "pairprob", "--n", str(n), "--trials", "4",
-                           "--seed", "9")
-        assert code == EXIT_OK
-        records = [json.loads(line) for line in out.splitlines()]
-        assert [r["seed"] for r in records] == [9, 8, 11, 10]
-        for r in records:
-            assert Fraction(r["exact"]) == Fraction((n - 2) * (n - 3), n * (n - 1))
-            assert r["bound"] == math.exp(-1 / n)
-    code, out, _ = run(capsys, "experiment", "pairprob", "--n", "6", "--trials", "3",
-                       "--seed", "5")
-    assert (code, out) == (EXIT_OK, PAIRPROB_N6_SEED5)
+    # `experiment pairprob` printed one constant per trial and is gone
+    code, _, err = run(capsys, "experiment", "pairprob", "--n", "5", "--seed", "6")
+    assert code == EXIT_USAGE and "invalid choice: 'pairprob'" in err
 
 
 def test_matrix_commands(tmp_path, capsys):
@@ -637,6 +613,13 @@ def test_malformed_file_error_names_the_path(tmp_path, capsys, argv, text, messa
         ({"argv": ["replay", "{m}", "--outdir", "{d}"], "outputs": []}, "`argv`"),
         ({"argv": ["--manifest", "{d}/x.json", "replay", "{m}", "--outdir", "{d}"],
           "outputs": []}, "`argv`"),
+        # recorded with options and an action that are gone
+        ({"argv": ["sample", "regular", "--rho", "2", "--n", "6", "--seed", "3", "--mode",
+                   "exact"], "outputs": []}, "`argv` is not an orl command line"),
+        ({"argv": ["experiment", "montecarlo", "--pattern", "{m}", "--config-n", "4",
+                   "--seed", "1"], "outputs": []}, "`argv` is not an orl command line"),
+        ({"argv": ["experiment", "pairprob", "--n", "5", "--seed", "1"], "outputs": []},
+         "`argv` is not an orl command line"),
     ],
 )
 def test_replay_rejects_a_malformed_manifest(tmp_path, capsys, manifest, field):
@@ -676,11 +659,12 @@ def test_missing_option_is_a_usage_error(capsys, argv, flag):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["experiment", "pairprob", "--n", "1", "--seed", "1"], "--n"),
-        (["experiment", "pairprob", "--n", "0", "--seed", "1"], "--n"),
+        (["ramsey", "count-regular", "--rho", "2", "--n", "0"], "--n"),
+        (["sample", "regular", "--rho", "2", "--n", "-4", "--seed", "1"], "--n"),
         (["experiment", "coverage", "--og", "{d}/k3.og", "--parts", "2", "--max-size", "2",
           "--seed", "1", "--trials", "0"], "--trials"),
-        (["experiment", "pairprob", "--n", "3", "--seed", "1", "--trials", "0"], "--trials"),
+        (["experiment", "montecarlo", "--pattern", "{d}/k3.og", "--seed", "1", "--trials", "0"],
+         "--trials"),
         (["experiment", "montecarlo", "--pattern", "{d}/k3.og", "--t", "2", "--s", "2",
           "--seed", "1", "--trials", "0"], "--trials"),
         (["experiment", "montecarlo", "--pattern", "{d}/k3.og", "--t", "2", "--s", "2",
@@ -724,19 +708,22 @@ def test_missing_option_is_a_usage_error(capsys, argv, flag):
           "--seed", "1"], "argument --t: must"),
         (["experiment", "montecarlo", "--pattern", "{d}/k3.og", "--t", "2", "--s", "0",
           "--seed", "1"], "argument --s: must"),
-        (["experiment", "montecarlo", "--pattern", "{d}/k3.og", "--config-n", "1",
-          "--seed", "1"], "error: --config-n 1: must be at least 2"),
-        (["experiment", "pairprob", "--n", "9", "--seed", "1"],
-         "error: --n 9: exact enumeration is limited to n <= 8"),
+        (["experiment", "montecarlo", "--pattern", "{d}/k3.og", "--t", "2", "--seed", "1"],
+         "error: --t and --s must be given together"),
+        (["experiment", "montecarlo", "--pattern", "{d}/k2.og", "--seed", "1"],
+         "error: --t and --s are required for a pattern on 2 vertices"),
         (["ramsey", "count-regular", "--rho", "2", "--n", "11"],
          "error: --n 11: exact enumeration is limited to n <= 10"),
-        (["sample", "regular", "--rho", "2", "--n", "11", "--seed", "1", "--mode", "exact"],
-         "error: --n 11: exact sampling is limited to n <= 10"),
+        (["sample", "regular", "--rho", "2", "--n", "0", "--seed", "1"], "argument --n: must"),
+        (["ramsey", "count-regular", "--rho", "2", "--n", "-4"], "argument --n: must"),
+        (["experiment", "montecarlo", "--pattern", "{d}/k3.og", "--s", "2", "--seed", "1"],
+         "error: --t and --s must be given together"),
     ],
 )
 def test_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv, flag):
     (tmp_path / "k3.og").write_text("og 3 3\ne 1 2\ne 1 3\ne 2 3\n")
     (tmp_path / "k3.adj").write_text("adj 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    (tmp_path / "k2.og").write_text("og 2 1\ne 1 2\n")
     code, _, err = run(capsys, *(a.replace("{d}", str(tmp_path)) for a in argv))
     assert code == EXIT_USAGE and flag in err
     assert "Traceback" not in err and "internal error" not in err
@@ -747,33 +734,28 @@ def test_sample_regular_rejects_degrees_above_n_minus_1(rho, n):
     # the degree-(d + 1) vertices would need degree n; the command runs in a
     # subprocess so that a sampler that never returns fails instead of hanging
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    for mode in ("configuration", "exact"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "orl.cli", "sample", "regular", "--rho", rho, "--n", n,
-             "--seed", "1", "--mode", mode],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
-        assert proc.returncode == EXIT_USAGE, proc.stderr
-        assert proc.stderr == "error: no graph realizes these parameters\n"
-        assert proc.stdout == ""
+    proc = subprocess.run(
+        [sys.executable, "-m", "orl.cli", "sample", "regular", "--rho", rho, "--n", n,
+         "--seed", "1"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr == "error: no graph realizes these parameters\n"
+    assert proc.stdout == ""
 
 
 def test_sample_regular_configuration_gives_up_on_complete_graphs():
-    # a pairing of K_8's 56 stubs is simple about 5e-8 of the time: the
-    # configuration model stops after its bound with exit 2 and points to the
-    # exact mode, which returns K_8 at once; the timeout turns a sampler
-    # that keeps reshuffling into a failure instead of a stall
+    # past EXACT_COUNT_LIMIT the configuration model draws, and a pairing of
+    # K_11's 110 stubs is simple about 4e-17 of the time: it stops after its
+    # bound with exit 2; the timeout turns a sampler that keeps reshuffling
+    # into a failure instead of a stall
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    argv = [sys.executable, "-m", "orl.cli", "sample", "regular", "--rho", "7", "--n", "8",
+    argv = [sys.executable, "-m", "orl.cli", "sample", "regular", "--rho", "10", "--n", "11",
             "--seed", "1"]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=20, env=env)
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
     assert proc.returncode == EXIT_INCONCLUSIVE, proc.stderr
-    assert "`--mode exact`" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr == "no simple pairing in 10000 configuration-model shuffles\n"
     assert proc.stdout == ""
-    proc = subprocess.run(argv + ["--mode", "exact"], capture_output=True, text=True,
-                          timeout=30, env=env)
-    assert proc.returncode == EXIT_OK, proc.stderr
-    assert parse_unordered_graph(proc.stdout).m == 28
 
 
 FOREIGN_OPTION_CASES = [
@@ -782,8 +764,7 @@ FOREIGN_OPTION_CASES = [
     (["embed", "altpath", "--host", "{d}/h.og", "--n", "3", "--eps", "9"], "--eps"),
     (["sample", "matching", "--n", "3", "--seed", "1", "--mode", "exact"], "--mode"),
     (["construct", "altpath", "3", "--bipartite"], "--bipartite"),
-    (["experiment", "montecarlo", "--pattern", "{d}/m.og", "--config-n", "4", "--t", "3",
-      "--seed", "1"], "--t"),
+    (["sample", "matching", "--n", "3", "--seed", "1", "--t", "3"], "--t"),
     (["experiment", "coverage", "--og", "{d}/m.og", "--graph", "{d}/m.adj", "--parts", "2",
       "--max-size", "2", "--seed", "1"], "--graph"),
     (["matrix", "unavoid", "--n", "1", "--size", "1", "--trials", "5"], "--trials"),

@@ -1,7 +1,8 @@
 """The README "Library layout" names only what the package defines, its
-"Command line" examples parse, and the "Selected exact values" table holds
-what the package computes."""
+"Command line" examples parse and show every action, and the "Selected
+exact values" table holds what the package computes."""
 
+import argparse
 import importlib
 import re
 import shlex
@@ -74,6 +75,39 @@ def test_readme_command_examples_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {shlex.join(argv)}")
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """The subparsers of `parser` by name; empty for an action's parser."""
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def parser_actions(parser: argparse.ArgumentParser, path: tuple = ()) -> list[tuple]:
+    """Every action of the parser, as the tuple of subcommand names naming it."""
+    subs = _subcommands(parser)
+    if not subs:
+        return [path]
+    return [leaf for name, sub in subs.items() for leaf in parser_actions(sub, path + (name,))]
+
+
+def example_action(parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
+    """The subcommand names that an example's argv walks down."""
+    path = []
+    subs = _subcommands(parser)
+    for token in argv:
+        if token in subs:
+            path.append(token)
+            subs = _subcommands(subs[token])
+    return tuple(path)
+
+
+def test_readme_examples_cover_every_action():
+    parser = build_parser()
+    actions = parser_actions(parser)
+    shown = {example_action(parser, argv[1:]) for argv in command_examples()}
+    assert len(actions) == 27 and set(actions) <= shown, sorted(set(actions) - shown)
+    assert shown <= set(actions), sorted(shown - set(actions))
 
 
 def test_readme_adj_round_trip_runs(tmp_path, monkeypatch, capsys):

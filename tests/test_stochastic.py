@@ -8,7 +8,7 @@ import pytest
 
 from conftest import listed_rho_regular
 from orl.constructions import nested_matching, quadratic_lb_instance
-from orl import embedder
+from orl import embedder, ramsey
 from orl.core import (
     BLUE,
     RED,
@@ -126,9 +126,9 @@ def test_sample_permutation_matching_uniform_n3():
 
 
 def test_sample_rho_regular_exact_unique_graphs():
-    assert sample_rho_regular(Fraction(1), 2, 5, mode="exact").edges == {(1, 2)}
+    assert sample_rho_regular(Fraction(1), 2, 5).edges == {(1, 2)}
     for seed in range(5):
-        g = sample_rho_regular(Fraction(3), 4, seed, mode="exact")
+        g = sample_rho_regular(Fraction(3), 4, seed)
         assert g.m == 6  # the complete graph is the only 3-regular graph on 4
 
 
@@ -139,14 +139,14 @@ def test_sample_rho_regular_exact_is_the_listed_graph_at_one_draw(rho, n):
     listed = listed_rho_regular(rho, n)
     for seed in range(20):
         expected = listed[Xoshiro256StarStar(seed).next_below(len(listed))]
-        assert sample_rho_regular(rho, n, seed, mode="exact").edges == expected, seed
+        assert sample_rho_regular(rho, n, seed).edges == expected, seed
 
 
 def test_sample_rho_regular_exact_uniform_cycles():
     draws = 12000
     counts = Counter()
     for seed in range(draws):
-        g = sample_rho_regular(Fraction(2), 5, seed, mode="exact")
+        g = sample_rho_regular(Fraction(2), 5, seed)
         counts[g.edges] += 1
     assert len(counts) == 12
     expected = draws / 12
@@ -155,16 +155,25 @@ def test_sample_rho_regular_exact_uniform_cycles():
         assert abs(count - expected) <= 3 * sigma
 
 
-def test_sample_rho_regular_configuration_valid_degrees():
+def test_sample_rho_regular_configuration_valid_degrees(monkeypatch):
+    # past EXACT_COUNT_LIMIT the configuration model draws; lowering the
+    # limit puts the small rows on it too
+    rows = [(Fraction(rho), n) for rho in ("2", "5/2", "3", "7/3") for n in range(11, 17)]
+    rows = [(rho, n) for rho, n in rows if math.ceil(rho * n) % 2 == 0]
+    assert len(rows) == 16
     for seed in range(30):
-        g = sample_rho_regular(Fraction(2), 6, seed, mode="configuration")
+        for rho, n in rows:
+            g = sample_rho_regular(rho, n, seed)
+            d, surplus = math.floor(rho), math.ceil(rho * n) - math.floor(rho) * n
+            assert sorted(map(g.degree, range(1, n + 1))) == [d] * (n - surplus) + [d + 1] * surplus
+    monkeypatch.setattr(ramsey, "EXACT_COUNT_LIMIT", 3)
+    for seed in range(30):
+        g = sample_rho_regular(Fraction(2), 6, seed)
         assert all(g.degree(v) == 2 for v in range(1, 7))
-        g2 = sample_rho_regular(Fraction(5, 2), 4, seed, mode="configuration")
+        g2 = sample_rho_regular(Fraction(5, 2), 4, seed)
         assert sorted(g2.degree(v) for v in range(1, 5)) == [2, 2, 3, 3]
     with pytest.raises(ValueError):
         sample_rho_regular(Fraction(1), 3, 0)
-    with pytest.raises(ValueError):
-        sample_rho_regular(Fraction(2), 5, 0, mode="bogus")
 
 
 def test_sample_rho_regular_degree_at_least_vertex_count():
@@ -175,34 +184,40 @@ def test_sample_rho_regular_degree_at_least_vertex_count():
 
 def test_sample_rho_regular_rejects_exactly_the_unrealizable_parameters(monkeypatch):
     # degrees that differ by at most 1 with an even sum are graphical exactly
-    # when the largest is at most n - 1; the exact count is the oracle.  The
-    # configuration model's first shuffle raises, so reaching it shows the
-    # parameters were accepted, and a missed rejection fails instead of looping
+    # when the largest is at most n - 1; the exact count is the oracle, taken
+    # before the limit is lowered to put every row on the configuration
+    # model.  Its first shuffle raises, so reaching it shows the parameters
+    # were accepted, and a missed rejection fails instead of looping; the
+    # rank path never shuffles
     class Accepted(Exception):
         pass
 
     def shuffle(gen, items):
         raise Accepted
 
-    monkeypatch.setattr(Xoshiro256StarStar, "shuffle", shuffle)
-    unrealizable = 0
+    oracle = {}
     for n in range(1, 9):
         for rho in sorted({Fraction(a, b) for b in range(1, 5) for a in range(1, b * n + 1)}):
             try:
-                count = count_rho_regular(rho, n).exact_count
+                oracle[rho, n] = count_rho_regular(rho, n).exact_count
             except ValueError:  # no degree sequence at all
+                oracle[rho, n] = None
+    assert sum(count == 0 for count in oracle.values()) >= 10
+    monkeypatch.setattr(Xoshiro256StarStar, "shuffle", shuffle)
+    for limit in (ramsey.EXACT_COUNT_LIMIT, 0):
+        monkeypatch.setattr(ramsey, "EXACT_COUNT_LIMIT", limit)
+        for (rho, n), count in oracle.items():
+            if count is None:
                 with pytest.raises(ValueError):
                     sample_rho_regular(rho, n, 1)
-                continue
-            if count:
+            elif count == 0:
+                with pytest.raises(ValueError, match="no graph realizes these parameters"):
+                    sample_rho_regular(rho, n, 1)
+            elif limit:
+                assert sample_rho_regular(rho, n, 1).n == n
+            else:
                 with pytest.raises(Accepted):
                     sample_rho_regular(rho, n, 1)
-                continue
-            unrealizable += 1
-            for mode in ("configuration", "exact"):
-                with pytest.raises(ValueError, match="no graph realizes these parameters"):
-                    sample_rho_regular(rho, n, 1, mode=mode)
-    assert unrealizable >= 10
 
 
 def test_blown_up_coloring_monochromatic_single_interval():
@@ -338,11 +353,16 @@ def test_pair_coverage_exhaustive_partitions_matching():
     assert lowest == 1
 
 
-def test_configuration_bias_report_small():
-    # total-variation distance between the configuration-model sampler and
-    # the uniform distribution over all rho-regular graphs on 4 vertices
+def test_configuration_bias_report_small(monkeypatch):
+    # total-variation distance between each sampler and the uniform
+    # distribution over all rho-regular graphs on 4 vertices; limit 3 puts
+    # n = 4 on the configuration model, limit 4 on the rank path
     trials = 1200
-    for rho, seed, bound in [(Fraction(2), 7, Fraction(1, 10)), (Fraction(3, 2), 9, Fraction(1, 5))]:
+    for rho, seed, bound, limit in [(Fraction(2), 7, Fraction(1, 10), 3),
+                                    (Fraction(3, 2), 9, Fraction(1, 5), 3),
+                                    (Fraction(2), 7, Fraction(1, 10), 4),
+                                    (Fraction(3, 2), 9, Fraction(1, 5), 4)]:
+        monkeypatch.setattr(ramsey, "EXACT_COUNT_LIMIT", limit)
         support = listed_rho_regular(rho, 4)
         counts = Counter(sample_rho_regular(rho, 4, seed ^ k).edges for k in range(trials))
         assert set(counts) <= set(support)
@@ -420,7 +440,7 @@ def test_monte_carlo_determinism():
 
 
 # ---------------------------------------------------------------------------
-# the blow-up shape of `experiment montecarlo --config-n`
+# the blow-up shape `experiment montecarlo` takes without --t and --s
 # ---------------------------------------------------------------------------
 
 def test_matching_blowup_shape_golden():
