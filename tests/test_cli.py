@@ -752,7 +752,7 @@ def test_sample_regular_configuration_gives_up_on_complete_graphs():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     argv = [sys.executable, "-m", "orl.cli", "sample", "regular", "--rho", "10", "--n", "11",
             "--seed", "1"]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=20, env=env)
     assert proc.returncode == EXIT_INCONCLUSIVE, proc.stderr
     assert proc.stderr == "no simple pairing in 10000 configuration-model shuffles\n"
     assert proc.stdout == ""

@@ -165,7 +165,8 @@ def test_sample_rho_regular_configuration_valid_degrees(monkeypatch):
         for rho, n in rows:
             g = sample_rho_regular(rho, n, seed)
             d, surplus = math.floor(rho), math.ceil(rho * n) - math.floor(rho) * n
-            assert sorted(map(g.degree, range(1, n + 1))) == [d] * (n - surplus) + [d + 1] * surplus
+            expected = [d] * (n - surplus) + [d + 1] * surplus
+            assert sorted(map(g.degree, range(1, n + 1))) == expected, (rho, n, seed)
     monkeypatch.setattr(ramsey, "EXACT_COUNT_LIMIT", 3)
     for seed in range(30):
         g = sample_rho_regular(Fraction(2), 6, seed)
