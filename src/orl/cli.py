@@ -531,28 +531,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orl",
         description="ordered Ramsey constructions, searches, and certificates",
+        allow_abbrev=False,  # an option of another action must not pass as a prefix
     )
     parser.add_argument("--manifest", default=None, help="override the run-manifest path")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="build a named ordered graph")
+    p = sub.add_parser("construct", help="build a named ordered graph", allow_abbrev=False)
     p.set_defaults(func=cmd_construct)
     csub = p.add_subparsers(dest="kind", required=True)
     for kind, (names, _) in CONSTRUCTIONS.items():
-        q = csub.add_parser(kind)
+        q = csub.add_parser(kind, allow_abbrev=False)
         for name in names:
             q.add_argument(name, type=int)
-    q = csub.add_parser("tworeg")
+    q = csub.add_parser("tworeg", allow_abbrev=False)
     q.add_argument("lengths", nargs="+", type=int, help="cycle lengths")
     q.add_argument("--bipartite", action="store_true", help="even-cycle mode")
     for q in csub.choices.values():
         q.add_argument("-o", "--out", default=None)
 
-    p = sub.add_parser("embed", help="run a witness-extraction algorithm")
+    p = sub.add_parser("embed", help="run a witness-extraction algorithm", allow_abbrev=False)
     p.set_defaults(func=cmd_embed)
     asub = p.add_subparsers(dest="algo", required=True)
     for algo in ("altpath", "blowup", "tee"):
-        q = asub.add_parser(algo)
+        q = asub.add_parser(algo, allow_abbrev=False)
         q.add_argument("--host", required=True)
         q.add_argument("--n", type=_count, required=True)
         if algo != "altpath":
@@ -561,45 +562,46 @@ def build_parser() -> argparse.ArgumentParser:
         if algo == "tee":
             q.add_argument("--eps", default="1/8", help="rational like 1/8")
 
-    p = sub.add_parser("ramsey", help="exact ordered Ramsey computations")
+    p = sub.add_parser("ramsey", help="exact ordered Ramsey computations", allow_abbrev=False)
     rsub = p.add_subparsers(dest="action", required=True)
 
-    q = rsub.add_parser("exact")
+    q = rsub.add_parser("exact", allow_abbrev=False)
     q.add_argument("--pattern", required=True)
     q.add_argument("--nmax", type=int, default=None)
     q.add_argument("--emit-cert", default=None)
     q.set_defaults(func=cmd_ramsey_exact)
 
-    q = rsub.add_parser("minmax")
+    q = rsub.add_parser("minmax", allow_abbrev=False)
     q.add_argument("--graph", required=True)
     q.add_argument("--nmax", type=int, required=True)
     q.add_argument("--emit-cert", default=None)
     q.set_defaults(func=cmd_ramsey_minmax)
 
-    q = rsub.add_parser("count-regular")
+    q = rsub.add_parser("count-regular", allow_abbrev=False)
     q.add_argument("--rho", required=True, help="rational like 5/2")
     q.add_argument("--n", type=_count, required=True)
     q.set_defaults(func=cmd_ramsey_count_regular)
 
-    p = sub.add_parser("sample", help="seeded random models")
+    p = sub.add_parser("sample", help="seeded random models", allow_abbrev=False)
     p.set_defaults(func=cmd_sample)
-    seeded = argparse.ArgumentParser(add_help=False)
+    seeded = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     seeded.add_argument("--seed", type=int, required=True)
     seeded.add_argument("-o", "--out", default=None)
     ssub = p.add_subparsers(dest="what", required=True)
-    q = ssub.add_parser("matching", parents=[seeded])
+    q = ssub.add_parser("matching", parents=[seeded], allow_abbrev=False)
     q.add_argument("--n", type=_count, required=True)
-    q = ssub.add_parser("regular", parents=[seeded])
+    q = ssub.add_parser("regular", parents=[seeded], allow_abbrev=False)
     q.add_argument("--rho", required=True, help="rational like 5/2")
     q.add_argument("--n", type=_count, required=True)
-    q = ssub.add_parser("coloring", parents=[seeded])
+    q = ssub.add_parser("coloring", parents=[seeded], allow_abbrev=False)
     q.add_argument("--t", type=_count, required=True)
     q.add_argument("--s", type=_count, required=True)
 
-    p = sub.add_parser("experiment", help="seeded experiment drivers (JSON lines)")
+    p = sub.add_parser("experiment", help="seeded experiment drivers (JSON lines)",
+                       allow_abbrev=False)
     esub = p.add_subparsers(dest="what", required=True)
 
-    q = esub.add_parser("coverage")
+    q = esub.add_parser("coverage", allow_abbrev=False)
     source = q.add_mutually_exclusive_group()
     source.add_argument("--og", default=None)
     source.add_argument("--graph", default=None)
@@ -610,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--report", default=None)
     q.set_defaults(func=cmd_experiment_coverage)
 
-    q = esub.add_parser("montecarlo")
+    q = esub.add_parser("montecarlo", allow_abbrev=False)
     q.add_argument("--pattern", required=True)
     q.add_argument("--t", type=_count, default=None, help="with --s; default from the pattern")
     q.add_argument("--s", type=_count, default=None, help="with --t")
@@ -620,15 +622,15 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--report", default=None)
     q.set_defaults(func=cmd_experiment_montecarlo)
 
-    p = sub.add_parser("matrix", help="binary matrix pattern operations")
+    p = sub.add_parser("matrix", help="binary matrix pattern operations", allow_abbrev=False)
     msub = p.add_subparsers(dest="action", required=True)
 
-    q = msub.add_parser("contains")
+    q = msub.add_parser("contains", allow_abbrev=False)
     q.add_argument("--a", required=True)
     q.add_argument("--b", required=True)
     q.set_defaults(func=cmd_matrix_contains)
 
-    q = msub.add_parser("unavoid")
+    q = msub.add_parser("unavoid", allow_abbrev=False)
     q.add_argument("--n", type=_count, required=True)
     q.add_argument("--size", type=_count, required=True)
     q.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
@@ -638,19 +640,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     for action, source in (("complement", "--a"), ("from-matching", "--og"),
                            ("from-coloring", "--col")):
-        q = msub.add_parser(action)
+        q = msub.add_parser(action, allow_abbrev=False)
         q.add_argument(source, required=True)
         if action == "from-coloring":
             q.add_argument("--color", choices=[RED, BLUE], default=RED)
         q.add_argument("-o", "--out", default=None)
         q.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("verify", help="verify a certificate against a pattern")
+    p = sub.add_parser("verify", help="verify a certificate against a pattern", allow_abbrev=False)
     p.add_argument("--cert", required=True)
     p.add_argument("--pattern", required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("replay", help="re-run a manifest and compare outputs")
+    p = sub.add_parser("replay", help="re-run a manifest and compare outputs", allow_abbrev=False)
     p.add_argument("manifest")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_replay)

@@ -240,9 +240,16 @@ class IntervalPartition:
 # ---------------------------------------------------------------------------
 
 class Coloring:
-    """A total red/blue assignment on all pairs of the complete order on n positions."""
+    """A total red/blue assignment on all pairs of the complete order on n positions.
 
-    __slots__ = ("n", "colors", "red_adj", "blue_adj")
+    `red_adj[v]` is the bitmask of the red neighbours of v (bit 0 unused),
+    and is the representation.  `blue_adj[v]` is the mask of K_n minus
+    `red_adj[v]` and bit v.  `colors`, the color of each pair in
+    lexicographic pair order, is derived from `red_adj` the first time it is
+    read, as `OrderedGraph.edges` is from `adj`.
+    """
+
+    __slots__ = ("n", "red_adj", "blue_adj", "_colors")
 
     def __init__(self, n: int, colors: Sequence[str]):
         if len(colors) != pair_count(n):
@@ -251,26 +258,44 @@ class Coloring:
             )
         if any(c not in COLORS for c in colors):
             raise ValueError("colors must be 'R' or 'B'")
-        self.n = n
-        self.colors = tuple(colors)
         red = [0] * (n + 1)
-        blue = [0] * (n + 1)
-        for (i, j), c in zip(pair_iter(n), self.colors):
+        for (i, j), c in zip(pair_iter(n), colors):
             if c == RED:
                 red[i] |= 1 << j
                 red[j] |= 1 << i
-            else:
-                blue[i] |= 1 << j
-                blue[j] |= 1 << i
+        self._set(n, red)
+        self._colors = tuple(colors)
+
+    @classmethod
+    def _from_red_adj(cls, n: int, red: Sequence[int]) -> "Coloring":
+        """The coloring whose red neighbour masks are `red` (n + 1 of them),
+        which the caller guarantees are symmetric, loop-free and within 1..n."""
+        col = cls.__new__(cls)
+        col._set(n, red)
+        col._colors = None
+        return col
+
+    def _set(self, n: int, red: Sequence[int]) -> None:
+        full = (1 << (n + 1)) - 2  # K_n's positions 1..n
+        self.n = n
         self.red_adj = tuple(red)
-        self.blue_adj = tuple(blue)
+        self.blue_adj = (0, *[full ^ (red[v] | 1 << v) for v in range(1, n + 1)])
+
+    @property
+    def colors(self) -> tuple[str, ...]:
+        if self._colors is None:
+            rows = []
+            for i in range(1, self.n):  # pairs (i, i + 1), ..., (i, n), low bit first
+                rows.append(format(self.red_adj[i] >> (i + 1), "b").zfill(self.n - i)[::-1])
+            self._colors = tuple("".join(rows).translate(_PAIR_COLORS))
+        return self._colors
 
     def color(self, i: int, j: int) -> str:
         if i > j:
             i, j = j, i
         if not (1 <= i < j <= self.n):
             raise ValueError(f"pair ({i},{j}) out of range for K_{self.n}")
-        return self.colors[pair_index(i, j, self.n)]
+        return RED if (self.red_adj[i] >> j) & 1 else BLUE
 
     def monochromatic_adj(self, color: str) -> tuple[int, ...]:
         if color == RED:
@@ -290,14 +315,17 @@ class Coloring:
         return (
             isinstance(other, Coloring)
             and self.n == other.n
-            and self.colors == other.colors
+            and self.red_adj == other.red_adj
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.colors))
+        return hash((self.n, self.red_adj))
 
     def __repr__(self) -> str:
         return f"Coloring(n={self.n})"
+
+
+_PAIR_COLORS = str.maketrans("10", RED + BLUE)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +557,21 @@ def search_embedding(
     q >= p depends only on the images of q's placed earlier neighbors, and
     all of those are in p's frontier.  The rest of the search reads nothing
     else, so the cache never changes the answer.
+
+    Twin vertices are tried once per position.  Host vertices u and v are
+    twins when N(u) \\ {v} = N(v) \\ {u}: they have the same open mask
+    `host_adj[v]` (and are not adjacent) or the same closed mask
+    `host_adj[v] | 1 << v` (and are adjacent).  This is an equivalence, and
+    one pass over the host, grouping the vertices by both masks, gives its
+    classes.  In each color of a blown-up coloring, the positions of one
+    interval are twins.  When p takes candidate v, v's twins leave p's
+    remaining candidates.  That is sound: if an embedding extending the
+    current images puts p at a twin v' > v, moving p to v keeps the images
+    strictly increasing (v is above the previous image and every later image
+    is above v'), and keeps every edge (no other image is v or v', so an
+    image adjacent to v' is adjacent to v).  So v' fails whenever v does;
+    the result stays the leftmost embedding, and a failed key still means
+    no embedding.
     """
     n = pattern_n
     if n > host_n:
@@ -548,6 +591,15 @@ def search_embedding(
         masked.discard(p)
         masked.update(later[p])
         ahead[p] = (*sorted(masked), n + 1)
+
+    masks = [host_adj[v] for v in range(host_n + 1)]
+    classes: dict[int, int] = {}  # open or closed mask -> the vertices with it
+    for v in range(1, host_n + 1):
+        for key in (masks[v], masks[v] | 1 << v):
+            classes[key] = classes.get(key, 0) | 1 << v
+    spare = [0]  # spare[v]: all but v and its twins, to AND into candidates
+    for v in range(1, host_n + 1):
+        spare.append(~(classes[masks[v]] | classes[masks[v] | 1 << v]))
 
     top = host_n - n  # position p's images end at top + p
     img = [0] * (n + 1)  # img[0] stands for the host's left end
@@ -573,9 +625,8 @@ def search_embedding(
                 if p == 0:
                     return None
                 cand = left[p]
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
+            v = (cand & -cand).bit_length() - 1
+            cand &= spare[v]
             adj = host_adj[v]
             for q, m in zip(later[p], saved[p]):
                 mask[q] = m & adj

@@ -14,7 +14,7 @@ from itertools import permutations
 from typing import Iterable, Optional
 
 from orl import ramsey
-from orl.core import BLUE, Coloring, OrderedGraph, RED
+from orl.core import Coloring, OrderedGraph
 from orl.ramsey import avoids, rho_regular_degree_data
 from orl.rng import Xoshiro256StarStar, stream_for_trial
 
@@ -86,21 +86,31 @@ def blown_up_random_coloring(t: int, s: int, seed: int) -> Coloring:
     """Color each pair a <= b of t interval indices uniformly, loops (a, a)
     included, then expand to the complete order on s*t positions: an edge
     inherits the color of its interval-index pair, loops covering the
-    within-interval pairs."""
+    within-interval pairs.
+
+    The pairs take bits 0, 1, ... of one `next_bits` draw in lexicographic
+    order (a contractual order), the draws `next_bit` would give one pair at
+    a time; 1 is red.
+    The coloring is built from its red masks: interval a's mask is the
+    union of the intervals b with (a, b) red, and each position's mask is
+    its interval's mask without its own bit.  The cost follows the t x t
+    index pairs and the s*t positions, not the pairs of K_{st}.
+    """
     if t < 1 or s < 1:
         raise ValueError("t and s must be positive")
-    gen = Xoshiro256StarStar(seed)
-    # lexicographic draw order is contractual
-    pair_color = {
-        (a, b): RED if gen.next_bit() else BLUE
-        for a in range(1, t + 1)
-        for b in range(a, t + 1)
-    }
-
-    def color(i: int, j: int) -> str:
-        return pair_color[((i - 1) // s + 1, (j - 1) // s + 1)]
-
-    return Coloring.from_function(s * t, color)
+    bits = Xoshiro256StarStar(seed).next_bits(t * (t + 1) // 2)
+    block = [((1 << s) - 1) << (a * s + 1) for a in range(t)]  # interval a's positions
+    red = [0] * t
+    for a in range(t):
+        for b in range(a, t):
+            if bits & 1:
+                red[a] |= block[b]
+                red[b] |= block[a]
+            bits >>= 1
+    adj = [0]
+    for a in range(t):
+        adj.extend(red[a] & ~(1 << v) for v in range(a * s + 1, a * s + s + 1))
+    return Coloring._from_red_adj(s * t, adj)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from orl.core import (
     pair_iter,
 )
 from orl.patterns import BinaryMatrix, CompiledMatrixPattern, UnavoidabilityReport
+from orl.rng import Xoshiro256StarStar
 
 
 def brute_contains(host: OrderedGraph, pattern: OrderedGraph):
@@ -211,6 +212,20 @@ def all_colorings(n: int):
         yield Coloring(
             n, [RED if (bits >> t) & 1 else BLUE for t in range(len(pairs))]
         )
+
+
+def per_pair_blown_up_coloring(t: int, s: int, seed: int) -> Coloring:
+    """The blown-up coloring drawn one `next_bit` per interval-index pair
+    a <= b in lexicographic order (1 is red), then colored pair by pair."""
+    gen = Xoshiro256StarStar(seed)
+    pair_color = {
+        (a, b): RED if gen.next_bit() else BLUE
+        for a in range(1, t + 1)
+        for b in range(a, t + 1)
+    }
+    return Coloring.from_function(
+        s * t, lambda i, j: pair_color[((i - 1) // s + 1, (j - 1) // s + 1)]
+    )
 
 
 def brute_monochromatic_exists(col: Coloring, pattern: OrderedGraph, color: str) -> bool:

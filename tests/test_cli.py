@@ -1,5 +1,6 @@
 """Command-line surface: round trips, exit codes, manifests, replay."""
 
+import argparse
 import json
 import os
 import random
@@ -718,6 +719,10 @@ def test_missing_option_is_a_usage_error(capsys, argv, flag):
         (["ramsey", "count-regular", "--rho", "2", "--n", "-4"], "argument --n: must"),
         (["experiment", "montecarlo", "--pattern", "{d}/k3.og", "--s", "2", "--seed", "1"],
          "error: --t and --s must be given together"),
+        (["experiment", "coverage", "--og", "{d}/k3.og", "--parts", "2", "--max-size", "2",
+          "--seed", "1", "--t", "2"], "unrecognized arguments: --t 2"),
+        (["matrix", "unavoid", "--n", "2", "--size", "3", "--mode", "sample", "--tr", "2",
+          "--se", "3"], "unrecognized arguments: --tr 2 --se 3"),
     ],
 )
 def test_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv, flag):
@@ -781,6 +786,19 @@ def test_option_of_another_action_is_a_usage_error(tmp_path, capsys, argv, flag)
     (tmp_path / "m.adj").write_text("adj 4 2\ne 1 4\ne 2 3\n")
     code, _, err = run(capsys, *(arg.format(d=tmp_path) for arg in argv))
     assert code == EXIT_USAGE and flag in err
+
+
+def test_no_parser_takes_a_prefix_of_an_option():
+    # with prefix matching, --t (montecarlo) would pass as coverage's --trials
+    parsers, count = [cli.build_parser()], 0
+    while parsers:
+        parser = parsers.pop()
+        assert parser.allow_abbrev is False, parser.prog
+        count += 1
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert count > 27  # the root, the action groups and the 27 actions
 
 
 def test_manifest_records_no_seed_for_an_unseeded_action(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import random
 import re
+import sys
+from collections.abc import Sequence
 
 import pytest
 
@@ -182,6 +184,27 @@ def test_coloring_total_invariant():
     assert col.monochromatic_subgraph(RED).edges == frozenset({(1, 2), (2, 3)})
 
 
+def test_colorings_agree_however_they_were_built():
+    # Coloring(n, colors) builds the red masks pair by pair, _from_red_adj
+    # takes them as they are and derives the colors when they are read
+    gen = random.Random(20261020)
+    for _ in range(200):
+        n = gen.randint(0, 12)
+        colors = [RED if gen.random() < 0.5 else BLUE for _ in pair_iter(n)]
+        red = [0] * (n + 1)
+        for (i, j), c in zip(pair_iter(n), colors):
+            if c == RED:
+                red[i] |= 1 << j
+                red[j] |= 1 << i
+        given, masked = Coloring(n, colors), Coloring._from_red_adj(n, red)
+        assert given == masked and masked == given
+        assert hash(given) == hash(masked) and len({given, masked}) == 1
+        assert masked.colors == given.colors == tuple(colors)
+        assert masked.red_adj == given.red_adj and masked.blue_adj == given.blue_adj
+        assert all(masked.color(i, j) == given.color(j, i) for i, j in pair_iter(n))
+        assert serialize_coloring(masked) == serialize_coloring(given)
+
+
 def test_graphs_agree_however_they_were_built():
     # parsed and monochromatic graphs are built from bitmasks, OrderedGraph
     # from edges; equality, hashing and the derived views must not tell
@@ -310,6 +333,89 @@ def test_search_embedding_on_matchings_in_blown_up_colorings(k):
                 host = coloring.monochromatic_subgraph(color)
                 got = search_embedding(pattern.n, pattern.edges, host.n, host.adj)
                 assert got == brute_contains(host, pattern), (pattern.edges, t, s, color)
+
+
+def _blown_up_host(gen, n: int) -> tuple[int, ...]:
+    """Adjacency masks on 1..n cut into random intervals, with each pair of
+    intervals (an interval with itself included) joined completely or not."""
+    cuts = sorted(gen.sample(range(1, n), gen.randint(0, n - 1)))
+    interval = [0] * (n + 1)
+    for v in range(1, n + 1):
+        interval[v] = sum(c < v for c in cuts)
+    t = len(cuts) + 1
+    joined = {(a, b) for a in range(t) for b in range(a, t) if gen.random() < 0.5}
+    adj = [0] * (n + 1)
+    for i, j in pair_iter(n):
+        if (interval[i], interval[j]) in joined:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def test_search_embedding_agrees_with_brute_force_on_twin_rich_hosts():
+    # twin pruning skips candidates; on 20,000 seeded cases, half of them on
+    # blown-up hosts where most vertices have twins, the result is still
+    # the lexicographically first image, or None exactly when there is none
+    gen = random.Random(20261020)
+    for case in range(20_000):
+        host_n = gen.randint(1, 14)
+        if case % 2:
+            adj = _blown_up_host(gen, host_n)
+        else:
+            adj = _random_graph(gen, host_n, gen.random()).adj
+        pattern = _random_graph(gen, gen.randint(1, min(7, host_n)), gen.random())
+        got = search_embedding(pattern.n, pattern.edges, host_n, adj)
+        assert got == brute_contains(OrderedGraph._from_adj(host_n, adj), pattern), (
+            case, pattern.edges, adj)
+
+
+class _ReadLog(Sequence):
+    """Host masks that log each read with the position the search is
+    placing, read from the search's local `p`."""
+
+    def __init__(self, adj):
+        self.adj = adj
+        self.reads = []
+
+    def __len__(self):
+        return len(self.adj)
+
+    def __getitem__(self, v):
+        self.reads.append((sys._getframe(1).f_locals.get("p"), v))
+        return self.adj[v]
+
+
+def test_search_embedding_reads_one_candidate_per_twin_class_per_visit():
+    # after one read of every mask to group the twins, the search reads
+    # host_adj[v] once per candidate v it takes.  A visit to position p ends
+    # when the search backs up past p, and the next read is then at a
+    # position before p; so a visit's reads are the reads at p with no read
+    # at an earlier position between them, and no two may be twins
+    gen = random.Random(20261021)
+    for _ in range(300):
+        t, s = gen.randint(2, 6), gen.randint(2, 4)
+        host = blown_up_random_coloring(t, s, gen.randrange(1 << 32)).monochromatic_subgraph(
+            gen.choice((RED, BLUE)))
+        if gen.random() < 0.5:
+            pattern = sample_permutation_matching(gen.randint(1, host.n // 2), gen.randrange(99))
+        else:
+            pattern = _random_graph(gen, gen.randint(1, min(8, host.n)), gen.random())
+        twin_class = [
+            frozenset(u for u in range(1, host.n + 1)
+                      if host.adj[u] & ~(1 << v) == host.adj[v] & ~(1 << u))
+            for v in range(host.n + 1)
+        ]
+        log = _ReadLog(host.adj)
+        got = search_embedding(pattern.n, pattern.edges, host.n, log)
+        assert got == search_embedding(pattern.n, pattern.edges, host.n, host.adj)
+        assert [v for _, v in log.reads[:host.n + 1]] == list(range(host.n + 1))
+        visits: dict[int, set] = {}  # position -> twin classes read in its visit
+        for p, v in log.reads[host.n + 1:]:
+            for q in [q for q in visits if q > p]:
+                del visits[q]
+            seen = visits.setdefault(p, set())
+            assert twin_class[v] not in seen, (pattern.edges, host.edges, p, v)
+            seen.add(twin_class[v])
 
 
 def test_search_embedding_rejects_a_crossing_matching_in_a_band_at_once():

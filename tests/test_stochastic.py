@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 import pytest
 
-from conftest import listed_rho_regular
+from conftest import listed_rho_regular, per_pair_blown_up_coloring
 from orl.constructions import nested_matching, quadratic_lb_instance
 from orl import embedder, ramsey
 from orl.core import (
@@ -251,6 +251,18 @@ def test_blown_up_coloring_golden_draw_order():
     # t = 3 draws its 6 index pairs (1,1) (1,2) (1,3) (2,2) (2,3) (3,3) in
     # lexicographic order, loops included; s = 2 expands them to K_6
     assert "".join(blown_up_random_coloring(3, 2, 4).colors) == "RBBBBBBBBBRRRRB"
+
+
+def test_blown_up_coloring_is_the_per_pair_draw():
+    # one next_bits draw and interval masks give what a next_bit per index
+    # pair and a color per pair of K_{st} gave
+    for t in range(1, 9):
+        for s in range(1, 5):
+            for seed in range(30):
+                col = blown_up_random_coloring(t, s, seed)
+                oracle = per_pair_blown_up_coloring(t, s, seed)
+                assert col.colors == oracle.colors, (t, s, seed)
+                assert col.red_adj == oracle.red_adj and col.blue_adj == oracle.blue_adj
 
 
 def test_blown_up_coloring_determinism():
