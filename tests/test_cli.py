@@ -1,6 +1,7 @@
 """Command-line surface: round trips, exit codes, manifests, replay."""
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -303,6 +304,39 @@ def test_embed_large_host_golden(tmp_path, capsys, host, argv, expected):
     path.write_text(texts[host])
     code, out, _ = run(capsys, "embed", argv[0], "--host", str(path), *argv[1:])
     assert (code, out) == (EXIT_OK, expected + "\n")
+
+
+# sha256 over the exit code and stdout of the 400 commands of
+# test_embed_pipelines_golden_digest, in order
+EMBED_PIPELINES_DIGEST = "bae8f6f7efec394c927b7f340ff9723b051f212313efa338f6fc6e2c7e575430"
+
+
+def test_embed_pipelines_golden_digest(tmp_path, capsys):
+    # one `embed blowup` and one `embed tee` on each of 200 seeded hosts, in
+    # two or more equal intervals
+    gen = random.Random(25)
+    path = tmp_path / "h.og"
+    digest = hashlib.sha256()
+    reached = set()
+    for _ in range(200):
+        big_n = gen.choice((12, 18, 24, 36, 40))
+        density = gen.uniform(0.3, 0.9)
+        size = gen.choice([s for s in range(1, big_n // 2 + 1) if big_n % s == 0])
+        path.write_text(random_og_text(gen, big_n, density))
+        parts = ",".join([str(size)] * (big_n // size))
+        n, k = str(gen.randint(2, 4)), str(gen.randint(1, 3))
+        eps = gen.choice(("1/8", "1/4", "1/2", "3/4", "1"))
+        for argv in (("blowup",), ("tee", "--eps", eps)):
+            code, out, _ = run(capsys, "embed", argv[0], "--host", str(path), "--parts", parts,
+                               "--n", n, "--k", k, *argv[1:])
+            digest.update(f"{code}\n{out}".encode())
+            reached.add((argv[0], out.split()[1] if out.startswith("NONE") else None))
+    assert reached == {
+        ("blowup", None), ("blowup", "alternating-path"), ("blowup", "bipartite-cliques"),
+        ("tee", None), ("tee", "interval-links"), ("tee", "long-right-legs"),
+        ("tee", "second-matching"), ("tee", "supported-left-legs"),
+    }
+    assert digest.hexdigest() == EMBED_PIPELINES_DIGEST
 
 
 # ---------------------------------------------------------------------------
