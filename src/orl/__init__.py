@@ -5,7 +5,6 @@ from orl.core import (
     Coloring,
     Embedding,
     FormatError,
-    IntervalPartition,
     OrderedGraph,
     RED,
     complete_graph,

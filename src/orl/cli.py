@@ -34,7 +34,6 @@ import orl
 from orl import constructions, embedder, patterns, ramsey, stochastic
 from orl.core import (
     BLUE,
-    IntervalPartition,
     OrderedGraph,
     RED,
     parse_coloring,
@@ -131,12 +130,18 @@ def _parse_fraction(option: str, text: str, at_most: Optional[int] = None) -> Fr
     return value
 
 
-def _parse_parts(text: str, n: int) -> IntervalPartition:
-    """The `--parts` interval sizes; a ValueError names the option."""
+def _parse_parts(text: str, n: int) -> int:
+    """The common size of the `--parts` intervals, which must be equal,
+    positive and sum to n; a ValueError names the option."""
     try:
-        return IntervalPartition(n, tuple(int(tok) for tok in text.split(",")))
+        sizes = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"--parts {text}: {exc}") from None
+    if len(set(sizes)) != 1 or sizes[0] < 1:
+        raise ValueError(f"--parts {text}: interval sizes must be equal and positive")
+    if sum(sizes) != n:
+        raise ValueError(f"--parts {text}: interval sizes must sum to the host size {n}")
+    return sizes[0]
 
 
 def _count(text: str) -> int:
@@ -223,12 +228,12 @@ def cmd_embed(args, ctx: RunContext) -> int:
         emb = embedder.find_alternating_path(host, args.n)
         stage = None if emb else "no-surviving-edge"
     else:
-        parts = _parse_parts(args.parts, host.n)
+        d = _parse_parts(args.parts, host.n)
         if args.algo == "blowup":
-            result = embedder.blowup_pipeline(host, parts, args.n, args.k)
+            result = embedder.blowup_pipeline(host, d, args.n, args.k)
         else:
             eps = _parse_fraction("--eps", args.eps, at_most=1)
-            result = embedder.tee_pipeline(host, parts, args.n, args.k, eps)
+            result = embedder.tee_pipeline(host, d, args.n, args.k, eps)
         emb, stage = result.embedding, result.failed_stage
     if emb is None:
         print(f"NONE {stage}")
@@ -525,83 +530,89 @@ def cmd_replay(args, ctx: RunContext) -> int:
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes no prefix of an option for the option, so
+    that an option of another action never passes as one of this action's.
+    `add_subparsers` builds nested parsers with the class of their parent."""
+
+    def __init__(self, *args, allow_abbrev: bool = False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The `orl` parser: one subparser per action, declaring only the
     options that action reads."""
-    parser = argparse.ArgumentParser(
-        prog="orl",
-        description="ordered Ramsey constructions, searches, and certificates",
-        allow_abbrev=False,  # an option of another action must not pass as a prefix
+    parser = _Parser(
+        prog="orl", description="ordered Ramsey constructions, searches, and certificates"
     )
     parser.add_argument("--manifest", default=None, help="override the run-manifest path")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="build a named ordered graph", allow_abbrev=False)
+    p = sub.add_parser("construct", help="build a named ordered graph")
     p.set_defaults(func=cmd_construct)
     csub = p.add_subparsers(dest="kind", required=True)
     for kind, (names, _) in CONSTRUCTIONS.items():
-        q = csub.add_parser(kind, allow_abbrev=False)
+        q = csub.add_parser(kind)
         for name in names:
             q.add_argument(name, type=int)
-    q = csub.add_parser("tworeg", allow_abbrev=False)
+    q = csub.add_parser("tworeg")
     q.add_argument("lengths", nargs="+", type=int, help="cycle lengths")
     q.add_argument("--bipartite", action="store_true", help="even-cycle mode")
     for q in csub.choices.values():
         q.add_argument("-o", "--out", default=None)
 
-    p = sub.add_parser("embed", help="run a witness-extraction algorithm", allow_abbrev=False)
+    p = sub.add_parser("embed", help="run a witness-extraction algorithm")
     p.set_defaults(func=cmd_embed)
     asub = p.add_subparsers(dest="algo", required=True)
     for algo in ("altpath", "blowup", "tee"):
-        q = asub.add_parser(algo, allow_abbrev=False)
+        q = asub.add_parser(algo)
         q.add_argument("--host", required=True)
         q.add_argument("--n", type=_count, required=True)
         if algo != "altpath":
-            q.add_argument("--parts", required=True, help="comma-separated interval sizes")
+            q.add_argument("--parts", required=True, help="comma-separated equal interval sizes")
             q.add_argument("--k", type=_count, default=1)
         if algo == "tee":
             q.add_argument("--eps", default="1/8", help="rational like 1/8")
 
-    p = sub.add_parser("ramsey", help="exact ordered Ramsey computations", allow_abbrev=False)
+    p = sub.add_parser("ramsey", help="exact ordered Ramsey computations")
     rsub = p.add_subparsers(dest="action", required=True)
 
-    q = rsub.add_parser("exact", allow_abbrev=False)
+    q = rsub.add_parser("exact")
     q.add_argument("--pattern", required=True)
     q.add_argument("--nmax", type=int, default=None)
     q.add_argument("--emit-cert", default=None)
     q.set_defaults(func=cmd_ramsey_exact)
 
-    q = rsub.add_parser("minmax", allow_abbrev=False)
+    q = rsub.add_parser("minmax")
     q.add_argument("--graph", required=True)
     q.add_argument("--nmax", type=int, required=True)
     q.add_argument("--emit-cert", default=None)
     q.set_defaults(func=cmd_ramsey_minmax)
 
-    q = rsub.add_parser("count-regular", allow_abbrev=False)
+    q = rsub.add_parser("count-regular")
     q.add_argument("--rho", required=True, help="rational like 5/2")
     q.add_argument("--n", type=_count, required=True)
     q.set_defaults(func=cmd_ramsey_count_regular)
 
-    p = sub.add_parser("sample", help="seeded random models", allow_abbrev=False)
+    p = sub.add_parser("sample", help="seeded random models")
     p.set_defaults(func=cmd_sample)
-    seeded = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    seeded = _Parser(add_help=False)
     seeded.add_argument("--seed", type=int, required=True)
     seeded.add_argument("-o", "--out", default=None)
     ssub = p.add_subparsers(dest="what", required=True)
-    q = ssub.add_parser("matching", parents=[seeded], allow_abbrev=False)
+    q = ssub.add_parser("matching", parents=[seeded])
     q.add_argument("--n", type=_count, required=True)
-    q = ssub.add_parser("regular", parents=[seeded], allow_abbrev=False)
+    q = ssub.add_parser("regular", parents=[seeded])
     q.add_argument("--rho", required=True, help="rational like 5/2")
     q.add_argument("--n", type=_count, required=True)
-    q = ssub.add_parser("coloring", parents=[seeded], allow_abbrev=False)
+    q = ssub.add_parser("coloring", parents=[seeded])
     q.add_argument("--t", type=_count, required=True)
     q.add_argument("--s", type=_count, required=True)
 
-    p = sub.add_parser("experiment", help="seeded experiment drivers (JSON lines)",
-                       allow_abbrev=False)
+    p = sub.add_parser("experiment", help="seeded experiment drivers (JSON lines)")
     esub = p.add_subparsers(dest="what", required=True)
 
-    q = esub.add_parser("coverage", allow_abbrev=False)
+    q = esub.add_parser("coverage")
     source = q.add_mutually_exclusive_group()
     source.add_argument("--og", default=None)
     source.add_argument("--graph", default=None)
@@ -612,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--report", default=None)
     q.set_defaults(func=cmd_experiment_coverage)
 
-    q = esub.add_parser("montecarlo", allow_abbrev=False)
+    q = esub.add_parser("montecarlo")
     q.add_argument("--pattern", required=True)
     q.add_argument("--t", type=_count, default=None, help="with --s; default from the pattern")
     q.add_argument("--s", type=_count, default=None, help="with --t")
@@ -622,15 +633,15 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--report", default=None)
     q.set_defaults(func=cmd_experiment_montecarlo)
 
-    p = sub.add_parser("matrix", help="binary matrix pattern operations", allow_abbrev=False)
+    p = sub.add_parser("matrix", help="binary matrix pattern operations")
     msub = p.add_subparsers(dest="action", required=True)
 
-    q = msub.add_parser("contains", allow_abbrev=False)
+    q = msub.add_parser("contains")
     q.add_argument("--a", required=True)
     q.add_argument("--b", required=True)
     q.set_defaults(func=cmd_matrix_contains)
 
-    q = msub.add_parser("unavoid", allow_abbrev=False)
+    q = msub.add_parser("unavoid")
     q.add_argument("--n", type=_count, required=True)
     q.add_argument("--size", type=_count, required=True)
     q.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
@@ -640,19 +651,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     for action, source in (("complement", "--a"), ("from-matching", "--og"),
                            ("from-coloring", "--col")):
-        q = msub.add_parser(action, allow_abbrev=False)
+        q = msub.add_parser(action)
         q.add_argument(source, required=True)
         if action == "from-coloring":
             q.add_argument("--color", choices=[RED, BLUE], default=RED)
         q.add_argument("-o", "--out", default=None)
         q.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("verify", help="verify a certificate against a pattern", allow_abbrev=False)
+    p = sub.add_parser("verify", help="verify a certificate against a pattern")
     p.add_argument("--cert", required=True)
     p.add_argument("--pattern", required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("replay", help="re-run a manifest and compare outputs", allow_abbrev=False)
+    p = sub.add_parser("replay", help="re-run a manifest and compare outputs")
     p.add_argument("manifest")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_replay)

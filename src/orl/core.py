@@ -189,52 +189,6 @@ def embedding_maps_edges(pattern: OrderedGraph, host: OrderedGraph, emb: Embeddi
     return all(host.has_edge(emb(a), emb(b)) for a, b in pattern.edges)
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
-    """An order-obeying sequence of consecutive disjoint intervals covering 1..n."""
-
-    n: int
-    sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        if any(s < 0 for s in self.sizes):
-            raise ValueError("interval sizes must be non-negative")
-        if sum(self.sizes) != self.n:
-            raise ValueError("interval sizes must sum to the ground-set size")
-
-    @property
-    def count(self) -> int:
-        return len(self.sizes)
-
-    def bounds(self) -> list[tuple[int, int]]:
-        """Inclusive (start, end) per interval; an empty interval has end < start."""
-        out = []
-        start = 1
-        for s in self.sizes:
-            out.append((start, start + s - 1))
-            start += s
-        return out
-
-    def members(self, k: int) -> range:
-        """Positions of interval k (1-based interval index)."""
-        start, end = self.bounds()[k - 1]
-        return range(start, end + 1)
-
-    def interval_of(self, pos: int) -> int:
-        """1-based index of the interval containing position `pos`."""
-        if not 1 <= pos <= self.n:
-            raise ValueError(f"position {pos} out of range 1..{self.n}")
-        for k, (start, end) in enumerate(self.bounds(), start=1):
-            if start <= pos <= end:
-                return k
-        raise AssertionError("uncovered position in a covering partition")
-
-    @classmethod
-    def equal(cls, count: int, size: int) -> "IntervalPartition":
-        return cls(count * size, (size,) * count)
-
-
 # ---------------------------------------------------------------------------
 # colorings
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ Each find_* operation and pipeline runs the constructive procedure behind
 the corresponding density statement and re-verifies any witness before
 returning it; None always means the procedure (not just luck) failed, and
 a pipeline's `failed_stage` says which stage gave out.
+
+The blow-up and tee pipelines split a host on N vertices into t = N/d
+intervals of one size d: interval l holds positions (l-1)d+1..ld.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from orl.constructions import (
 from orl.core import (
     Coloring,
     Embedding,
-    IntervalPartition,
     OrderedGraph,
     embedding_maps_edges,
     search_embedding,
@@ -176,39 +178,35 @@ def _find_kkk_between(
     return None
 
 
-def _check_pipeline_args(host: OrderedGraph, parts: IntervalPartition, n: int, k: int) -> int:
-    """The common interval size, after the argument checks both pipelines share."""
+def _check_pipeline_args(host: OrderedGraph, d: int, n: int, k: int) -> int:
+    """The interval count host.n // d, after the argument checks both
+    pipelines share."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    if parts.n != host.n:
-        raise ValueError("partition must cover the host")
-    sizes = set(parts.sizes)
-    if len(sizes) != 1:
-        raise ValueError("intervals must all have the same size")
-    return sizes.pop()
+    if d < 1 or host.n % d:
+        raise ValueError(
+            f"the interval size {d} must be positive and divide the host size {host.n}"
+        )
+    return host.n // d
 
 
-def blowup_pipeline(
-    host: OrderedGraph, parts: IntervalPartition, n: int, k: int
-) -> PipelineResult:
-    """Harvest one k-by-k copy per interval pair, keep the largest same-type
-    class, find an alternating path on the class graph, and expand it."""
-    d = _check_pipeline_args(host, parts, n, k)
+def blowup_pipeline(host: OrderedGraph, d: int, n: int, k: int) -> PipelineResult:
+    """Harvest one k-by-k copy per pair of the host's intervals of size d,
+    keep the largest same-type class, find an alternating path on the class
+    graph, and expand it."""
+    t = _check_pipeline_args(host, d, n, k)
     if k > d:
         return PipelineResult(None, "bipartite-cliques")
-    bounds = parts.bounds()
-    t = parts.count
 
     classes: dict[tuple, list[tuple[int, int]]] = {}
     for i in range(1, t + 1):
         for j in range(i + 1, t + 1):
-            li = range(bounds[i - 1][0], bounds[i - 1][1] + 1)
-            rj = range(bounds[j - 1][0], bounds[j - 1][1] + 1)
-            rep = _find_kkk_between(host, li, rj, k)
+            left, right = (i - 1) * d + 1, (j - 1) * d + 1  # the intervals' first positions
+            rep = _find_kkk_between(host, range(left, left + d), range(right, right + d), k)
             if rep is None:
                 continue
-            ltype = tuple(v - bounds[i - 1][0] for v in rep[0])
-            rtype = tuple(v - bounds[j - 1][0] for v in rep[1])
+            ltype = tuple(v - left for v in rep[0])
+            rtype = tuple(v - right for v in rep[1])
             classes.setdefault((ltype, rtype), []).append((i, j))
     if not classes:
         return PipelineResult(None, "bipartite-cliques")
@@ -223,26 +221,24 @@ def blowup_pipeline(
     split = (n + 1) // 2
     image: list[int] = []
     for block_pos in range(1, n + 1):
-        interval = path(block_pos)
-        start = bounds[interval - 1][0]
+        start = (path(block_pos) - 1) * d + 1
         offsets = best_type[0] if block_pos <= split else best_type[1]
         image.extend(start + off for off in offsets)
     emb = Embedding(n * k, tuple(image))
     pattern = blowup_path(n, k)
     if not embedding_maps_edges(pattern.graph, host, emb):
         raise WitnessError("expanded blow-up witness is invalid")
-    if not is_block_respecting(emb, pattern.blocks, parts):
-        raise WitnessError("expanded blow-up witness does not respect the partition")
+    if not is_block_respecting(emb, pattern.blocks, d):
+        raise WitnessError("expanded blow-up witness does not respect the intervals")
     return PipelineResult(emb, None)
 
 
-def is_block_respecting(
-    emb: Embedding, blocks: tuple[tuple[int, ...], ...], parts: IntervalPartition
-) -> bool:
-    """Each block's image inside one interval; distinct blocks, distinct intervals."""
+def is_block_respecting(emb: Embedding, blocks: tuple[tuple[int, ...], ...], d: int) -> bool:
+    """Each block's image inside one interval of size d; distinct blocks,
+    distinct intervals."""
     used = set()
     for block in blocks:
-        intervals = {parts.interval_of(emb(p)) for p in block}
+        intervals = {(emb(p) - 1) // d for p in block}
         if len(intervals) != 1:
             return False
         interval = intervals.pop()
@@ -297,14 +293,9 @@ def _tee_split(host: OrderedGraph, epsilon: Fraction) -> str | tuple[int, list[t
     return (j, legs) if legs else "supported-left-legs"
 
 
-def tee_pipeline(
-    host: OrderedGraph,
-    parts: IntervalPartition,
-    n: int,
-    k: int,
-    epsilon: Fraction,
-) -> PipelineResult:
-    """Stage-by-stage extraction of the tee gadget from a triangle-rich host.
+def tee_pipeline(host: OrderedGraph, d: int, n: int, k: int, epsilon: Fraction) -> PipelineResult:
+    """Stage-by-stage extraction of the tee gadget from a triangle-rich host
+    in intervals of size d.
 
     Stages: (a) check for a triangle, (b) count, for every split index j,
     the triangles u < v <= j < w with a right leg w - v of at least eps*N/2,
@@ -316,7 +307,7 @@ def tee_pipeline(
     assemble the witness.  Stages (a)-(d) take bit counts of common-neighbour
     masks and list no triangle.
     """
-    _check_pipeline_args(host, parts, n, k)
+    t = _check_pipeline_args(host, d, n, k)
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     split = _tee_split(host, epsilon)
@@ -328,17 +319,15 @@ def tee_pipeline(
     # never empty, since legs is not
     pairs = largest_nested_matching(legs)  # (a_i, b_i), a's ascending, b's descending
 
-    # (f) link each pair to intervals beyond j holding >= k common apexes
+    # (f) link each pair to intervals holding >= k common apexes beyond j;
+    # interval l ends beyond j when l > j // d
     partner = {b: a for a, b in pairs}
-    bounds = parts.bounds()
-    marked_intervals = [l for l, (_, end) in enumerate(bounds, start=1) if end > j]
     link_edges: dict[tuple[int, int], list[int]] = {}
     for a, b in pairs:
         common = host.adj[a] & host.adj[b]
-        for l in marked_intervals:
-            start, end = bounds[l - 1]
+        for l in range(j // d + 1, t + 1):
             apexes = [
-                w for w in range(max(start, j + 1), end + 1) if (common >> w) & 1
+                w for w in range(max((l - 1) * d + 1, j + 1), l * d + 1) if (common >> w) & 1
             ]
             if len(apexes) >= k:
                 link_edges[(b, l)] = apexes[:k]
@@ -363,8 +352,8 @@ def tee_pipeline(
     pattern = tee_graph(n, k)
     if not embedding_maps_edges(pattern.graph, host, emb):
         raise WitnessError("assembled tee witness is invalid")
-    if not is_block_respecting(emb, pattern.blocks, parts):
-        raise WitnessError("assembled tee witness does not respect the partition")
+    if not is_block_respecting(emb, pattern.blocks, d):
+        raise WitnessError("assembled tee witness does not respect the intervals")
     return PipelineResult(emb, None)
 
 

@@ -13,7 +13,6 @@ from orl.core import (
     Coloring,
     Embedding,
     FormatError,
-    IntervalPartition,
     OrderedGraph,
     RED,
     complete_graph,
@@ -81,18 +80,6 @@ def test_embedding_validation_and_composition():
     outer = Embedding(7, (1, 3, 5, 7, 9, 11, 13))
     composed = e.compose(outer)
     assert composed.image == (3, 7, 13)
-
-
-def test_interval_partition():
-    p = IntervalPartition(6, (2, 0, 3, 1))
-    assert p.bounds() == [(1, 2), (3, 2), (3, 5), (6, 6)]
-    assert list(p.members(3)) == [3, 4, 5]
-    assert p.interval_of(4) == 3
-    assert p.interval_of(6) == 4
-    with pytest.raises(ValueError):
-        IntervalPartition(5, (2, 2))
-    with pytest.raises(ValueError):
-        IntervalPartition(4, (5, -1))
 
 
 def test_pair_index_matches_iteration_order():

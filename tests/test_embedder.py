@@ -29,7 +29,6 @@ from orl.constructions import (
 from orl.core import (
     BLUE,
     Coloring,
-    IntervalPartition,
     OrderedGraph,
     RED,
     complete_graph,
@@ -174,42 +173,40 @@ def test_largest_nested_matching_is_maximum():
 
 def test_blowup_identity_host():
     b = blowup_path(3, 2)
-    parts = IntervalPartition.equal(3, 2)
-    emb = blowup_pipeline(b.graph, parts, 3, 2).embedding
+    d = 2
+    emb = blowup_pipeline(b.graph, d, 3, 2).embedding
     assert emb is not None and emb.image == tuple(range(1, 7))
 
 
 def test_blowup_complete_host():
-    parts = IntervalPartition.equal(6, 2)
-    result = blowup_pipeline(complete_graph(12), parts, 3, 2)
+    d = 2
+    result = blowup_pipeline(complete_graph(12), d, 3, 2)
     assert result.embedding is not None
     pattern = blowup_path(3, 2)
     assert embedding_maps_edges(pattern.graph, complete_graph(12), result.embedding)
-    assert is_block_respecting(result.embedding, pattern.blocks, parts)
+    assert is_block_respecting(result.embedding, pattern.blocks, d)
 
 
 def test_blowup_empty_host_and_validation():
-    parts = IntervalPartition.equal(6, 2)
-    assert blowup_pipeline(OrderedGraph(12), parts, 3, 2).embedding is None
-    with pytest.raises(ValueError):
-        blowup_pipeline(complete_graph(12), IntervalPartition(12, (4, 4, 2, 2)), 3, 2).embedding
+    assert blowup_pipeline(OrderedGraph(12), 2, 3, 2).embedding is None
+    for d in (5, 0):
+        with pytest.raises(ValueError):
+            blowup_pipeline(complete_graph(12), d, 3, 2).embedding
     # equal intervals of a different size are a legal search space
-    assert blowup_pipeline(
-        complete_graph(12), IntervalPartition.equal(3, 4), 3, 2
-    ).embedding is not None
+    assert blowup_pipeline(complete_graph(12), 4, 3, 2).embedding is not None
 
 
 def test_blowup_witnesses_on_random_dense_hosts(rng):
-    parts = IntervalPartition.equal(7, 2)
+    d = 2
     pattern = blowup_path(3, 2)
     found = 0
     for _ in range(25):
         host = random_graph(rng, 14, 70)
-        result = blowup_pipeline(host, parts, 3, 2)
+        result = blowup_pipeline(host, d, 3, 2)
         if result.embedding is not None:
             found += 1
             assert embedding_maps_edges(pattern.graph, host, result.embedding)
-            assert is_block_respecting(result.embedding, pattern.blocks, parts)
+            assert is_block_respecting(result.embedding, pattern.blocks, d)
     assert found > 0
 
 
@@ -257,55 +254,56 @@ def test_embed_pipelines_never_build_the_host_edge_set():
     big = parse_ordered_graph(random_og_text(gen, 240, 0.5))
     dense = parse_ordered_graph(random_og_text(gen, 40, 0.8))
     assert find_alternating_path(big, 12) is not None
-    assert blowup_pipeline(big, IntervalPartition.equal(40, 6), 4, 2).embedding is not None
+    assert blowup_pipeline(big, 6, 4, 2).embedding is not None
     assert find_alternating_path(dense, 6) is not None
-    assert tee_pipeline(dense, IntervalPartition.equal(10, 4), 2, 1, Fraction(1, 8)).embedding is not None
+    assert tee_pipeline(dense, 4, 2, 1, Fraction(1, 8)).embedding is not None
     assert count_triangles(dense) == brute_triangles(dense)
     assert big._edges is None and dense._edges is None
 
 
 def test_tee_complete_host():
-    parts = IntervalPartition.equal(9, 2)
-    emb = tee_pipeline(complete_graph(18), parts, 2, 1, Fraction(1, 8)).embedding
+    d = 2
+    emb = tee_pipeline(complete_graph(18), d, 2, 1, Fraction(1, 8)).embedding
     assert emb is not None
     pattern = tee_graph(2, 1)
     assert embedding_maps_edges(pattern.graph, complete_graph(18), emb)
-    assert is_block_respecting(emb, pattern.blocks, parts)
+    assert is_block_respecting(emb, pattern.blocks, d)
 
 
 def test_tee_triangle_free_host():
-    parts = IntervalPartition.equal(9, 2)
-    result = tee_pipeline(complete_bipartite(9, 9), parts, 2, 1, Fraction(1, 8))
+    d = 2
+    result = tee_pipeline(complete_bipartite(9, 9), d, 2, 1, Fraction(1, 8))
     assert result.embedding is None
     assert result.failed_stage == "triangles"
 
 
 def test_tee_verbatim_host():
     f = eff_graph(3, 2)
-    parts = IntervalPartition.equal(6, 2)
-    emb = tee_pipeline(f.graph, parts, 3, 2, Fraction(1, 8)).embedding
+    d = 2
+    emb = tee_pipeline(f.graph, d, 3, 2, Fraction(1, 8)).embedding
     assert emb is not None and emb.image == tuple(range(1, 13))
 
 
 @pytest.mark.parametrize("n, k", [(0, 1), (3, 0), (-1, 2), (3, -2)])
 def test_pipelines_reject_non_positive_n_and_k(n, k):
-    host, parts = eff_graph(3, 2).graph, IntervalPartition.equal(6, 2)
+    host, d = eff_graph(3, 2).graph, 2
     with pytest.raises(ValueError, match="n and k must be positive"):
-        tee_pipeline(host, parts, n, k, Fraction(1, 8))
+        tee_pipeline(host, d, n, k, Fraction(1, 8))
     with pytest.raises(ValueError, match="n and k must be positive"):
-        blowup_pipeline(host, parts, n, k)
+        blowup_pipeline(host, d, n, k)
 
 
 def test_tee_validation():
+    for d in (4, 0):
+        with pytest.raises(ValueError):
+            tee_pipeline(complete_graph(6), d, 1, 1, Fraction(1, 8)).embedding
     with pytest.raises(ValueError):
-        tee_pipeline(complete_graph(6), IntervalPartition(6, (4, 2)), 1, 1, Fraction(1, 8)).embedding
+        tee_pipeline(complete_graph(6), 2, 1, 1, Fraction(3, 2)).embedding
     with pytest.raises(ValueError):
-        tee_pipeline(complete_graph(6), IntervalPartition.equal(3, 2), 1, 1, Fraction(3, 2)).embedding
-    with pytest.raises(ValueError):
-        tee_pipeline(complete_graph(6), IntervalPartition.equal(3, 2), 1, 1, Fraction(0)).embedding
+        tee_pipeline(complete_graph(6), 2, 1, 1, Fraction(0)).embedding
 
 
-# the stage tee_pipeline(host, parts of size 2, 3, 2, 1/2) gives out at on each
+# the stage tee_pipeline(host, 2, 3, 2, 1/2) gives out at on each
 # host of test_tee_pipeline_stages_golden: five hosts, N = 16..24, per density
 TEE_GOLDEN_STAGES = [
     "triangles", "triangles", "second-matching", "supported-left-legs", "long-right-legs",
@@ -323,29 +321,29 @@ def test_tee_pipeline_stages_golden():
     gen = random.Random(5628)
     pattern = tee_graph(3, 2)
     stages = []
+    d = 2
     for i in range(30):
         big_n, density = 16 + 2 * (i % 5), (0.1, 0.2, 0.3, 0.5, 0.7, 0.9)[i // 5]
         host = OrderedGraph(big_n, [e for e in pair_iter(big_n) if gen.random() < density])
-        parts = IntervalPartition.equal(big_n // 2, 2)
-        result = tee_pipeline(host, parts, 3, 2, Fraction(1, 2))
+        result = tee_pipeline(host, d, 3, 2, Fraction(1, 2))
         stages.append(result.failed_stage)
         if result.embedding is not None:
             assert embedding_maps_edges(pattern.graph, host, result.embedding)
-            assert is_block_respecting(result.embedding, pattern.blocks, parts)
+            assert is_block_respecting(result.embedding, pattern.blocks, d)
     assert stages == TEE_GOLDEN_STAGES
 
 
 def test_tee_witnesses_verify_on_random_dense_hosts(rng):
-    parts = IntervalPartition.equal(8, 2)
+    d = 2
     pattern = tee_graph(2, 1)
     found = 0
     for _ in range(20):
         host = random_graph(rng, 16, 100)
-        result = tee_pipeline(host, parts, 2, 1, Fraction(1, 4))
+        result = tee_pipeline(host, d, 2, 1, Fraction(1, 4))
         if result.embedding is not None:
             found += 1
             assert embedding_maps_edges(pattern.graph, host, result.embedding)
-            assert is_block_respecting(result.embedding, pattern.blocks, parts)
+            assert is_block_respecting(result.embedding, pattern.blocks, d)
     assert found > 0
 
 
