@@ -200,8 +200,9 @@ def blowup_pipeline(host: OrderedGraph, d: int, n: int, k: int) -> PipelineResul
 
     classes: dict[tuple, list[tuple[int, int]]] = {}
     for i in range(1, t + 1):
+        left = (i - 1) * d + 1  # the first position of interval i
         for j in range(i + 1, t + 1):
-            left, right = (i - 1) * d + 1, (j - 1) * d + 1  # the intervals' first positions
+            right = (j - 1) * d + 1
             rep = _find_kkk_between(host, range(left, left + d), range(right, right + d), k)
             if rep is None:
                 continue
