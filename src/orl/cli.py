@@ -609,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--t", type=_count, required=True)
     q.add_argument("--s", type=_count, required=True)
 
-    p = sub.add_parser("experiment", help="seeded experiment drivers (JSON lines)")
+    p = sub.add_parser("experiment", help="seeded experiments (JSON lines)")
     esub = p.add_subparsers(dest="what", required=True)
 
     q = esub.add_parser("coverage")
