@@ -447,6 +447,67 @@ def test_matrix_conversions(tmp_path, capsys):
     assert code == EXIT_OK and out == "mat 1 1\n1\n"
 
 
+# test_matrix_commands_golden_digest, in order
+MATRIX_COMMANDS_DIGEST = "359a985e0e258ec05cf78690781922c01cb3317112bed9f24d99baff1812595c"
+
+
+def test_matrix_commands_golden_digest(tmp_path, capsys):
+    # 300 seeded inputs through `contains`, `complement`, `from-matching` and
+    # `from-coloring` in both colors, then `unavoid` in both modes for
+    # n <= 4 and size <= 4
+    gen = random.Random(27)
+    a, b, og, col, out = (tmp_path / f for f in ("a.mat", "b.mat", "m.og", "c.col", "o.mat"))
+    digest = hashlib.sha256()
+    codes = []
+
+    def record(*argv):
+        out.unlink(missing_ok=True)
+        code, stdout, _ = run(capsys, "matrix", *argv)
+        digest.update(f"{code}\n{stdout}".encode())
+        if out.exists():
+            digest.update(out.read_bytes())
+        codes.append((argv[0], code))
+
+    def mat_text(rows, cols, density):
+        lines = ("".join("1" if gen.random() < density else "0" for _ in range(cols))
+                 for _ in range(rows))
+        return f"mat {rows} {cols}\n" + "".join(f"{line}\n" for line in lines)
+
+    for _ in range(300):
+        a.write_text(mat_text(gen.randint(1, 8), gen.randint(1, 8), gen.uniform(0.2, 0.9)))
+        b.write_text(mat_text(gen.randint(1, 4), gen.randint(1, 4), gen.uniform(0.2, 0.7)))
+        record("contains", "--a", str(a), "--b", str(b))
+        record("complement", "--a", str(a), "-o", str(out))
+        n = gen.randint(1, 8)
+        pi = list(range(1, n + 1))
+        gen.shuffle(pi)
+        edges = [(i, n + p) for i, p in enumerate(pi, 1)]
+        if gen.random() < 0.1:  # an edge inside one half: not a cross matching
+            edges[0] = (1, 2) if n > 1 else (1, 3)
+        og.write_text(f"og {max(2 * n, 3)} {n}\n" + "".join(f"e {i} {j}\n" for i, j in edges))
+        record("from-matching", "--og", str(og), "-o", str(out))
+        big_n = gen.choice((1, 2, 4, 6, 8, 10, 12, 14, 16))
+        red = gen.random()
+        col.write_text(f"col {big_n}\n" + "".join(
+            f"c {i} {j} {'R' if gen.random() < red else 'B'}\n"
+            for i in range(1, big_n + 1) for j in range(i + 1, big_n + 1)
+        ))
+        for color in ("R", "B"):
+            record("from-coloring", "--col", str(col), "--color", color, "-o", str(out))
+    for n in range(1, 5):
+        for size in range(1, 5):
+            record("unavoid", "--n", str(n), "--size", str(size))
+            record("unavoid", "--n", str(n), "--size", str(size), "--mode", "sample",
+                   "--trials", str(gen.randint(1, 60)), "--seed", str(gen.randrange(1000)))
+    assert set(codes) == {
+        ("contains", EXIT_OK), ("contains", EXIT_INCONCLUSIVE), ("complement", EXIT_OK),
+        ("from-matching", EXIT_OK), ("from-matching", EXIT_USAGE),
+        ("from-coloring", EXIT_OK), ("from-coloring", EXIT_USAGE),
+        ("unavoid", EXIT_OK), ("unavoid", EXIT_INCONCLUSIVE),
+    }
+    assert digest.hexdigest() == MATRIX_COMMANDS_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # manifests and replay
 # ---------------------------------------------------------------------------
