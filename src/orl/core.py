@@ -500,7 +500,7 @@ def search_embedding(
     The least choice at each step succeeds whenever any choice does, so if
     the greedy fails no embedding extends v, and v is dropped before going
     deeper: forward checking (Haralick & Elliott, AIJ 1980), the column
-    check of `patterns.CompiledMatrixPattern` in graph form.
+    check of `patterns.BinaryMatrix.contained_in` in graph form.
 
     Position p's candidates are its mask within its window, from just after
     the previous image to host_n - (n - p).  They are tried lowest bit first

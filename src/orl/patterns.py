@@ -2,23 +2,15 @@
 
 B is contained in A when deleting rows/columns of A and demoting some 1s
 to 0 leaves B; row and column order is preserved, mirroring the ordered
-subgraph search.  `CompiledMatrixPattern` compiles B once and searches
-hosts given as row bitmasks on an explicit stack, with a greedy column
-check after every row choice.  `orl.core.search_embedding` forward-checks
-the same way; what still keeps this a separate engine is the row/column
-structure (it branches on rows only; the columns, a second order, are
-settled by the greedy check alone), and speed.  A merge through the
-forward-checking graph engine (host rows, then one separator vertex joined
-to every row and column, then the columns) agreed with this engine on
-3,000 random pairs, but on the matrix benchmark's calls it took 4.2 s
-against 0.47 s for the exhaustive 2-in-4 scan, then a flat loop over all
-65,536 matrices, and 1.5 s against 0.33 s for four 1,000-trial 3-in-6
-samples (medians of six runs, Python 3.11.7, 2 vCPUs).  The scan now
-prunes by row suffixes (496 `violates` calls) and takes 0.005 s; the four
-samples, drawing each matrix in one `next_bits` pass, take 0.23 s
-(medians of six runs on a later 2-vCPU host, where the flat scan and
-per-bit draws took 0.44 s and 0.29 s).  A failing search is bounded by the
-last host row each pattern row can take (`CompiledMatrixPattern.last_rows`).
+subgraph search.  `BinaryMatrix.contained_in` branches on rows only and
+settles the columns, a second order, by a greedy check after each row
+choice: the forward checking `orl.core.search_embedding` does on graphs.
+That row/column structure and speed keep it a separate engine.  A merge
+through the graph engine (host rows, then one separator vertex joined to
+every row and column, then the columns) agreed with it on 3,000 random
+pairs, but on the matrix benchmark's calls it took 4.2 s against 0.47 s
+for the exhaustive 2-in-4 scan, and 1.5 s against 0.33 s for four
+1,000-trial 3-in-6 samples (medians of six runs, Python 3.11.7, 2 vCPUs).
 The matching/coloring converters translate avoidance certificates into
 matrices that dodge a permutation pattern both ways.
 """
@@ -26,7 +18,7 @@ matrices that dodge a permutation pattern both ways.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterator, Optional, Sequence
 
 from orl.core import Coloring, FormatError, OrderedGraph, RED, parse_line_format
@@ -34,90 +26,49 @@ from orl.rng import Xoshiro256StarStar
 
 
 class BinaryMatrix:
-    """An immutable 0/1 matrix with 1-based dimensions."""
+    """An immutable 0/1 matrix with 1-based dimensions.
 
-    __slots__ = ("rows", "cols", "entries")
+    `masks[r]` is row r as a column bitmask, with bit c set iff entry (r, c)
+    is 1, and is the representation.  `entries` (the rows as 0/1 tuples) and
+    `row_cols` (per row, the columns holding a 1) are derived from it the
+    first time they are read, as `OrderedGraph.edges` is from `adj`.
+    """
+
+    __slots__ = ("rows", "cols", "masks", "_entries", "_row_cols")
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
-        if not rows or not rows[0]:
-            raise ValueError("dimensions must be at least 1x1")
-        if any(len(row) != len(rows[0]) for row in rows):
+        rows = [[int(x) for x in row] for row in entries]
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
             raise ValueError("rows must have equal length")
         if any(x not in (0, 1) for row in rows for x in row):
             raise ValueError("entries must be 0 or 1")
-        self.rows = len(rows)
-        self.cols = len(rows[0])
-        self.entries = rows
+        self._set(cols, [sum(x << c for c, x in enumerate(row)) for row in rows])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BinaryMatrix) and self.entries == other.entries
+    @classmethod
+    def _from_masks(cls, cols: int, masks: Sequence[int]) -> "BinaryMatrix":
+        """The matrix with row masks `masks`, each below 1 << cols."""
+        a = cls.__new__(cls)
+        a._set(cols, masks)
+        return a
 
-    def __hash__(self) -> int:
-        return hash(self.entries)
+    def _set(self, cols: int, masks: Sequence[int]) -> None:
+        if not masks or cols < 1:
+            raise ValueError("dimensions must be at least 1x1")
+        self.rows, self.cols, self.masks = len(masks), cols, tuple(masks)
+        self._entries = self._row_cols = None
 
-    def __repr__(self) -> str:
-        return f"BinaryMatrix({self.rows}x{self.cols})"
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        if self._entries is None:
+            self._entries = tuple(tuple(m >> c & 1 for c in range(self.cols)) for m in self.masks)
+        return self._entries
 
-
-def complement(a: BinaryMatrix) -> BinaryMatrix:
-    """Entrywise flip; an involution."""
-    return BinaryMatrix(tuple(tuple(1 - x for x in row) for row in a.entries))
-
-
-def parse_matrix(text: str) -> BinaryMatrix:
-    """Parse the `mat` format: header `mat <rows> <cols>`, then 0/1 row strings."""
-    (rows, cols), lines = parse_line_format(
-        text, "mat", ("<rows>", "<cols>"), 1, "dimensions must be at least 1x1"
-    )
-    if len(lines) - 1 != rows:
-        raise FormatError(lines[-1][0], f"expected {rows} row lines")
-    grid = []
-    for no, line in lines[1:]:
-        if len(line) != cols or any(ch not in "01" for ch in line):
-            raise FormatError(no, f"expected a row of {cols} 0/1 characters")
-        grid.append(tuple(int(ch) for ch in line))
-    return BinaryMatrix(grid)
-
-
-def serialize_matrix(a: BinaryMatrix) -> str:
-    lines = [f"mat {a.rows} {a.cols}"]
-    lines.extend("".join(str(x) for x in row) for row in a.entries)
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# containment
-# ---------------------------------------------------------------------------
-
-def row_masks(a: BinaryMatrix) -> list[int]:
-    """A's rows as column bitmasks: bit c of row r is entry (r, c)."""
-    return [sum(x << c for c, x in enumerate(row)) for row in a.entries]
-
-
-class CompiledMatrixPattern:
-    """A matrix pattern's containment search, compiled once.
-
-    Pattern rows are placed in increasing order on host rows.  Each pattern
-    column keeps a host-column candidate mask: its window (room for the
-    pattern columns on either side) ANDed with the masks of the host rows
-    chosen for the pattern rows that hold a 1 in that column.  After each
-    row choice the column system is checked greedily, left to right, taking
-    the lowest candidate above the previous column's choice; a failure
-    prunes the prefix, and success after the last row is a containment.
-    Row choices live on an explicit stack, so search depth is not bounded by
-    the interpreter's recursion limit.
-    """
-
-    __slots__ = ("rows", "cols", "row_cols")
-
-    def __init__(self, b: BinaryMatrix):
-        self.rows = b.rows
-        self.cols = b.cols
-        # the pattern columns holding a 1, per pattern row
-        self.row_cols = tuple(
-            tuple(pc for pc, x in enumerate(row) if x) for row in b.entries
-        )
+    @property
+    def row_cols(self) -> tuple[tuple[int, ...], ...]:
+        if self._row_cols is None:
+            self._row_cols = tuple(tuple(c for c, x in enumerate(row) if x) for row in self.entries)
+        return self._row_cols
 
     def last_rows(self, host_rows: Sequence[int], span: int) -> list[int]:
         """Per pattern row, the last host row it can take in a containment.
@@ -129,10 +80,11 @@ class CompiledMatrixPattern:
         no row is left.  Without them a failing search can take exponential
         time, retrying every placement of the earlier rows.
         """
+        row_cols = self.row_cols
         last = [0] * self.rows
         hr = len(host_rows)
         for d in range(self.rows - 1, -1, -1):
-            windows = [span << pc for pc in self.row_cols[d]]
+            windows = [span << pc for pc in row_cols[d]]
             hr -= 1
             while hr >= 0 and not all(host_rows[hr] & w for w in windows):
                 hr -= 1
@@ -140,8 +92,16 @@ class CompiledMatrixPattern:
         return last
 
     def contained_in(self, host_rows: Sequence[int], host_cols: int) -> bool:
-        """True iff the pattern is contained in the host given by its row
-        masks (`row_masks`) and column count."""
+        """True iff this pattern is contained in the host given by its row
+        masks and column count.
+
+        Pattern rows go on host rows in increasing order, on an explicit
+        stack.  Each pattern column's candidates are its window (room for
+        the columns on either side) ANDed with the host rows chosen for the
+        pattern rows holding a 1 in it.  After each row choice a greedy
+        pass takes, left to right, each column's lowest candidate above the
+        previous column's; a failure prunes the prefix.
+        """
         rows, cols, row_cols = self.rows, self.cols, self.row_cols
         slack = len(host_rows) - rows  # host rows a pattern row may skip
         if slack < 0 or cols > host_cols:
@@ -185,23 +145,58 @@ class CompiledMatrixPattern:
                 cands.append(cand)
                 nxt.append(hr + 1)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BinaryMatrix):
+            return NotImplemented
+        return (self.cols, self.masks) == (other.cols, other.masks)
+
+    def __hash__(self) -> int:
+        return hash((self.cols, self.masks))
+
+    def __repr__(self) -> str:
+        return f"BinaryMatrix({self.rows}x{self.cols})"
+
+
+def complement(a: BinaryMatrix) -> BinaryMatrix:
+    """Entrywise flip; an involution."""
+    full = (1 << a.cols) - 1
+    return BinaryMatrix._from_masks(a.cols, [full ^ m for m in a.masks])
+
+
+def parse_matrix(text: str) -> BinaryMatrix:
+    """Parse the `mat` format: header `mat <rows> <cols>`, then 0/1 row strings."""
+    (rows, cols), lines = parse_line_format(
+        text, "mat", ("<rows>", "<cols>"), 1, "dimensions must be at least 1x1"
+    )
+    if len(lines) - 1 != rows:
+        raise FormatError(lines[-1][0], f"expected {rows} row lines")
+    masks = []
+    for no, line in lines[1:]:
+        if len(line) != cols or any(ch not in "01" for ch in line):
+            raise FormatError(no, f"expected a row of {cols} 0/1 characters")
+        masks.append(int(line[::-1], 2))
+    return BinaryMatrix._from_masks(cols, masks)
+
+
+def serialize_matrix(a: BinaryMatrix) -> str:
+    lines = [f"mat {a.rows} {a.cols}"]
+    lines.extend(format(m, f"0{a.cols}b")[::-1] for m in a.masks)
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# containment
+# ---------------------------------------------------------------------------
 
 def pattern_contained(a: BinaryMatrix, b: BinaryMatrix) -> bool:
-    """True iff some increasing row/column selections of A cover B's 1s;
-    see `CompiledMatrixPattern`.  Callers that test one pattern many times
-    compile it once instead."""
-    return CompiledMatrixPattern(b).contained_in(row_masks(a), a.cols)
+    """True iff some increasing row/column selections of A cover B's 1s."""
+    return b.contained_in(a.masks, a.cols)
 
 
 def permutation_matrices(n: int) -> Iterator[BinaryMatrix]:
     """All n x n permutation matrices, rows indexed by position."""
     for pi in permutations(range(n)):
-        yield BinaryMatrix(
-            tuple(
-                tuple(1 if c == pi[r] else 0 for c in range(n))
-                for r in range(n)
-            )
-        )
+        yield BinaryMatrix._from_masks(n, [1 << c for c in pi])
 
 
 @dataclass(frozen=True)
@@ -230,57 +225,51 @@ def permutation_unavoidable(
     with all its completions.  It is limited to N <= 5; sampling mode only
     reports counterexamples it happens to find.
     """
-    patterns = [(p, CompiledMatrixPattern(p)) for p in permutation_matrices(n)]
     if N < 1:
         raise ValueError("dimensions must be at least 1x1")
+    if mode not in ("exhaustive", "sample"):
+        raise ValueError("mode must be 'exhaustive' or 'sample'")
+    if mode == "exhaustive" and N > 5:
+        raise ValueError("exhaustive mode is limited to N <= 5")
+    # no N x N matrix holds an n x n pattern for n > N: the first one is the answer
+    patterns = list(islice(permutation_matrices(n), 1 if n > N else None))
     full = (1 << N) - 1
 
     def violates(masks: list[int]) -> Optional[BinaryMatrix]:
         flipped = None  # the complement's rows, built on the first miss
-        for p, compiled in patterns:
-            if compiled.contained_in(masks, N):
+        for p in patterns:
+            if p.contained_in(masks, N):
                 continue
             if flipped is None:
                 flipped = [full ^ m for m in masks]
-            if not compiled.contained_in(flipped, N):
+            if not p.contained_in(flipped, N):
                 return p
         return None
 
-    def matrix(masks: list[int]) -> BinaryMatrix:
-        return BinaryMatrix(tuple(tuple((m >> c) & 1 for c in range(N)) for m in masks))
-
-    def first_violation(suffix: list[int]):
-        """The first violating completion of rows N - len(suffix).. as
-        (masks, pattern), trying each row's masks in ascending order."""
+    def first_violation(suffix: list[int]) -> Optional[UnavoidabilityReport]:
+        """The report of the first violating completion of rows
+        N - len(suffix).., trying each row's masks in ascending order."""
         for m in range(full + 1):
             masks = [m, *suffix]
             bad = violates(masks)
             if bad is None:
                 continue  # adding rows keeps containment: no completion violates
             if len(masks) == N:
-                return masks, bad
+                return UnavoidabilityReport(False, True, BinaryMatrix._from_masks(N, masks), bad)
             found = first_violation(masks)
             if found is not None:
                 return found
         return None
 
     if mode == "exhaustive":
-        if N > 5:
-            raise ValueError("exhaustive mode is limited to N <= 5")
-        found = first_violation([])
-        if found is not None:
-            masks, bad = found
-            return UnavoidabilityReport(False, True, matrix(masks), bad)
-        return UnavoidabilityReport(True, True)
-    if mode != "sample":
-        raise ValueError("mode must be 'exhaustive' or 'sample'")
+        return first_violation([]) or UnavoidabilityReport(True, True)
     gen = Xoshiro256StarStar(seed)
     for _ in range(trials):
         bits = gen.next_bits(N * N)  # entry (r, c) is draw r * N + c
         masks = [(bits >> (r * N)) & full for r in range(N)]
         bad = violates(masks)
         if bad is not None:
-            return UnavoidabilityReport(False, False, matrix(masks), bad)
+            return UnavoidabilityReport(False, False, BinaryMatrix._from_masks(N, masks), bad)
     return UnavoidabilityReport(True, False)
 
 
@@ -294,12 +283,10 @@ def matching_matrix(g: OrderedGraph) -> BinaryMatrix:
     if g.n % 2:
         raise ValueError("the matching must have evenly many positions")
     n = g.n // 2
-    grid = [[0] * n for _ in range(n)]
-    for a, b in g.edges:
-        if not (a <= n < b):
-            raise ValueError("every edge must cross the middle")
-        grid[a - 1][b - n - 1] = 1
-    return BinaryMatrix(tuple(tuple(row) for row in grid))
+    masks = [g.adj[i] >> (n + 1) for i in range(1, n + 1)]
+    if sum(m.bit_count() for m in masks) != g.m:
+        raise ValueError("every edge must cross the middle")
+    return BinaryMatrix._from_masks(n, masks)
 
 
 def coloring_matrix(col: Coloring, color: str = RED) -> BinaryMatrix:
@@ -313,12 +300,5 @@ def coloring_matrix(col: Coloring, color: str = RED) -> BinaryMatrix:
     if col.n % 2:
         raise ValueError("the coloring must cover evenly many positions")
     half = col.n // 2
-    return BinaryMatrix(
-        tuple(
-            tuple(
-                1 if col.color(i, half + j) == color else 0
-                for j in range(1, half + 1)
-            )
-            for i in range(1, half + 1)
-        )
-    )
+    adj = col.monochromatic_adj(color)
+    return BinaryMatrix._from_masks(half, [adj[i] >> (half + 1) for i in range(1, half + 1)])

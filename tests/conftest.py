@@ -17,7 +17,7 @@ from orl.core import (
     RED,
     pair_iter,
 )
-from orl.patterns import BinaryMatrix, CompiledMatrixPattern, UnavoidabilityReport
+from orl.patterns import BinaryMatrix, UnavoidabilityReport
 from orl.rng import Xoshiro256StarStar
 
 
@@ -375,13 +375,12 @@ def flat_unavoidable(n: int, N: int):
         BinaryMatrix([[int(c == pi[r]) for c in range(n)] for r in range(n)])
         for pi in permutations(range(n))
     ]
-    compiled = [CompiledMatrixPattern(p) for p in perms]
     full = (1 << N) - 1
     for bits in range(1 << (N * N)):
         masks = [(bits >> (r * N)) & full for r in range(N)]
         flipped = [full ^ m for m in masks]
-        for p, search in zip(perms, compiled):
-            if not search.contained_in(masks, N) and not search.contained_in(flipped, N):
+        for p in perms:
+            if not p.contained_in(masks, N) and not p.contained_in(flipped, N):
                 grid = [[(m >> c) & 1 for c in range(N)] for m in masks]
                 return UnavoidabilityReport(False, True, BinaryMatrix(grid), p)
     return UnavoidabilityReport(True, True)

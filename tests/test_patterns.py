@@ -4,6 +4,7 @@ import pytest
 
 from conftest import brute_matrix_contained, flat_unavoidable
 from orl.core import BLUE, Coloring, FormatError, RED
+from orl import patterns
 from orl.patterns import (
     BinaryMatrix,
     coloring_matrix,
@@ -87,7 +88,7 @@ def test_failing_containment_is_bounded():
 
 def test_bounded_containment_matches_brute_force(rng):
     # tall sparse patterns in hosts with sparse rows backtrack often, so most
-    # of these searches run on the bounds of `CompiledMatrixPattern.last_rows`
+    # of these searches run on the bounds of `BinaryMatrix.last_rows`
     found = 0
     for _ in range(400):
         hr, pr = rng.randint(2, 8), rng.randint(2, 5)
@@ -192,6 +193,27 @@ def test_unavoidable_exhaustive_guard():
         permutation_unavoidable(2, 4, mode="nope")
 
 
+def test_unavoidable_checks_arguments_before_drawing_patterns(monkeypatch):
+    drawn = []
+
+    def counted(n):
+        for p in permutation_matrices(n):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(patterns, "permutation_matrices", counted)
+    # no 2 x 2 matrix holds a 7 x 7 pattern: the first pattern is the answer
+    report = permutation_unavoidable(7, 2)
+    assert len(drawn) <= 1
+    assert report.counterexample_matrix.entries == ((0, 0), (0, 0))
+    assert report.counterexample_pattern == BinaryMatrix(
+        [[int(c == r) for c in range(7)] for r in range(7)]
+    )
+    with pytest.raises(ValueError, match="N <= 5"):
+        permutation_unavoidable(7, 6)
+    assert len(drawn) <= 1
+
+
 def test_unavoidable_sampling_mode_small():
     # N = n^2 keeps every sampled matrix unavoidable
     report = permutation_unavoidable(2, 4, mode="sample", trials=50, seed=3)
@@ -209,24 +231,35 @@ def test_unavoidable_sampling_mode_small():
 # ---------------------------------------------------------------------------
 
 def test_matching_matrix_is_permutation_matrix():
-    m = sample_permutation_matching(4, 9)
-    pm = matching_matrix(m)
-    assert pm.rows == pm.cols == 4
-    assert all(sum(row) == 1 for row in pm.entries)
-    assert all(sum(col) == 1 for col in zip(*pm.entries))
-    # row i has its one exactly at the partner of left vertex i
-    for a, b in m.edges:
-        assert pm.entries[a - 1][b - 4 - 1] == 1
+    for n, seed in [(4, 9), (1, 0), (2, 5), (3, 11), (5, 2), (6, 17), (8, 40)]:
+        m = sample_permutation_matching(n, seed)
+        pm = matching_matrix(m)
+        assert pm.rows == pm.cols == n
+        assert all(sum(row) == 1 for row in pm.entries)
+        assert all(sum(col) == 1 for col in zip(*pm.entries))
+        # row i has its one exactly at the partner of left vertex i
+        for a, b in m.edges:
+            assert pm.entries[a - 1][b - n - 1] == 1
     with pytest.raises(ValueError):
         matching_matrix(sample_permutation_matching(1, 0).__class__(3, [(1, 3)]))
 
 
-def test_coloring_matrix_halves():
+def test_coloring_matrix_halves(rng):
     col = Coloring.from_function(4, lambda i, j: RED if j - i == 2 else BLUE)
     cm = coloring_matrix(col, RED)
     # entry (i, j) reflects the pair {i, 2 + j}
     assert cm.entries == ((1, 0), (0, 1))
     assert coloring_matrix(col, BLUE) == complement(cm)
+    for _ in range(40):
+        h = rng.randint(1, 8)
+        col = Coloring.from_function(2 * h, lambda i, j: rng.choice((RED, BLUE)))
+        for color in (RED, BLUE):
+            cm = coloring_matrix(col, color)
+            assert (cm.rows, cm.cols) == (h, h)
+            assert cm.entries == tuple(
+                tuple(int(col.color(i, h + j) == color) for j in range(1, h + 1))
+                for i in range(1, h + 1)
+            )
 
 
 def test_dictionary_containment_implies_monochromatic_copy(rng):
@@ -257,6 +290,21 @@ def test_mat_round_trip(rng):
     for _ in range(15):
         a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         assert parse_matrix(serialize_matrix(a)) == a
+    shapes = [(1, k) for k in range(1, 9)] + [(k, 1) for k in range(1, 9)]
+    shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(60)]
+    for rows, cols in shapes:
+        a = random_matrix(rng, rows, cols, density=rng.random())
+        assert BinaryMatrix(a.entries) == a and BinaryMatrix(a.entries).entries == a.entries
+        assert (a.rows, a.cols) == (rows, cols) == (len(a.entries), len(a.entries[0]))
+        assert parse_matrix(serialize_matrix(a)).entries == a.entries
+        b = random_matrix(rng, rows, cols, density=rng.random())
+        assert (a == b) == (a.entries == b.entries)
+        if a == b:
+            assert hash(a) == hash(b)
+    # the same masks in another width, or one row more, are another matrix
+    ones = BinaryMatrix([[1, 0]])
+    assert ones != BinaryMatrix([[1, 0, 0]]) and ones != BinaryMatrix([[1, 0], [0, 0]])
+    assert len({ones, BinaryMatrix([[1, 0]]), BinaryMatrix([[1, 0, 0]])}) == 2
 
 
 def test_mat_parse_errors():
