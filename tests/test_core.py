@@ -417,6 +417,38 @@ def test_search_embedding_rejects_a_crossing_matching_in_a_band_at_once():
     assert search_embedding(pattern.n, pattern.edges, host.n, host.adj) is None
 
 
+class _CountingAdj(list):
+    """Host masks that count their reads."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def test_search_embedding_memo_bounds_a_failing_path_search():
+    # a monotone path climbs one layer per edge, so the 11-vertex path does
+    # not fit in 10 layers.  Only five vertices of the last two layers have
+    # twins, so twin pruning barely helps, and the memo of failed subtrees
+    # is what keeps the search small: it reads about a thousand masks, and
+    # millions without the memo
+    layers, width, n = 10, 6, 11
+    gen = random.Random(5)
+    edges = [
+        (layer * width + i, (layer + 1) * width + j)
+        for layer in range(layers - 1)
+        for i in range(1, width + 1)
+        for j in range(1, width + 1)
+        if gen.random() < 0.8
+    ]
+    host = OrderedGraph(layers * width, edges)
+    adj = _CountingAdj(host.adj)
+    path = [(i, i + 1) for i in range(1, n)]
+    assert search_embedding(n, path, host.n, adj) is None
+    assert adj.reads <= n * host.n ** 2
+
+
 def test_search_embedding_depth_is_not_bounded_by_recursion():
     n = 1500
     path = OrderedGraph(n, [(i, i + 1) for i in range(1, n)])
