@@ -505,12 +505,11 @@ def search_embedding(
     Position p's candidates are its mask within its window, from just after
     the previous image to host_n - (n - p).  They are tried lowest bit first
     on an explicit stack, so the result is the leftmost embedding at any
-    depth.  Failed subtrees are cached by (position, previous image,
-    frontier images), where p's frontier is the earlier positions with a
-    neighbor at or after p.  The key covers the masks: the mask of any
-    q >= p depends only on the images of q's placed earlier neighbors, and
-    all of those are in p's frontier.  The rest of the search reads nothing
-    else, so the cache never changes the answer.
+    depth.  Failed subtrees are cached by the search state: p, the previous
+    image, and the masks of p and of the later positions with a placed
+    neighbor.  Below p the search reads only those, as every other later
+    position still has its initial mask.  So equal keys have equal outcomes:
+    a failed key still means no embedding, and the result stays leftmost.
 
     Twin vertices are tried once per position.  Host vertices u and v are
     twins when N(u) \\ {v} = N(v) \\ {u}: they have the same open mask
@@ -533,15 +532,9 @@ def search_embedding(
     later: list[list[int]] = [[] for _ in range(n + 1)]  # later neighbors
     for a, b in map(sorted, pattern_edges):
         later[a].append(b)
-    frontier: list[tuple[int, ...]] = [()] * (n + 1)
     ahead: list[tuple[int, ...]] = [()] * (n + 1)  # masked positions after p
-    active: list[int] = []
     masked: set[int] = set()
     for p in range(1, n + 1):
-        active = [q for q in active if max(later[q]) >= p]
-        frontier[p] = tuple(active)
-        if later[p]:
-            active.append(p)
         masked.discard(p)
         masked.update(later[p])
         ahead[p] = (*sorted(masked), n + 1)
@@ -567,7 +560,7 @@ def search_embedding(
     while p < n:
         p += 1
         prev = img[p - 1]
-        keys[p] = key = (p, prev, *[img[q] for q in frontier[p]])
+        keys[p] = key = (p, prev, mask[p], *[mask[q] for q in ahead[p]])
         saved[p] = [mask[q] for q in later[p]]
         cand = 0 if key in failed else mask[p] & ((1 << (top + p + 1)) - (1 << (prev + 1)))
         while True:
