@@ -185,10 +185,9 @@ def avoiding_coloring(
         queue = [(t, c)]
         while queue:
             t, c = queue.pop()
-            got = color[t]
-            if got is not None:
-                if got != c:
-                    return False
+            # a forced (u, 1 - c) is from a copy with m - 1 pairs in c; coloring
+            # u in c would complete it and return False, so u here has 1 - c
+            if color[t] is not None:
                 continue
             color[t] = c
             trail.append(t)
