@@ -223,7 +223,8 @@ def permutation_unavoidable(
     reported.  Containment survives adding rows, so a suffix of rows in
     which (or in whose complement) every pattern already appears is skipped
     with all its completions.  It is limited to N <= 5; sampling mode only
-    reports counterexamples it happens to find.
+    reports counterexamples it happens to find, and lists all n! patterns,
+    so it is limited to n <= 8 unless n > N.
     """
     if N < 1:
         raise ValueError("dimensions must be at least 1x1")
@@ -231,6 +232,8 @@ def permutation_unavoidable(
         raise ValueError("mode must be 'exhaustive' or 'sample'")
     if mode == "exhaustive" and N > 5:
         raise ValueError("exhaustive mode is limited to N <= 5")
+    if 8 < n <= N:  # in sample mode, as N <= 5 in exhaustive mode
+        raise ValueError("sample mode is limited to n <= 8 unless n > N")
     # no N x N matrix holds an n x n pattern for n > N: the first one is the answer
     patterns = list(islice(permutation_matrices(n), 1 if n > N else None))
     full = (1 << N) - 1

@@ -214,6 +214,17 @@ def test_unavoidable_checks_arguments_before_drawing_patterns(monkeypatch):
     assert len(drawn) <= 1
 
 
+def test_unavoidable_sampling_limits_n_before_drawing_patterns(monkeypatch):
+    # sampling lists all n! patterns before its first trial: 9! is refused
+    def refused(n):
+        raise AssertionError("drew a pattern")
+        yield
+
+    monkeypatch.setattr(patterns, "permutation_matrices", refused)
+    with pytest.raises(ValueError, match="n <= 8"):
+        permutation_unavoidable(9, 9, mode="sample", trials=1, seed=0)
+
+
 def test_unavoidable_sampling_mode_small():
     # N = n^2 keeps every sampled matrix unavoidable
     report = permutation_unavoidable(2, 4, mode="sample", trials=50, seed=3)
