@@ -185,8 +185,8 @@ def avoiding_coloring(
         queue = [(t, c)]
         while queue:
             t, c = queue.pop()
-            # a forced (u, 1 - c) is from a copy with m - 1 pairs in c; coloring
-            # u in c would complete it and return False, so u here has 1 - c
+            # a forced (t, c) is from a copy with m - 1 pairs in 1 - c; had t
+            # been colored 1 - c first, that returned False, so t already has c
             if color[t] is not None:
                 continue
             color[t] = c

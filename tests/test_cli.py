@@ -818,10 +818,10 @@ def test_missing_option_is_a_usage_error(capsys, argv, flag):
           "--seed", "1", "--t", "2"], "unrecognized arguments: --t 2"),
         (["matrix", "unavoid", "--n", "2", "--size", "3", "--mode", "sample", "--tr", "2",
           "--se", "3"], "unrecognized arguments: --tr 2 --se 3"),
-        (["matrix", "unavoid", "--n", "9", "--size", "9", "--mode", "sample", "--seed", "1"],
-         "error: sample mode is limited to n <= 8 unless n > N"),
         (["embed", "blowup", "--host", "{d}/k3.og", "--n", "2", "--parts", "2,1"], "--parts"),
         (["embed", "tee", "--host", "{d}/k3.og", "--n", "2", "--parts", "0,3"], "--parts"),
+        (["matrix", "unavoid", "--n", "9", "--size", "9", "--mode", "sample", "--seed", "1"],
+         "error: sample mode is limited to n <= 8 unless n > N"),
     ],
 )
 def test_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv, flag):
