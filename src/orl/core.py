@@ -506,8 +506,8 @@ def search_embedding(
     the previous image to host_n - (n - p).  They are tried lowest bit first
     on an explicit stack, so the result is the leftmost embedding at any
     depth.  Failed subtrees are cached by the search state: p, the previous
-    image, and the masks of p and of the later positions with a placed
-    neighbor.  Below p the search reads only those, as every other later
+    image, and the masks of p and of the later positions with a neighbor at
+    or before p.  Below p the search reads only those: every other later
     position still has its initial mask.  So equal keys have equal outcomes:
     a failed key still means no embedding, and the result stays leftmost.
 
