@@ -366,24 +366,52 @@ def brute_matrix_contained(a, b) -> bool:
     return False
 
 
+def _perm_matrices(n: int):
+    """Every n x n permutation matrix, in lexicographic order of permutations."""
+    for pi in permutations(range(n)):
+        yield BinaryMatrix([[int(c == pi[r]) for c in range(n)] for r in range(n)])
+
+
+def _first_avoided(perms, masks: list[int], N: int):
+    """The first of `perms` that the N x N matrix with row masks `masks` and
+    its complement both avoid, after that matrix; None when there is none."""
+    full = (1 << N) - 1
+    flipped = [full ^ m for m in masks]
+    for p in perms:
+        if not p.contained_in(masks, N) and not p.contained_in(flipped, N):
+            return BinaryMatrix([[(m >> c) & 1 for c in range(N)] for m in masks]), p
+    return None
+
+
 def flat_unavoidable(n: int, N: int):
     """Exhaustive `permutation_unavoidable` as one flat loop over every N x N
     matrix, in ascending order of the integer whose bit r * N + c is entry
     (r, c); the first pattern, in lexicographic order of permutations, that
     the matrix and its complement both avoid is the counterexample."""
-    perms = [
-        BinaryMatrix([[int(c == pi[r]) for c in range(n)] for r in range(n)])
-        for pi in permutations(range(n))
-    ]
+    perms = list(_perm_matrices(n))
     full = (1 << N) - 1
     for bits in range(1 << (N * N)):
-        masks = [(bits >> (r * N)) & full for r in range(N)]
-        flipped = [full ^ m for m in masks]
-        for p in perms:
-            if not p.contained_in(masks, N) and not p.contained_in(flipped, N):
-                grid = [[(m >> c) & 1 for c in range(N)] for m in masks]
-                return UnavoidabilityReport(False, True, BinaryMatrix(grid), p)
+        found = _first_avoided(perms, [(bits >> (r * N)) & full for r in range(N)], N)
+        if found is not None:
+            return UnavoidabilityReport(False, True, *found)
     return UnavoidabilityReport(True, True)
+
+
+def sampled_unavoidable(n: int, N: int, seed: int, trials: int):
+    """Sample-mode `permutation_unavoidable` with one `next_bits(N * N)` draw
+    per trial from `Xoshiro256StarStar(seed)`: entry (r, c) of a trial's
+    matrix is bit r * N + c of its draw, and the first trial whose matrix
+    and complement both avoid a pattern gives the counterexample.  The
+    patterns are listed afresh per trial, so n > N stops at the first."""
+    gen = Xoshiro256StarStar(seed)
+    full = (1 << N) - 1
+    for _ in range(trials):
+        bits = gen.next_bits(N * N)
+        masks = [(bits >> (r * N)) & full for r in range(N)]
+        found = _first_avoided(_perm_matrices(n), masks, N)
+        if found is not None:
+            return UnavoidabilityReport(False, False, *found)
+    return UnavoidabilityReport(True, False)
 
 
 def graph_components(g: OrderedGraph) -> list[int]:

@@ -1,8 +1,10 @@
 """Binary matrix containment, unavoidability, and the matching dictionary."""
 
+import hashlib
+
 import pytest
 
-from conftest import brute_matrix_contained, flat_unavoidable
+from conftest import brute_matrix_contained, flat_unavoidable, sampled_unavoidable
 from orl.core import BLUE, Coloring, FormatError, RED
 from orl import patterns
 from orl.patterns import (
@@ -235,6 +237,62 @@ def test_unavoidable_sampling_mode_small():
     a, p = report2.counterexample_matrix, report2.counterexample_pattern
     assert not brute_matrix_contained(a, p)
     assert not brute_matrix_contained(complement(a), p)
+
+
+# (n, N, seed, trials, counterexample): the counterexample's matrix and
+# pattern as row masks, or a digest of them past 9 rows, or None when the
+# report holds.  Recorded with one next_bits(N * N) draw per trial.  The
+# cases take trials across and off draw-block edges, N * N up to 4,900 bits,
+# counterexamples from trial 0 to 1,079, and n > N.
+SAMPLED_GOLDEN = [
+    (1, 1, 1, 50, None),
+    (2, 2, 1, 5, ((1, 1), (1, 2))),
+    (2, 2, 21, 3, ((2, 2), (1, 2))),
+    (2, 2, 5, 1, None),
+    (3, 3, 1, 1, ((1, 3, 6), (1, 4, 2))),
+    (3, 4, 5, 7, ((7, 12, 8, 12), (2, 1, 4))),
+    (3, 4, 3, 2, None),
+    (2, 3, 1, 5000, None),
+    (3, 5, 13, 300, ((16, 7, 20, 28, 29), (2, 1, 4))),
+    (3, 5, 3, 700, ((8, 24, 26, 6, 30), (1, 4, 2))),
+    (3, 5, 5, 1100, ((0, 25, 5, 7, 7), (2, 4, 1))),
+    (3, 5, 9, 1079, None),
+    (3, 5, 9, 1080, ((2, 7, 5, 13, 12), (4, 1, 2))),
+    (3, 5, 1, 1000, None),
+    (3, 6, 1, 1000, None),
+    (3, 6, 2, 333, None),
+    (4, 5, 1, 1, ((25, 12, 29, 23, 7), (1, 2, 8, 4))),
+    (4, 6, 1, 100, ((17, 35, 38, 48, 44, 46), (2, 1, 8, 4))),
+    (4, 6, 9, 200, ((14, 15, 47, 51, 56, 9), (8, 1, 2, 4))),
+    (4, 6, 3, 58, None),
+    (4, 6, 3, 59, ((2, 30, 0, 3, 59, 10), (8, 4, 1, 2))),
+    (3, 7, 1, 300, None),
+    (3, 2, 1, 10, ((1, 2), (1, 2, 4))),
+    (5, 3, 9, 4, ((6, 2, 7), (1, 2, 4, 8, 16))),
+    (9, 4, 2, 1, ((13, 8, 4, 15), (1, 2, 4, 8, 16, 32, 64, 128, 256))),
+    (9, 8, 3, 2, ((36, 153, 90, 131, 99, 175, 85, 186), (1, 2, 4, 8, 16, 32, 64, 128, 256))),
+    (2, 65, 1, 3, None),
+    (3, 65, 2, 2, None),
+    (2, 70, 3, 2, None),
+    (66, 65, 4, 3, ('bb5fb38a4cc4e28a', '1740ae45e8f1e850')),
+    (1, 64, 5, 2, None),
+]
+
+
+def _recorded(a: BinaryMatrix):
+    masks = tuple(a.masks)
+    return masks if len(masks) <= 9 else hashlib.sha256(repr(masks).encode()).hexdigest()[:16]
+
+
+def test_unavoidable_sample_mode_golden():
+    for n, N, seed, trials, expected in SAMPLED_GOLDEN:
+        report = permutation_unavoidable(n, N, mode="sample", trials=trials, seed=seed)
+        assert report == sampled_unavoidable(n, N, seed, trials), (n, N, seed, trials)
+        assert not report.exhaustive
+        got = None if report.holds else (
+            _recorded(report.counterexample_matrix), _recorded(report.counterexample_pattern)
+        )
+        assert got == expected, (n, N, seed, trials)
 
 
 # ---------------------------------------------------------------------------
