@@ -7,11 +7,24 @@ raw 64-bit output stream.  Identical seeds and parameters therefore give
 bit-identical results across runs and platforms.
 
 Parallel trial streams are derived as stream k = generator(seed XOR k).
+
+`next_bits` draws long runs of bits in 64-step lanes: L copies of the
+generator packed side by side in one big int per state word, lane l started
+64 * l steps ahead, all advanced together.  Two facts make that exact.  The
+state update is linear over GF(2) (xors, a shift and a rotate), so 64 steps
+are one 256 x 256 bit matrix, the jump matrix, and lane l's start is that
+matrix applied l times to the state.  And the output bit, bit 57 of 5 * s1,
+depends only on the low 58 bits of s1, which times 5 stay below 2^61: one
+multiply of all lanes' masked s1 words carries nothing across a lane.
 """
 
 from __future__ import annotations
 
+from functools import cache, reduce
+from operator import getitem, xor
+
 MASK64 = (1 << 64) - 1
+LANE = 64  # steps per lane in `next_bits`, and bits per lane word
 
 
 def splitmix64_stream(seed: int, count: int) -> list[int]:
@@ -67,23 +80,22 @@ class Xoshiro256StarStar:
     def next_bits(self, count: int) -> int:
         """`count` draws of `next_bit` in one int: bit i is the i-th draw.
 
-        The state update of `next_u64` runs on locals and is stored once.
-        The low bit of rotl(5 * s1, 7) * 9 is bit 57 of 5 * s1, so the
-        output needs no rotate and no multiply by 9.
+        The draws run in L = ceil(count / 64) lanes (one when count <= 64):
+        lane l starts at step 64 * l, from `_lane_words`, and bit
+        64 * l + i is its output at pass i, so 64 passes give every bit.
+        The state left behind is the last lane's at step `count`.  The low
+        bit of rotl(5 * s1, 7) * 9 is bit 57 of 5 * s1, so the output needs
+        no rotate and no multiply by 9, and only the low 58 bits of each
+        lane's s1 take part in the one multiply.
         """
-        s0, s1, s2, s3 = self.s
-        out = 0
-        for i in range(count):
-            out |= ((s1 * 5) >> 57 & 1) << i
-            t = (s1 << 17) & MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
-        self.s[:] = s0, s1, s2, s3
-        return out
+        if count < 0:
+            raise ValueError("count must not be negative")
+        lanes = max(1, -(-count // LANE))
+        top = LANE * (lanes - 1)
+        out, end = _run_lanes(_lane_words(self.s, lanes), lanes, min(count, LANE),
+                              count - top - 1)
+        self.s[:] = [w >> top for w in end]
+        return out & ((1 << count) - 1)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates, swapping position i with j <= i for i = n-1..1."""
@@ -109,3 +121,84 @@ class Xoshiro256StarStar:
 def stream_for_trial(seed: int, trial: int) -> Xoshiro256StarStar:
     """Independent per-trial stream: generator seeded with seed XOR trial."""
     return Xoshiro256StarStar((seed ^ trial) & MASK64)
+
+
+# ---------------------------------------------------------------------------
+# 64-step lanes for next_bits
+# ---------------------------------------------------------------------------
+
+def _run_lanes(words: list[int], lanes: int, passes: int, snap: int):
+    """Advance `lanes` generators packed in the four state `words` (lane l
+    in bits 64 * l..64 * l + 63 of each) `passes` steps.  Returns their
+    outputs, bit 64 * l + i being lane l's `next_bit` at pass i, and the
+    words after pass `snap` (the words given when no pass is `snap`)."""
+    ones = ((1 << (LANE * lanes)) - 1) // MASK64  # bit 0 of every lane
+    lo58, hi17 = ones * ((1 << 58) - 1), ones * (MASK64 ^ ((1 << 17) - 1))
+    lo45, hi45 = ones * ((1 << 45) - 1), ones * (MASK64 ^ ((1 << 45) - 1))
+    s0, s1, s2, s3 = end = words
+    out = 0
+    for i in range(passes):
+        out |= ((s1 & lo58) * 5 >> 57 & ones) << i
+        t = (s1 << 17) & hi17
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = (s3 << 45) & hi45 | (s3 >> 19) & lo45
+        if i == snap:
+            end = s0, s1, s2, s3
+    return out, end
+
+
+def _pack(states: bytes) -> list[int]:
+    """The four lane words of 32-byte little-endian states, state l as lane l."""
+    view = memoryview(states).cast("Q")
+    return [int.from_bytes(view[w::4].tobytes(), "little") for w in range(4)]
+
+
+@cache
+def _jump_tables() -> tuple[list[int], ...]:
+    """The 64-step jump matrix as 64 nibble tables: table k maps a nibble v
+    at bits 4k..4k+3 of a 256-bit state (s0 in bits 0..63, s3 in 192..255)
+    to the xor of the columns of v's set bits.  The columns are the 256
+    unit states, one lane each, after 64 steps of `_run_lanes`."""
+    units = bytearray(32 * 256)
+    for j in range(256):
+        units[32 * j + j // 8] |= 1 << (j % 8)  # lane j: bit j of its state
+    _, end = _run_lanes(_pack(bytes(units)), 256, LANE, LANE - 1)
+    view = memoryview(bytearray(32 * 256)).cast("Q")
+    for w in range(4):
+        view[w::4] = memoryview(end[w].to_bytes(8 * 256, "little")).cast("Q")
+    raw = view.cast("B")
+    cols = [int.from_bytes(raw[32 * j:32 * j + 32], "little") for j in range(256)]
+    tables = []
+    for k in range(64):
+        table = [0] * 16
+        for v in range(1, 16):
+            low = v & -v
+            table[v] = table[v ^ low] ^ cols[4 * k + low.bit_length() - 1]
+        tables.append(table)
+    return tuple(tables)
+
+
+_LOW_NIBBLE = bytes(v & 15 for v in range(256))
+_HIGH_NIBBLE = bytes(v >> 4 for v in range(256))
+
+
+def _lane_words(s: list[int], lanes: int) -> list[int]:
+    """The four lane words of `lanes` generators started from state `s` at
+    steps 0, 64, ..., 64 * (lanes - 1): each start is the jump matrix times
+    the one before, applied to the 256-bit state one nibble at a time."""
+    if lanes == 1:
+        return list(s)
+    tables = _jump_tables()
+    low, high = tables[0::2], tables[1::2]
+    state = (s[0] | s[1] << 64 | s[2] << 128 | s[3] << 192).to_bytes(32, "little")
+    starts = [state]
+    for _ in range(lanes - 1):
+        state = reduce(xor, map(getitem, high, state.translate(_HIGH_NIBBLE)),
+                       reduce(xor, map(getitem, low, state.translate(_LOW_NIBBLE)), 0)
+                       ).to_bytes(32, "little")
+        starts.append(state)
+    return _pack(b"".join(starts))

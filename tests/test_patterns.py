@@ -295,6 +295,19 @@ def test_unavoidable_sample_mode_golden():
         assert got == expected, (n, N, seed, trials)
 
 
+@pytest.mark.parametrize("budget", [1, 30, 100])
+def test_unavoidable_sampling_blocks_keep_the_per_trial_bits(monkeypatch, budget):
+    # small draw blocks: one trial per draw when N * N > budget, else blocks
+    # of a few trials that end off the counterexample's trial
+    monkeypatch.setattr(patterns, "DRAW_BLOCK_BITS", budget)
+    for n, N, seed, trials, expected in SAMPLED_GOLDEN:
+        if N > 8 or expected is None:
+            continue
+        report = permutation_unavoidable(n, N, mode="sample", trials=trials, seed=seed)
+        got = _recorded(report.counterexample_matrix), _recorded(report.counterexample_pattern)
+        assert got == expected, (n, N, seed, trials)
+
+
 # ---------------------------------------------------------------------------
 # matching / coloring dictionary
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import listed_rho_regular, per_pair_blown_up_coloring
 from orl.constructions import nested_matching, quadratic_lb_instance
-from orl import embedder, ramsey
+from orl import embedder, ramsey, rng
 from orl.core import (
     BLUE,
     RED,
@@ -21,7 +21,7 @@ from orl.ramsey import (
     count_rho_regular,
     verify_certificate,
 )
-from orl.rng import Xoshiro256StarStar, splitmix64_stream, stream_for_trial
+from orl.rng import MASK64, Xoshiro256StarStar, splitmix64_stream, stream_for_trial
 from orl.stochastic import (
     PairSetQuery,
     blown_up_random_coloring,
@@ -72,13 +72,41 @@ def test_generator_determinism_and_streams():
 
 
 def test_next_bits_is_next_bit_draws():
-    for seed in [0, 1, 7, 20260810, (1 << 64) - 1] + list(range(100, 140)):
-        for k in (0, 1, 36, 64, 100):
-            packed, single = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
-            bits = packed.next_bits(k)
-            assert bits == sum(single.next_bit() << i for i in range(k)), (seed, k)
-            assert packed.s == single.s
-            assert packed.next_u64() == single.next_u64()
+    # counts on both sides of the 64-step lane edges, one lane to 65 lanes
+    cases = [
+        (seed, k)
+        for seed in [0, 1, 7, 20260810, (1 << 64) - 1] + list(range(100, 140))
+        for k in (0, 1, 36, 63, 64, 65, 100, 127, 128, 129, 4095, 4096, 4097)
+    ]
+    cases += [(seed, 20000) for seed in (2, 9, (1 << 64) - 2)]
+    for seed, k in cases:
+        packed, single = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+        bits = packed.next_bits(k)
+        assert bits == sum(single.next_bit() << i for i in range(k)), (seed, k)
+        assert packed.s == single.s
+        assert packed.next_u64() == single.next_u64()
+
+
+def test_lanes_carry_nothing_across():
+    # lane 0's 5 * s1 overflows 64 bits by 4, and lane 1's is 2^57 - 4 mod
+    # 2^64: a carry out of lane 0 would flip lane 1's first output bit
+    x = ((1 << 57) - 4) * pow(5, -1, 1 << 64) % (1 << 64)
+    states = [[1, MASK64, 2, 3], [4, x, 5, 6]]
+    words = [states[0][w] | states[1][w] << 64 for w in range(4)]
+    out, end = rng._run_lanes(words, 2, 64, 63)
+    for lane, state in enumerate(states):
+        single = Xoshiro256StarStar(0)
+        single.s = list(state)
+        drawn = sum(single.next_bit() << i for i in range(64))
+        assert (out >> (64 * lane)) & MASK64 == drawn, lane
+        assert [(w >> (64 * lane)) & MASK64 for w in end] == single.s
+
+
+def test_next_bits_rejects_a_negative_count():
+    gen = Xoshiro256StarStar(5)
+    with pytest.raises(ValueError):
+        gen.next_bits(-1)
+    assert gen.next_u64() == Xoshiro256StarStar(5).next_u64()
 
 
 def test_next_below_range_and_shuffle_permutation():
