@@ -9,7 +9,6 @@ only the edges and degrees of the graph it orders, not its vertex order;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from orl.core import (
@@ -18,12 +17,12 @@ from orl.core import (
     FormatError,
     OrderedGraph,
     RED,
+    Record,
     content_lines,
 )
 
 
-@dataclass(frozen=True)
-class BlockedOrderedGraph:
+class BlockedOrderedGraph(Record):
     """An ordered graph with designated consecutive blocks and marker edges.
 
     Blocks are disjoint runs of consecutive positions listed left to right;
@@ -31,40 +30,44 @@ class BlockedOrderedGraph:
     alternating cycle and the matching part of a tee graph are unblocked).
     """
 
-    graph: OrderedGraph
-    blocks: tuple[tuple[int, ...], ...]
-    inner_edge: Optional[tuple[int, int]] = None
-    outer_edge: Optional[tuple[int, int]] = None
+    __slots__ = ("graph", "blocks", "inner_edge", "outer_edge")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        graph: OrderedGraph,
+        blocks: tuple[tuple[int, ...], ...],
+        inner_edge: Optional[tuple[int, int]] = None,
+        outer_edge: Optional[tuple[int, int]] = None,
+    ):
         prev_end = 0
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("blocks must be non-empty")
             if list(block) != list(range(block[0], block[-1] + 1)):
                 raise ValueError("each block must be a run of consecutive positions")
             if block[0] <= prev_end:
                 raise ValueError("blocks must be disjoint and left to right")
-            if block[-1] > self.graph.n:
+            if block[-1] > graph.n:
                 raise ValueError("block exceeds the vertex range")
             prev_end = block[-1]
-        for marker in (self.inner_edge, self.outer_edge):
-            if marker is not None and tuple(sorted(marker)) not in self.graph.edges:
+        for marker in (inner_edge, outer_edge):
+            if marker is not None and tuple(sorted(marker)) not in graph.edges:
                 raise ValueError(f"marker {marker} is not an edge")
+        self._set_fields(graph, blocks, inner_edge, outer_edge)
 
 
-@dataclass(frozen=True)
-class TwoRegularSpec:
+class TwoRegularSpec(Record):
     """Cycle lengths of a 2-regular graph, in placement order."""
 
-    cycle_lengths: tuple[int, ...]
+    __slots__ = ("cycle_lengths",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "cycle_lengths", tuple(self.cycle_lengths))
-        if not self.cycle_lengths:
+    def __init__(self, cycle_lengths: Iterable[int]):
+        lengths = tuple(cycle_lengths)
+        if not lengths:
             raise ValueError("at least one cycle is required")
-        if any(length < 3 for length in self.cycle_lengths):
+        if any(length < 3 for length in lengths):
             raise ValueError("every cycle length must be at least 3")
+        self._set_fields(lengths)
 
     @property
     def total(self) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import operator
 import sys
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -153,24 +152,53 @@ def complete_graph(n: int) -> OrderedGraph:
 
 
 # ---------------------------------------------------------------------------
-# embeddings and interval partitions
+# records and embeddings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Embedding:
+class Record:
+    """Base of the immutable records that check their arguments: equality,
+    hash and repr by the fields named in `__slots__`, which `__init__` sets
+    once through `_set_fields` and which cannot be assigned afterwards."""
+
+    __slots__ = ()
+
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class Embedding(Record):
     """A strictly increasing injection of pattern positions into host positions."""
 
-    pattern_n: int
-    image: tuple[int, ...]
+    __slots__ = ("pattern_n", "image")
 
-    def __post_init__(self):
-        if len(self.image) != self.pattern_n:
+    def __init__(self, pattern_n: int, image: tuple[int, ...]):
+        if len(image) != pattern_n:
             raise ValueError("image length must equal the pattern size")
-        for a, b in zip(self.image, self.image[1:]):
+        for a, b in zip(image, image[1:]):
             if a >= b:
                 raise ValueError("image must be strictly increasing")
-        if self.image and self.image[0] < 1:
+        if image and image[0] < 1:
             raise ValueError("host positions are 1-based")
+        self._set_fields(pattern_n, image)
 
     def __call__(self, p: int) -> int:
         return self.image[p - 1]

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Optional
+from itertools import chain, combinations
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from orl.constructions import (
     alternating_path,
@@ -37,8 +36,7 @@ class WitnessError(AssertionError):
     """An internally constructed witness failed re-verification."""
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """A pipeline's witness, or None and the name of the stage that gave out."""
 
     embedding: Optional[Embedding]
@@ -164,18 +162,20 @@ def largest_nested_matching(pairs: Iterable[tuple[int, int]]) -> list[tuple[int,
 # blow-up extraction
 # ---------------------------------------------------------------------------
 
-def _find_kkk_between(
-    host: OrderedGraph, left: range, right: range, k: int
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Lexicographically first complete k-by-k bipartite copy across two intervals."""
-    for ls in combinations(left, k):
-        common = ~0
-        for u in ls:
-            common &= host.adj[u]
-        candidates = [v for v in right if (common >> v) & 1]
-        if len(candidates) >= k:
-            return ls, tuple(candidates[:k])
-    return None
+def _subset_masks(
+    host: OrderedGraph, left: int, d: int, k: int, kept: list
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each k-subset of the d positions from `left`, in combinations order,
+    as its offsets from `left` and the mask of its common neighbours, each
+    also appended to `kept`.  Drawn only as far as some right interval
+    needs: a hit can come long before the last of the C(d, k) subsets."""
+    adj = host.adj
+    for offsets in combinations(range(d), k):
+        common = -1
+        for off in offsets:
+            common &= adj[left + off]
+        kept.append((offsets, common))
+        yield offsets, common
 
 
 def _check_pipeline_args(host: OrderedGraph, d: int, n: int, k: int) -> int:
@@ -198,17 +198,29 @@ def blowup_pipeline(host: OrderedGraph, d: int, n: int, k: int) -> PipelineResul
     if k > d:
         return PipelineResult(None, "bipartite-cliques")
 
+    # the copy kept for intervals i < j: the first k-subset of interval i,
+    # in combinations order, with k common neighbours in interval j, and the
+    # first k of those; its type is both sides' offsets in their intervals
+    window = (1 << d) - 1
     classes: dict[tuple, list[tuple[int, int]]] = {}
     for i in range(1, t + 1):
         left = (i - 1) * d + 1  # the first position of interval i
+        kept: list[tuple[tuple[int, ...], int]] = []
+        drawn = _subset_masks(host, left, d, k, kept)
         for j in range(i + 1, t + 1):
             right = (j - 1) * d + 1
-            rep = _find_kkk_between(host, range(left, left + d), range(right, right + d), k)
-            if rep is None:
+            for ltype, common in chain(kept, drawn):
+                hits = (common >> right) & window
+                if hits.bit_count() >= k:
+                    break
+            else:
                 continue
-            ltype = tuple(v - left for v in rep[0])
-            rtype = tuple(v - right for v in rep[1])
-            classes.setdefault((ltype, rtype), []).append((i, j))
+            rtype = []
+            for _ in range(k):
+                low = hits & -hits
+                hits ^= low
+                rtype.append(low.bit_length() - 1)
+            classes.setdefault((ltype, tuple(rtype)), []).append((i, j))
     if not classes:
         return PipelineResult(None, "bipartite-cliques")
 

@@ -17,9 +17,8 @@ matrices that dodge a permutation pattern both ways.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, permutations
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from orl.core import Coloring, FormatError, OrderedGraph, RED, parse_line_format
 from orl.rng import Xoshiro256StarStar
@@ -199,8 +198,7 @@ def permutation_matrices(n: int) -> Iterator[BinaryMatrix]:
         yield BinaryMatrix._from_masks(n, [1 << c for c in pi])
 
 
-@dataclass(frozen=True)
-class UnavoidabilityReport:
+class UnavoidabilityReport(NamedTuple):
     holds: bool
     exhaustive: bool
     counterexample_matrix: Optional[BinaryMatrix] = None

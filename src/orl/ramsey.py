@@ -22,10 +22,9 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from orl.core import (
     BLUE,
@@ -39,10 +38,23 @@ from orl.core import (
 from orl.embedder import find_monochromatic
 
 
-@dataclass
 class SearchStats:
-    nodes: int = 0
-    prunes: int = 0
+    """Nodes and prunes of `avoiding_coloring` searches, added up across the
+    calls that are passed the same object."""
+
+    __slots__ = ("nodes", "prunes")
+
+    def __init__(self, nodes: int = 0, prunes: int = 0):
+        self.nodes = nodes
+        self.prunes = prunes
+
+    def __eq__(self, other) -> bool:  # defining it leaves the counters unhashable
+        if type(other) is not SearchStats:
+            return NotImplemented
+        return (self.nodes, self.prunes) == (other.nodes, other.prunes)
+
+    def __repr__(self) -> str:
+        return f"SearchStats(nodes={self.nodes}, prunes={self.prunes})"
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +292,7 @@ def avoiding_coloring(
     return Coloring(N, [COLORS[k or 0] for k in color])
 
 
-@dataclass(frozen=True)
-class RamseyResult:
+class RamseyResult(NamedTuple):
     """Outcome of an ordered Ramsey computation, possibly capped at N_max.
 
     `lower` is an avoiding coloring of K_{value - 1} (None when no size was
@@ -364,8 +375,7 @@ def distinct_orderings(g: OrderedGraph) -> dict[OrderedGraph, list[int]]:
     return seen
 
 
-@dataclass(frozen=True)
-class MinMaxReport:
+class MinMaxReport(NamedTuple):
     graph: OrderedGraph
     results: tuple[tuple[tuple[int, ...], RamseyResult], ...]  # (order, result)
 
@@ -445,8 +455,7 @@ def count_labeled_graphs(degrees: tuple[int, ...]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RegularCountReport:
+class RegularCountReport(NamedTuple):
     rho: Fraction
     n: int
     exact_count: int

@@ -127,14 +127,23 @@ def stream_for_trial(seed: int, trial: int) -> Xoshiro256StarStar:
 # 64-step lanes for next_bits
 # ---------------------------------------------------------------------------
 
+def _lane_masks(lanes: int) -> tuple[int, int, int, int, int]:
+    """The masks `_run_lanes` applies to `lanes` lanes: bit 0 of every lane,
+    and every lane's low 58 bits, bits 17..63, low 45 bits and bits 45..63."""
+    ones = ((1 << (LANE * lanes)) - 1) // MASK64
+    return (ones, ones * ((1 << 58) - 1), ones * (MASK64 ^ ((1 << 17) - 1)),
+            ones * ((1 << 45) - 1), ones * (MASK64 ^ ((1 << 45) - 1)))
+
+
+_ONE_LANE_MASKS = _lane_masks(1)  # every draw of at most 64 bits uses these
+
+
 def _run_lanes(words: list[int], lanes: int, passes: int, snap: int):
     """Advance `lanes` generators packed in the four state `words` (lane l
     in bits 64 * l..64 * l + 63 of each) `passes` steps.  Returns their
     outputs, bit 64 * l + i being lane l's `next_bit` at pass i, and the
     words after pass `snap` (the words given when no pass is `snap`)."""
-    ones = ((1 << (LANE * lanes)) - 1) // MASK64  # bit 0 of every lane
-    lo58, hi17 = ones * ((1 << 58) - 1), ones * (MASK64 ^ ((1 << 17) - 1))
-    lo45, hi45 = ones * ((1 << 45) - 1), ones * (MASK64 ^ ((1 << 45) - 1))
+    ones, lo58, hi17, lo45, hi45 = _ONE_LANE_MASKS if lanes == 1 else _lane_masks(lanes)
     s0, s1, s2, s3 = end = words
     out = 0
     for i in range(passes):

@@ -8,10 +8,9 @@ derived experiment parameters are base 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from orl import ramsey
 from orl.core import Coloring, OrderedGraph
@@ -117,8 +116,7 @@ def blown_up_random_coloring(t: int, s: int, seed: int) -> Coloring:
 # exact probability checks for random matchings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairSetQuery:
+class PairSetQuery(NamedTuple):
     """Disjoint left sets X_i in [n], right sets Y_j in [2n] \\ [n], and the
     index pairs whose crossing edges must all be absent."""
 
@@ -205,8 +203,7 @@ def pair_coverage_stats(g: OrderedGraph, parts: Iterable[Iterable[int]]) -> int:
     return len(covered)
 
 
-@dataclass(frozen=True)
-class CoverageTrial:
+class CoverageTrial(NamedTuple):
     seed: int
     part_count: int
     max_size: int
@@ -245,15 +242,13 @@ def coverage_experiment(
 # Monte Carlo avoidance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AvoidanceTrial:
+class AvoidanceTrial(NamedTuple):
     trial: int
     seed: int
     avoided: bool
 
 
-@dataclass(frozen=True)
-class AvoidanceReport:
+class AvoidanceReport(NamedTuple):
     pattern: OrderedGraph
     t: int
     s: int

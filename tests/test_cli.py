@@ -973,3 +973,25 @@ def test_threads_option_is_gone(capsys):
     assert dispatch(["--threads", "2", "construct", "altpath", "3"]) == EXIT_USAGE
     code, _, err = run(capsys, "construct", "altpath", "3", "--threads", "2")
     assert code == EXIT_USAGE and "unrecognized arguments: --threads" in err
+
+
+def test_cli_import_loads_what_commands_use_and_no_dataclasses():
+    # start-up is paid by every `orl` run: `import orl.cli` loads every orl
+    # module and the stdlib modules the commands use, so none is deferred
+    # into a command, and not `dataclasses`, which drags in `inspect`
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import orl.cli\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code, str(Path(cli.__file__).parents[1])],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not {"dataclasses", "inspect"} & loaded
+    assert {
+        "orl.core", "orl.constructions", "orl.embedder", "orl.patterns", "orl.rng",
+        "orl.ramsey", "orl.stochastic", "hashlib", "json", "fractions", "argparse",
+    } <= loaded
