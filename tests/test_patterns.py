@@ -243,7 +243,13 @@ def test_unavoidable_sampling_mode_small():
 # pattern as row masks, or a digest of them past 9 rows, or None when the
 # report holds.  Recorded with one next_bits(N * N) draw per trial.  The
 # cases take trials across and off draw-block edges, N * N up to 4,900 bits,
-# counterexamples from trial 0 to 1,079, and n > N.
+# counterexamples from trial 0 to 1,079, and n > N.  The rows from
+# (3, 6, 4, 3000) on draw past 2^16 bits, put counterexamples inside the runs
+# of trials 2^j - 1 through 2^(j+1) - 2 (at trials 619, 117 and 140, each
+# with a lower pattern violating a later trial of its run, 140 also with a
+# higher one, and at 9) and one on the last trial of such a run (1,022), and
+# end the trials one before and one after the runs that end at trials 126
+# and 1,022.
 SAMPLED_GOLDEN = [
     (1, 1, 1, 50, None),
     (2, 2, 1, 5, ((1, 1), (1, 2))),
@@ -276,6 +282,16 @@ SAMPLED_GOLDEN = [
     (2, 70, 3, 2, None),
     (66, 65, 4, 3, ('bb5fb38a4cc4e28a', '1740ae45e8f1e850')),
     (1, 64, 5, 2, None),
+    (3, 6, 4, 3000, None),
+    (4, 7, 1, 1000, None),
+    (3, 5, 22, 1000, ((7, 23, 28, 28, 0), (2, 4, 1))),
+    (4, 6, 65, 130, ((49, 57, 6, 46, 4, 8), (8, 2, 4, 1))),
+    (5, 8, 5, 300, ((225, 102, 41, 120, 61, 9, 35, 18), (8, 2, 4, 1, 16))),
+    (3, 4, 9, 20, ((7, 6, 0, 1), (2, 1, 4))),
+    (3, 5, 34, 1022, None),
+    (3, 5, 34, 1024, ((30, 28, 15, 3, 1), (2, 1, 4))),
+    (3, 6, 4, 126, None),
+    (3, 6, 4, 128, None),
 ]
 
 
