@@ -13,11 +13,23 @@ for the exhaustive 2-in-4 scan, and 1.5 s against 0.33 s for four
 1,000-trial 3-in-6 samples (medians of six runs, Python 3.11.7, 2 vCPUs).
 The matching/coloring converters translate avoidance certificates into
 matrices that dodge a permutation pattern both ways.
+
+Sampled unavoidability checks its trials a block at a time, in blocks of
+1, 2, 4, ... trials.  A block of at least C(N, n) trials is bit-sliced:
+entry (r, c) of all its trials is one int with a bit per trial, and each
+pattern is matched against every trial at once, at C(N, n) host column
+sets whatever the trial count, where the per-trial check costs a
+`contained_in` call per trial.  Smaller blocks, the first ones of every
+sample and all of them when C(N, n) is large (3-in-65, 8-in-12), keep the
+per-trial check.  Either way a block reports its first violating trial
+with the first pattern that trial violates, so the report does not depend
+on which check ran.
 """
 
 from __future__ import annotations
 
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
+from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from orl.core import Coloring, FormatError, OrderedGraph, RED, parse_line_format
@@ -205,27 +217,90 @@ class UnavoidabilityReport(NamedTuple):
     counterexample_pattern: Optional[BinaryMatrix] = None
 
 
-# bits of one `next_bits` draw in sampling mode: a block of trials' matrices,
-# or one matrix when N * N is larger.  A long draw runs in 64-step lanes and
-# costs less per bit than short ones (36,000 bits: 3.3 ms as 4,068-bit draws,
-# 19 ms as 36-bit draws; Python 3.11.7, 2 vCPUs); the cap keeps the draw's
-# memory flat in the trial count and the size.
-DRAW_BLOCK_BITS = 4096
+# bits of one `next_bits` draw in sampling mode, at most: blocks of trials
+# start at one trial and double up to it, or hold one trial when N * N is
+# larger.  A long draw runs in 64-step lanes and costs less per bit than
+# short ones (36,000 bits: 3.3 ms as 4,068-bit draws, 19 ms as 36-bit draws;
+# Python 3.11.7, 2 vCPUs), and a bit-sliced block needs C(N, n) trials to pay
+# (see `permutation_unavoidable`), so blocks grow; starting at one trial keeps
+# an early counterexample cheap, and the cap keeps the draw's memory and each
+# block int (2^16 / N^2 bits, one bit per trial) flat in the trial count.
+DRAW_BLOCK_BITS = 1 << 16
 
 
-def _sampled_draws(size: int, trials: int, seed: int) -> Iterator[int]:
-    """`trials` draws of `size` bits from `Xoshiro256StarStar(seed)`, trial k
-    taking bits k * size through (k + 1) * size - 1 of the stream, as one
-    `next_bits(size)` per trial would; they are drawn a block of at most
-    DRAW_BLOCK_BITS (or one trial) at a time."""
+def _sampled_blocks(size: int, trials: int, seed: int) -> Iterator[tuple[int, int]]:
+    """`trials` draws of `size` bits from `Xoshiro256StarStar(seed)` as
+    (count, bits) per block of trials: trial k of the block takes bits
+    k * size through (k + 1) * size - 1 of `bits`, as one `next_bits(size)`
+    per trial would draw them.  Blocks hold 1, 2, 4, ... trials, up to
+    DRAW_BLOCK_BITS bits or one trial."""
     gen = Xoshiro256StarStar(seed)
-    per_block = max(1, DRAW_BLOCK_BITS // size)
-    full = (1 << size) - 1
-    for start in range(0, trials, per_block):
-        count = min(per_block, trials - start)
-        bits = gen.next_bits(count * size)
-        for k in range(count):
-            yield (bits >> (k * size)) & full
+    cap = max(1, DRAW_BLOCK_BITS // size)
+    count = 1
+    while trials > 0:
+        count = min(count, cap, trials)
+        yield count, gen.next_bits(count * size)
+        trials -= count
+        count *= 2
+
+
+def _sliced_violation(
+    patterns: Sequence[BinaryMatrix], bits: int, count: int, N: int
+) -> Optional[tuple[int, BinaryMatrix]]:
+    """The first of `count` trials (trial k's N x N matrix in bits
+    k * N * N.. of `bits`, entry (r, c) at bit r * N + c) whose matrix and
+    complement both avoid one of the permutation `patterns`, with the first
+    such pattern; None when every trial holds them all.
+
+    The block is transposed so that entry (r, c) of every trial is one
+    `count`-bit int, bit k for trial k, and each pattern is checked on all
+    trials still undecided at once.  For each set of n host columns, pattern
+    row k goes on column cols[pi[k]] (pi[k] is its 1), and a DP over the host
+    rows gives the trials with increasing rows that take them: reach[k] is
+    the trials in which pattern rows 0..k-1 fit in the rows seen so far.  A
+    violation at trial t leaves only the trials below t undecided, so the
+    first trial is found, and with the first pattern that violates it.
+    """
+    size, n = N * N, patterns[0].rows
+    text = format(bits, f"0{count * size}b")  # bit i is text[-1 - i]
+    entry = [int(text[size - 1 - p::size], 2) for p in range(size)]
+    col_sets = list(combinations(range(N), n))
+    # host row r can take pattern rows r - (N - n) through r, highest first
+    # so that reach[k] still holds the rows above r
+    steps = [(r * N, range(min(r, n - 1), max(0, r - N + n) - 1, -1)) for r in range(N)]
+
+    def contained(pi: list[int], entry: list[int], alive: int) -> int:
+        found = 0
+        for cols in col_sets:
+            at = [cols[c] for c in pi]
+            reach = [alive] + [0] * n
+            for base, ks in steps:
+                for k in ks:
+                    reach[k + 1] |= reach[k] & entry[base + at[k]]
+            if reach[n]:
+                found |= reach[n]
+                alive ^= reach[n]
+                if not alive:
+                    break
+        return found
+
+    block = (1 << count) - 1
+    flipped = None  # the complements' entries, built on the first miss
+    undecided, first = block, None
+    for p in patterns:
+        pi = [m.bit_length() - 1 for m in p.masks]
+        missed = undecided ^ contained(pi, entry, undecided)
+        if missed:
+            if flipped is None:
+                flipped = [block ^ e for e in entry]
+            missed ^= contained(pi, flipped, missed)
+        if missed:
+            low = missed & -missed
+            first = low.bit_length() - 1, p
+            undecided &= low - 1
+            if not undecided:
+                break
+    return first
 
 
 def permutation_unavoidable(
@@ -246,7 +321,17 @@ def permutation_unavoidable(
     with all its completions.  It is limited to N <= 5; sampling mode only
     reports counterexamples it happens to find, and lists all n! patterns,
     so it is limited to n <= 8 unless n > N.  Its trial k takes entry (r, c)
-    from draw k * N * N + r * N + c of `Xoshiro256StarStar(seed).next_bit`.
+    from draw k * N * N + r * N + c of `Xoshiro256StarStar(seed).next_bit`,
+    and it reports the first violating trial with the first pattern, in
+    `permutation_matrices` order, that trial violates.
+
+    Sampled trials are drawn in blocks of 1, 2, 4, ... trials.  A block of
+    at least C(N, n) trials (n <= N) is checked bit-sliced, all its trials
+    per pattern at once by `_sliced_violation`, at C(N, n) column sets per
+    pattern whatever the trial count; a smaller block runs one
+    `BinaryMatrix.contained_in` per trial and pattern.  Both find the
+    block's first violating trial and that trial's first pattern, and the
+    blocks come in trial order, so the report is the per-trial one.
     """
     if N < 1:
         raise ValueError("dimensions must be at least 1x1")
@@ -256,6 +341,8 @@ def permutation_unavoidable(
         raise ValueError("exhaustive mode is limited to N <= 5")
     if 8 < n <= N:  # in sample mode, as N <= 5 in exhaustive mode
         raise ValueError("sample mode is limited to n <= 8 unless n > N")
+    if mode == "sample" and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     # no N x N matrix holds an n x n pattern for n > N: the first one is the answer
     patterns = list(islice(permutation_matrices(n), 1 if n > N else None))
     full = (1 << N) - 1
@@ -288,11 +375,23 @@ def permutation_unavoidable(
 
     if mode == "exhaustive":
         return first_violation([]) or UnavoidabilityReport(True, True)
-    for bits in _sampled_draws(N * N, trials, seed):
-        masks = [(bits >> (r * N)) & full for r in range(N)]
-        bad = violates(masks)
-        if bad is not None:
-            return UnavoidabilityReport(False, False, BinaryMatrix._from_masks(N, masks), bad)
+
+    def trial_masks(bits: int, k: int) -> list[int]:
+        return [(bits >> r) & full for r in range(k * N * N, (k + 1) * N * N, N)]
+
+    for count, bits in _sampled_blocks(N * N, trials, seed):
+        if n <= N and comb(N, n) <= count:
+            found = _sliced_violation(patterns, bits, count, N)
+        else:
+            found = None
+            for k in range(count):
+                bad = violates(trial_masks(bits, k))
+                if bad is not None:
+                    found = k, bad
+                    break
+        if found is not None:
+            k, bad = found
+            return UnavoidabilityReport(False, False, BinaryMatrix._from_masks(N, trial_masks(bits, k)), bad)
     return UnavoidabilityReport(True, False)
 
 

@@ -18,6 +18,7 @@ from orl.patterns import (
     permutation_unavoidable,
     serialize_matrix,
 )
+from orl.rng import Xoshiro256StarStar
 from orl.stochastic import sample_permutation_matching
 from orl.embedder import find_monochromatic
 
@@ -214,6 +215,12 @@ def test_unavoidable_checks_arguments_before_drawing_patterns(monkeypatch):
     with pytest.raises(ValueError, match="N <= 5"):
         permutation_unavoidable(7, 6)
     assert len(drawn) <= 1
+    # no trial to sample: an error, not a report that holds, even for n > N
+    drawn.clear()
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            permutation_unavoidable(3, 2, mode="sample", trials=trials, seed=1)
+    assert not drawn
 
 
 def test_unavoidable_sampling_limits_n_before_drawing_patterns(monkeypatch):
@@ -300,28 +307,60 @@ def _recorded(a: BinaryMatrix):
     return masks if len(masks) <= 9 else hashlib.sha256(repr(masks).encode()).hexdigest()[:16]
 
 
+def _outcome(report):
+    return None if report.holds else (
+        _recorded(report.counterexample_matrix), _recorded(report.counterexample_pattern)
+    )
+
+
 def test_unavoidable_sample_mode_golden():
     for n, N, seed, trials, expected in SAMPLED_GOLDEN:
         report = permutation_unavoidable(n, N, mode="sample", trials=trials, seed=seed)
         assert report == sampled_unavoidable(n, N, seed, trials), (n, N, seed, trials)
         assert not report.exhaustive
-        got = None if report.holds else (
-            _recorded(report.counterexample_matrix), _recorded(report.counterexample_pattern)
-        )
-        assert got == expected, (n, N, seed, trials)
+        assert _outcome(report) == expected, (n, N, seed, trials)
 
 
-@pytest.mark.parametrize("budget", [1, 30, 100])
+@pytest.mark.parametrize("budget", [1, 30, 100, 1000])
 def test_unavoidable_sampling_blocks_keep_the_per_trial_bits(monkeypatch, budget):
     # small draw blocks: one trial per draw when N * N > budget, else blocks
-    # of a few trials that end off the counterexample's trial
+    # of a few trials that end off the counterexample's trial; at 1,000 bits
+    # the counterexamples at trials 33, 110, 117, 248, 610, 619 and 1,007
+    # lie inside bit-sliced blocks (16 to 40 trials), off their edges
     monkeypatch.setattr(patterns, "DRAW_BLOCK_BITS", budget)
     for n, N, seed, trials, expected in SAMPLED_GOLDEN:
-        if N > 8 or expected is None:
+        if N > 8:
             continue
         report = permutation_unavoidable(n, N, mode="sample", trials=trials, seed=seed)
-        got = _recorded(report.counterexample_matrix), _recorded(report.counterexample_pattern)
-        assert got == expected, (n, N, seed, trials)
+        assert _outcome(report) == expected, (n, N, seed, trials)
+
+
+def test_unavoidable_sampling_slices_only_blocks_of_c_n_n_trials(monkeypatch):
+    # a block is bit-sliced iff n <= N and it holds at least C(N, n) trials
+    def refused(*args):
+        raise AssertionError("bit-sliced a block")
+
+    with monkeypatch.context() as m:
+        m.setattr(patterns, "_sliced_violation", refused)
+        for n, N, seed, trials, expected in SAMPLED_GOLDEN:
+            if (n, N) in ((3, 65), (2, 70), (66, 65), (5, 3)):
+                report = permutation_unavoidable(n, N, mode="sample", trials=trials, seed=seed)
+                assert _outcome(report) == expected, (n, N, seed, trials)
+        report = permutation_unavoidable(8, 12, mode="sample", trials=2, seed=7)
+        a, p = report.counterexample_matrix, report.counterexample_pattern
+        assert not p.contained_in(a.masks, 12)
+        assert not p.contained_in(complement(a).masks, 12)
+
+    # C(6, 3) = 20: only the blocks of 1 to 16 trials check trial by trial
+    draws, calls = [], []
+    next_bits, contained_in = Xoshiro256StarStar.next_bits, BinaryMatrix.contained_in
+    monkeypatch.setattr(Xoshiro256StarStar, "next_bits",
+                        lambda gen, count: draws.append(count) or next_bits(gen, count))
+    monkeypatch.setattr(BinaryMatrix, "contained_in",
+                        lambda p, *args: calls.append(len(draws)) or contained_in(p, *args))
+    assert permutation_unavoidable(3, 6, mode="sample", trials=1000, seed=1).holds
+    assert [bits // 36 for bits in draws] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 489]
+    assert set(calls) == {1, 2, 3, 4, 5}
 
 
 # ---------------------------------------------------------------------------
