@@ -326,7 +326,7 @@ def test_unavoidable_sampling_blocks_keep_the_per_trial_bits(monkeypatch, budget
     # small draw blocks: one trial per draw when N * N > budget, else blocks
     # of a few trials that end off the counterexample's trial; at 1,000 bits
     # the counterexamples at trials 33, 110, 117, 248, 610, 619 and 1,007
-    # lie inside bit-sliced blocks (16 to 40 trials), off their edges
+    # lie inside bit-sliced blocks (18 to 40 trials), off their edges
     monkeypatch.setattr(patterns, "DRAW_BLOCK_BITS", budget)
     for n, N, seed, trials, expected in SAMPLED_GOLDEN:
         if N > 8:
