@@ -225,6 +225,8 @@ def cmd_construct(args, ctx: RunContext) -> int:
 def cmd_embed(args, ctx: RunContext) -> int:
     host = ctx.read(args.host, parse_ordered_graph)
     if args.algo == "altpath":
+        if args.n > host.n:
+            raise ValueError(f"--n {args.n}: must be at most the host size {host.n}")
         emb = embedder.find_alternating_path(host, args.n)
         stage = None if emb else "no-surviving-edge"
     else:

@@ -10,10 +10,7 @@ degrees.  All types here are immutable after construction.
 
 from __future__ import annotations
 
-import operator
 import sys
-from collections import deque
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 RED = "R"
@@ -345,57 +342,58 @@ def parse_line_format(
     return values, lines
 
 
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def _read_serialized_edge_list(text: str, tag: str) -> Optional[tuple[int, list[int]]]:
     """n and the adjacency bitmasks of `text` if it is in the form
-    `_serialize_edge_list` writes, with the edge lines in any order; else None.
+    `_serialize_edge_list` writes, with the lines of a row in any order;
+    else None.
 
-    That form is the header `<tag> <n> <m>` and m lines `e <i> <j>` with
-    1 <= i < j <= n, no edge twice, single spaces, plain decimals and `\\n`
-    after every line.  The text is read in whole-text passes with no Python
-    loop per edge, and only when its (n + 1)^2-byte grid is no larger than
-    the text.  Counts prove the layout: m lines, each starting `e `, hold
-    3m tokens between single spaces.  Tokens 1 and 2 of every three must be
-    among the strings `1`..`n`, so each line's `e` is token 0 of a three and
-    the line is exactly `e <i> <j>`.  Edge (i, j) sets byte i(n + 1) + j of
-    the grid; m set bytes, none on or below the diagonal, rule out
-    duplicates, loops and reversed pairs.
+    That form is the header `<tag> <n> <m>`, then rows i ascending: row i
+    is lines `e <i> <j>` with i < j <= n, no j twice, single spaces, plain
+    decimals and `\\n` after every line, and the rows hold m lines.  Each
+    row is one slice of the text, `\\ne <i> <j1>\\ne <i> <j2>...`, read
+    with no Python loop per edge.  i, from a table of the strings `1` to
+    `n - 1`, exceeds the previous row's and starts the slice, which ends
+    with the last line starting `e <i> ` within the row's at most n - i
+    lines of at most `len(f"\\ne {n} {n}")` characters.  Split on
+    `\\ne <i> `, the slice must leave only strings that a table of `1` to
+    `n` maps to bits (and the empty one before the first line), so each of
+    its lines is `e <i> <j>`; a set bit per line rules out duplicates, and
+    none at or below i rules out loops and reversed pairs.  The lower
+    halves of the masks come from a transpose of the rows, an
+    (n + 1)^2-character string, so the text is read here only when that
+    string is no longer than the text.
     """
-    head, _, body = text.partition("\n")
+    head, _, _ = text.partition("\n")
     try:
         _, n, m = head.split(" ")
         n, m = int(n), int(m)
     except ValueError:
         return None
     if (head != f"{tag} {n} {m}" or min(n, m) < 0 or (n + 1) ** 2 > len(text)
-            or not text.endswith("\n")):
+            or not text.endswith("\n") or text.count("\n") != m + 1):
         return None
-    tokens = body.replace("\n", " ").split(" ")  # ends with "" after the last line
-    if (body.count("\n") != m or ("\n" + body).count("\ne ") != m
-            or len(tokens) != 3 * m + 1):
-        return None
-    w = n + 1
-    column = {str(v): v for v in range(1, w)}
-    row = {str(v): v * w for v in range(1, w)}
-    grid = bytearray(w * w)
+    w, width = n + 1, len(f"\ne {n} {n}")
+    row_of = {str(v): v for v in range(1, n)}
+    bit = {"": 0} | {str(v): 1 << v for v in range(1, w)}  # "" is before a row's first line
+    upper = [0] * w
+    pos, last, prev = len(head), len(text) - 1, 0
     try:
-        cells = map(operator.add, map(row.__getitem__, tokens[1::3]),
-                    map(column.__getitem__, tokens[2::3]))
-        deque(map(operator.setitem, repeat(grid), cells, repeat(1)), 0)  # runs the map in C
-    except KeyError:  # an endpoint outside 1..n or not written plainly
+        while pos < last:  # text[pos] is the `\n` before the row's first line
+            i = row_of[text[pos + 3:pos + width].partition(" ")[0]]
+            prefix = f"\ne {i} "
+            if i <= prev or not text.startswith(prefix, pos):
+                return None
+            end = text.find("\n", text.rfind(prefix, pos, pos + (n - i) * width) + 1)
+            row = text[pos:end]
+            mask = sum(map(bit.__getitem__, row.split(prefix)))
+            if mask.bit_count() != row.count("\n") or mask & ((2 << i) - 1):
+                return None
+            upper[i], prev, pos = mask, i, end
+    except KeyError:  # a row index or endpoint that is not a plain 1..n
         return None
-    if grid.count(1) != m:
-        return None
-    bits = grid.translate(_BITS)
-    adj = []
-    for v in range(w):
-        if b"1" in bits[v * w:v * w + v + 1]:
-            return None
-        # bit u of a mask is character u from the right
-        adj.append(int(bits[v * w:v * w + w][::-1], 2) | int(bits[v::w][::-1], 2))
-    return n, adj
+    # character v of row u's string is bit v of upper[u], so column v is lower[v]
+    bits = "".join(format(u, "b").zfill(w)[::-1] for u in upper)
+    return n, [u | int(bits[v::w][::-1], 2) for v, u in enumerate(upper)]
 
 
 def _parse_edge_list(text: str, header: str) -> tuple[int, list[int]]:
@@ -403,11 +401,11 @@ def _parse_edge_list(text: str, header: str) -> tuple[int, list[int]]:
 
     Returns n and the adjacency bitmasks (bit j of entry i set iff {i, j}
     is an edge; entry 0 is 0).  Text in the exact form the serializer
-    writes, with its edge lines in any order, takes the whole-text fast
-    path `_read_serialized_edge_list`, which gives the same result as the
-    line reader below.  Any other text goes to the line reader, where a
-    self-loop, an out-of-range endpoint or a duplicate edge is a
-    FormatError at its line.
+    writes, rows i ascending with the lines of a row in any order, takes
+    the row reader `_read_serialized_edge_list`, which gives the same
+    result as the line reader below.  Any other text goes to the line
+    reader, where a self-loop, an out-of-range endpoint or a duplicate
+    edge is a FormatError at its line.
     """
     fast = _read_serialized_edge_list(text, header)
     if fast is not None:

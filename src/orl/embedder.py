@@ -83,8 +83,8 @@ def find_alternating_path(host: OrderedGraph, n: int) -> Optional[Embedding]:
 
     Runs n-2 simultaneous removal steps, keeps the lexicographically smallest
     surviving edge as the path's last two vertices, and walks the trace
-    backwards.  Returns None only when no edge survives; every witness is
-    re-verified against alternating_path(n) before being returned.
+    backwards.  Returns None when n > host.n or no edge survives; every
+    witness is re-verified against alternating_path(n) before being returned.
     """
     if n < 1:
         raise ValueError("the path needs at least one vertex")
@@ -275,9 +275,9 @@ def count_triangles(host: OrderedGraph) -> int:
 def _tee_split(host: OrderedGraph, epsilon: Fraction) -> str | tuple[int, list[tuple[int, int]]]:
     """Stages (a)-(d) of `tee_pipeline`: the split index j and the supported
     left legs, sorted, or the name of the stage that gave out."""
-    if not count_triangles(host):
-        return "triangles"
     big_n, adj, edges = host.n, host.adj, host.sorted_edges()
+    if not any((adj[a] & adj[b]) >> (b + 1) for a, b in edges):  # stops at a triangle
+        return "triangles"
     min_leg = math.ceil(epsilon * big_n / 2)  # legs are integers
 
     # (b)+(c) a triangle u < v < w with a long right leg is in T_j for

@@ -246,6 +246,12 @@ def test_embed_altpath_and_none(tmp_path, capsys):
     host.write_text("og 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
     code, out, _ = run(capsys, "embed", "altpath", "--host", str(host), "--n", "3")
     assert code == EXIT_OK and out.strip() == "1 2 3"
+    code, out, _ = run(capsys, "embed", "altpath", "--host", str(host), "--n", "4")
+    assert code == EXIT_OK and out.strip() == "1 2 3 4"
+    # a path longer than the host is a usage error, not a failed removal stage
+    code, out, err = run(capsys, "embed", "altpath", "--host", str(host), "--n", "5")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: --n 5: must be at most the host size 4\n"
     empty = tmp_path / "empty.og"
     empty.write_text("og 4 0\n")
     code, out, _ = run(capsys, "embed", "altpath", "--host", str(empty), "--n", "3")

@@ -12,6 +12,8 @@ The last three rows were added with that fix.
 """
 
 import random
+from collections import Counter
+from itertools import groupby
 
 import pytest
 
@@ -320,7 +322,9 @@ def _join(head: str, lines: list[str]) -> str:
 
 
 def edge_list_mutations(gen, text: str) -> dict[str, str]:
-    """Single mutations of a serialized edge list with at least two edges."""
+    """Single mutations of a serialized edge list with at least two edges.
+    The row mutations (a row is the run of lines `e <i> ...` for one i)
+    appear only where the graph has the rows they need."""
     head, *lines = text[:-1].split("\n")
     tag, n, m = head.split(" ")
     k = gen.randrange(len(lines) - 1)
@@ -328,11 +332,40 @@ def edge_list_mutations(gen, text: str) -> dict[str, str]:
     blank = gen.randint(0, len(lines))
     _, i, j = lines[k].split(" ")
     shuffled = gen.sample(lines, len(lines))
+    rows = [list(row) for _, row in groupby(lines, key=lambda line: line.split(" ")[1])]
+    long_rows = [r for r, row in enumerate(rows) if len(row) >= 2]
 
     def at_k(line: str) -> str:
         return _join(head, lines[:k] + [line] + lines[k + 1:])
 
-    return {
+    def with_rows(new_rows: list[list[str]]) -> str:
+        return _join(head, [line for row in new_rows for line in row])
+
+    mutations = {}
+    if len(rows) >= 2:
+        a, b = sorted(gen.sample(range(len(rows)), 2))
+        mutations["rows swapped"] = with_rows(
+            rows[:a] + [rows[b]] + rows[a + 1:b] + [rows[a]] + rows[b + 1:]
+        )
+        if long_rows:  # another row s between the two parts of row r
+            r = gen.choice(long_rows)
+            s = gen.choice([x for x in range(len(rows)) if x != r])
+            cut = gen.randint(1, len(rows[r]) - 1)
+            first, second = rows[r][:cut], rows[r][cut:]
+            if s > r:
+                split = rows[:r] + [first] + rows[r + 1:s + 1] + [second] + rows[s + 1:]
+            else:
+                split = rows[:s] + [first] + rows[s:r] + [second] + rows[r + 1:]
+            mutations["row split"] = with_rows(split)
+    if long_rows:
+        r = gen.choice(long_rows)
+        row = gen.sample(rows[r], len(rows[r]))
+        if row == rows[r]:
+            row.reverse()
+        mutations["row shuffled"] = with_rows(rows[:r] + [row] + rows[r + 1:])
+    return mutations | {
+        "e i e i j": at_k(f"e {i} e {i} {j}"),
+        "double space": at_k(gen.choice([f"e  {i} {j}", f"e {i}  {j}"])),
         "reversed pair": at_k(f"e {j} {i}"),
         "shuffled": _join(head, shuffled),
         "duplicate": at_k(lines[other]),
@@ -359,8 +392,9 @@ def edge_list_mutations(gen, text: str) -> dict[str, str]:
 ], ids=["og", "adj"])
 def test_serialized_edge_lists_take_the_fast_path(monkeypatch, parse, serialize, reference):
     """Serialized graphs parse back as the reference reader parses them,
-    without the line reader exactly when their (n + 1)^2 grid fits in the
-    text; single mutations of them give the reference reader's outcome."""
+    without the line reader exactly when their (n + 1)^2 transpose fits in
+    the text; single mutations of them give the reference reader's outcome,
+    and one that only reorders the lines of a row stays on the fast path."""
     calls = _spy_on_the_line_reader(monkeypatch)
     gen = random.Random(20261019)
     graphs = [OrderedGraph(n) for n in (0, 1, 2, 60)] + [complete_graph(n) for n in (0, 1, 2, 60)]
@@ -368,6 +402,7 @@ def test_serialized_edge_lists_take_the_fast_path(monkeypatch, parse, serialize,
         n, p = gen.randint(0, 60), gen.random()
         graphs.append(OrderedGraph(n, [e for e in pair_iter(n) if gen.random() < p]))
     seen = {"fast": 0, "line reader": 0, "mutated": 0}
+    kinds = Counter()
     for g in graphs:
         text = serialize(g)
         fits = (g.n + 1) ** 2 <= len(text)
@@ -380,14 +415,33 @@ def test_serialized_edge_lists_take_the_fast_path(monkeypatch, parse, serialize,
         if fits and g.m >= 2 and g.n <= 16:
             seen["mutated"] += 1
             for kind, mutated in edge_list_mutations(gen, text).items():
+                calls.clear()
                 assert _graph_outcome(parse, mutated) == _graph_outcome(reference, mutated), (
                     kind, mutated
                 )
+                if kind == "row shuffled":
+                    assert calls == [], mutated
+                kinds[kind] += 1
     assert min(seen.values()) >= 100, seen
+    assert len(kinds) == 22 and min(kinds.values()) >= 50, kinds
+
+
+def test_a_workload_sized_host_takes_the_fast_path_unless_shuffled(monkeypatch):
+    # the embed benchmark's hosts: N = 240, edge probability 1/2
+    gen = random.Random(20261021)
+    g = OrderedGraph(240, [e for e in pair_iter(240) if gen.random() < 0.5])
+    text = serialize_ordered_graph(g)
+    calls = _spy_on_the_line_reader(monkeypatch)
+    assert parse_ordered_graph(text) == reference_parse_ordered_graph(text) == g
+    assert calls == []
+    head, *lines = text[:-1].split("\n")
+    shuffled = _join(head, gen.sample(lines, len(lines)))
+    assert parse_ordered_graph(shuffled) == g
+    assert calls == [shuffled]
 
 
 def test_the_fast_path_grid_is_bounded_by_the_text(monkeypatch):
-    # a 25 MB grid for 10 and 16 bytes of text: the line reader reads these
+    # a 25 MB transpose for 10 and 16 bytes of text: the line reader reads these
     texts = ["og 5000 0\n", "og 5000 1\ne 1 2\n"]
     calls = _spy_on_the_line_reader(monkeypatch)
     for text in texts:
@@ -402,6 +456,14 @@ def test_the_fast_path_grid_is_bounded_by_the_text(monkeypatch):
     "og 2 1\ne 1\n2 1",  # every count holds but the final newline
     "og 2 1\ne 1\n2\n",  # a newline inside the line
     "og 2 1\ne 1 2 1 1 2\n",  # two lines' tokens on one line
+    "og 3 2\ne 2 3\ne 1 3\n",  # rows out of order
+    "og 4 3\ne 1 2\ne 2 3\ne 1 3\n",  # a row split by another
+    "og 4 3\ne 1 2\ne 2 3\ne 1 2\n",  # a split row repeating an edge
+    "og 3 2\ne 1 3\ne 1 2\n",  # the lines of a row out of order
+    "og 3 1\ne 1 e 1 2\n",  # `e i e i j`
+    "og 3 2\ne 1  2\ne 1 3\n",  # a double space
+    "og 3 2\ne 1 \ne 1 3\n",  # an empty endpoint
+    "og 3 2\ne 3 1\ne 3 2\n",  # a row at i = n
 ])
 def test_near_misses_of_the_fast_path_give_the_line_readers_outcome(text):
     assert _graph_outcome(parse_ordered_graph, text) == _graph_outcome(
