@@ -1,9 +1,11 @@
 """Seeded models, exact probability checks, and experiment drivers."""
 
 import math
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 import pytest
 
 from conftest import listed_rho_regular, per_pair_blown_up_coloring
@@ -72,19 +74,60 @@ def test_generator_determinism_and_streams():
 
 
 def test_next_bits_is_next_bit_draws():
-    # counts on both sides of the 64-step lane edges, one lane to 65 lanes
+    # counts on both sides of the 64-step lane edges, one lane to 313 lanes;
+    # 2 to 18 lanes start both sides of every group edge of lane starts for
+    # groups of up to 8, and 65,536 bits (1,024 lanes) is the largest draw
+    # sampled matrices make
     cases = [
         (seed, k)
         for seed in [0, 1, 7, 20260810, (1 << 64) - 1] + list(range(100, 140))
         for k in (0, 1, 36, 63, 64, 65, 100, 127, 128, 129, 4095, 4096, 4097)
     ]
+    cases += [(seed, 64 * lanes - extra) for seed in (3, 20260811)
+              for lanes in range(2, 19) for extra in (0, 63)]
     cases += [(seed, 20000) for seed in (2, 9, (1 << 64) - 2)]
+    cases += [(11, 1 << 16)]
     for seed, k in cases:
         packed, single = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
         bits = packed.next_bits(k)
         assert bits == sum(single.next_bit() << i for i in range(k)), (seed, k)
         assert packed.s == single.s
         assert packed.next_u64() == single.next_u64()
+
+
+def test_lane_starts_are_64_step_jumps():
+    # lane l of `_lane_words` is one generator stepped 64 * l times by
+    # next_u64, which shares no code with the jump tables
+    for seed in (0, 5, 20260810, (1 << 64) - 1):
+        start = Xoshiro256StarStar(seed).s
+        for lanes in range(1, 18):
+            words = rng._lane_words(list(start), lanes)
+            single = Xoshiro256StarStar(seed)
+            for lane in range(lanes):
+                assert [(w >> (64 * lane)) & MASK64 for w in words] == single.s, (seed, lanes, lane)
+                for _ in range(64):
+                    single.next_u64()
+            assert all(w >> (64 * lanes) == 0 for w in words), (seed, lanes)
+
+
+def test_short_draws_never_build_the_jump_tables():
+    # draws of at most 64 bits run one lane and need no jump: start-up and
+    # montecarlo's 36-bit colorings never pay for the tables
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import orl.cli\n"
+        "from orl import rng\n"
+        "from orl.stochastic import blown_up_random_coloring\n"
+        "blown_up_random_coloring(8, 3, 7)\n"
+        "rng.Xoshiro256StarStar(7).next_bits(64)\n"
+        "print(rng._jump_tables.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", code, str(Path(rng.__file__).parents[1])],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_lanes_carry_nothing_across():
