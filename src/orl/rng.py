@@ -12,10 +12,12 @@ Parallel trial streams are derived as stream k = generator(seed XOR k).
 generator packed side by side in one big int per state word, lane l started
 64 * l steps ahead, all advanced together.  Two facts make that exact.  The
 state update is linear over GF(2) (xors, a shift and a rotate), so 64 steps
-are one 256 x 256 bit matrix, the jump matrix, and lane l's start is that
-matrix applied l times to the state.  And the output bit, bit 57 of 5 * s1,
-depends only on the low 58 bits of s1, which times 5 stay below 2^61: one
-multiply of all lanes' masked s1 words carries nothing across a lane.
+are one 256 x 256 bit matrix J, the jump matrix, and lane l's start is J^l
+applied to the state; the starts come `GROUP` at a time, lanes l + 1 to
+l + GROUP from lane l's start through one table of s -> (J s, ..., J^GROUP s).
+And the output bit, bit 57 of 5 * s1, depends only on the low 58 bits of
+s1, which times 5 stay below 2^61: one multiply of all lanes' masked s1
+words carries nothing across a lane.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from operator import getitem, xor
 
 MASK64 = (1 << 64) - 1
 LANE = 64  # steps per lane in `next_bits`, and bits per lane word
+GROUP = 4  # lane starts per jump-table lookup in `_lane_words`
 
 
 def splitmix64_stream(seed: int, count: int) -> list[int]:
@@ -168,19 +171,23 @@ def _pack(states: bytes) -> list[int]:
 
 @cache
 def _jump_tables() -> tuple[list[int], ...]:
-    """The 64-step jump matrix as 64 nibble tables: table k maps a nibble v
-    at bits 4k..4k+3 of a 256-bit state (s0 in bits 0..63, s3 in 192..255)
-    to the xor of the columns of v's set bits.  The columns are the 256
-    unit states, one lane each, after 64 steps of `_run_lanes`."""
+    """The jumps by 64, 128, ..., 64 * GROUP steps as 64 nibble tables:
+    table k maps a nibble v at bits 4k..4k+3 of a 256-bit state (s0 in bits
+    0..63, s3 in 192..255) to the xor of the columns of v's set bits.  The
+    column of unit state j holds its images after 64 * g steps of
+    `_run_lanes` in bits 256 * (g - 1)..256 * g - 1, g = 1..GROUP; the 256
+    unit states run as one lane each."""
     units = bytearray(32 * 256)
     for j in range(256):
         units[32 * j + j // 8] |= 1 << (j % 8)  # lane j: bit j of its state
-    _, end = _run_lanes(_pack(bytes(units)), 256, LANE, LANE - 1)
-    view = memoryview(bytearray(32 * 256)).cast("Q")
-    for w in range(4):
-        view[w::4] = memoryview(end[w].to_bytes(8 * 256, "little")).cast("Q")
-    raw = view.cast("B")
-    cols = [int.from_bytes(raw[32 * j:32 * j + 32], "little") for j in range(256)]
+    words = _pack(bytes(units))
+    view = memoryview(bytearray(32 * GROUP * 256)).cast("Q")
+    for g in range(GROUP):
+        _, words = _run_lanes(words, 256, LANE, LANE - 1)
+        for w in range(4):
+            view[4 * g + w::4 * GROUP] = memoryview(words[w].to_bytes(8 * 256, "little")).cast("Q")
+    raw, size = view.cast("B"), 32 * GROUP
+    cols = [int.from_bytes(raw[size * j:size * j + size], "little") for j in range(256)]
     tables = []
     for k in range(64):
         table = [0] * 16
@@ -197,17 +204,19 @@ _HIGH_NIBBLE = bytes(v >> 4 for v in range(256))
 
 def _lane_words(s: list[int], lanes: int) -> list[int]:
     """The four lane words of `lanes` generators started from state `s` at
-    steps 0, 64, ..., 64 * (lanes - 1): each start is the jump matrix times
-    the one before, applied to the 256-bit state one nibble at a time."""
+    steps 0, 64, ..., 64 * (lanes - 1).  The starts come GROUP at a time:
+    one pass over the nibbles of the last start so far, through
+    `_jump_tables`, gives the next GROUP starts side by side."""
     if lanes == 1:
         return list(s)
     tables = _jump_tables()
     low, high = tables[0::2], tables[1::2]
     state = (s[0] | s[1] << 64 | s[2] << 128 | s[3] << 192).to_bytes(32, "little")
     starts = [state]
-    for _ in range(lanes - 1):
-        state = reduce(xor, map(getitem, high, state.translate(_HIGH_NIBBLE)),
+    for _ in range(-(-(lanes - 1) // GROUP)):
+        group = reduce(xor, map(getitem, high, state.translate(_HIGH_NIBBLE)),
                        reduce(xor, map(getitem, low, state.translate(_LOW_NIBBLE)), 0)
-                       ).to_bytes(32, "little")
-        starts.append(state)
-    return _pack(b"".join(starts))
+                       ).to_bytes(32 * GROUP, "little")
+        starts.append(group)
+        state = group[-32:]
+    return _pack(b"".join(starts)[:32 * lanes])

@@ -97,10 +97,11 @@ def test_next_bits_is_next_bit_draws():
 
 def test_lane_starts_are_64_step_jumps():
     # lane l of `_lane_words` is one generator stepped 64 * l times by
-    # next_u64, which shares no code with the jump tables
+    # next_u64, which shares no code with the jump tables; 1 to 2 * GROUP + 1
+    # lanes cover one, two and three lookups, full and partial
     for seed in (0, 5, 20260810, (1 << 64) - 1):
         start = Xoshiro256StarStar(seed).s
-        for lanes in range(1, 18):
+        for lanes in range(1, 2 * rng.GROUP + 2):
             words = rng._lane_words(list(start), lanes)
             single = Xoshiro256StarStar(seed)
             for lane in range(lanes):
