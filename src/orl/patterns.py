@@ -219,11 +219,11 @@ class UnavoidabilityReport(NamedTuple):
 
 # bits of one `next_bits` draw in sampling mode, at most: blocks of trials
 # start at one trial and double up to it, or hold one trial when N * N is
-# larger.  A long draw runs in 64-step lanes and costs less per bit than
-# short ones (36,000 bits: 3.3 ms as 4,068-bit draws, 19 ms as 36-bit draws;
-# Python 3.11.7, 2 vCPUs), and a bit-sliced block needs C(N, n) trials to pay
-# (see `permutation_unavoidable`), so blocks grow; starting at one trial keeps
-# an early counterexample cheap, and the cap keeps the draw's memory and each
+# larger.  A long draw runs in 64-step lanes and costs less per bit than short
+# ones (36,000 bits: 1.4 ms in one draw, 21 ms as 36-bit draws; Python 3.11.7,
+# 2 vCPUs), and a bit-sliced block needs C(N, n) trials to pay (see
+# `permutation_unavoidable`), so blocks grow; starting at one trial keeps an
+# early counterexample cheap, and the cap keeps the draw's memory and each
 # block int (2^16 / N^2 bits, one bit per trial) flat in the trial count.
 DRAW_BLOCK_BITS = 1 << 16
 

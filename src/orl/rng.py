@@ -13,11 +13,10 @@ generator packed side by side in one big int per state word, lane l started
 64 * l steps ahead, all advanced together.  Two facts make that exact.  The
 state update is linear over GF(2) (xors, a shift and a rotate), so 64 steps
 are one 256 x 256 bit matrix J, the jump matrix, and lane l's start is J^l
-applied to the state; the starts come `GROUP` at a time, lanes l + 1 to
-l + GROUP from lane l's start through one table of s -> (J s, ..., J^GROUP s).
-And the output bit, bit 57 of 5 * s1, depends only on the low 58 bits of
-s1, which times 5 stay below 2^61: one multiply of all lanes' masked s1
-words carries nothing across a lane.
+times the state, found GROUP at a time through a table of s -> (J s, ...,
+J^GROUP s).  And the output bit, bit 57 of 5 * s1, depends only on the low
+58 bits of s1, which times 5 stay below 2^61: one multiply of all lanes'
+masked s1 words carries nothing across a lane.
 """
 
 from __future__ import annotations
@@ -213,7 +212,7 @@ def _lane_words(s: list[int], lanes: int) -> list[int]:
     low, high = tables[0::2], tables[1::2]
     state = (s[0] | s[1] << 64 | s[2] << 128 | s[3] << 192).to_bytes(32, "little")
     starts = [state]
-    for _ in range(-(-(lanes - 1) // GROUP)):
+    for _ in range(0, lanes - 1, GROUP):
         group = reduce(xor, map(getitem, high, state.translate(_HIGH_NIBBLE)),
                        reduce(xor, map(getitem, low, state.translate(_LOW_NIBBLE)), 0)
                        ).to_bytes(32 * GROUP, "little")

@@ -75,9 +75,9 @@ def test_generator_determinism_and_streams():
 
 def test_next_bits_is_next_bit_draws():
     # counts on both sides of the 64-step lane edges, one lane to 313 lanes;
-    # 2 to 18 lanes start both sides of every group edge of lane starts for
-    # groups of up to 8, and 65,536 bits (1,024 lanes) is the largest draw
-    # sampled matrices make
+    # 2 to 18 lanes fall on both sides of every edge between groups of lane
+    # starts, for groups of up to 8, and 65,536 bits (1,024 lanes) is the
+    # largest draw sampled matrices make
     cases = [
         (seed, k)
         for seed in [0, 1, 7, 20260810, (1 << 64) - 1] + list(range(100, 140))
