@@ -256,7 +256,9 @@ def test_unavoidable_sampling_mode_small():
 # with a lower pattern violating a later trial of its run, 140 also with a
 # higher one, and at 9) and one on the last trial of such a run (1,022), and
 # end the trials one before and one after the runs that end at trials 126
-# and 1,022.
+# and 1,022.  The rows from (4, 5, 2, 1000) on ask for many trials but find
+# a counterexample at trial 0, or at trial 3,837, past the first 2^16-bit
+# block of 3-in-5 trials (trials 0 through 2,620).
 SAMPLED_GOLDEN = [
     (1, 1, 1, 50, None),
     (2, 2, 1, 5, ((1, 1), (1, 2))),
@@ -299,6 +301,11 @@ SAMPLED_GOLDEN = [
     (3, 5, 34, 1024, ((30, 28, 15, 3, 1), (2, 1, 4))),
     (3, 6, 4, 126, None),
     (3, 6, 4, 128, None),
+    (4, 5, 2, 1000, ((13, 4, 29, 17, 20), (1, 2, 8, 4))),
+    (5, 6, 1, 1000, ((25, 22, 63, 30, 52, 13), (1, 4, 16, 8, 2))),
+    (6, 8, 1, 1000, ((153, 245, 123, 116, 195, 186, 62, 117), (2, 1, 4, 16, 8, 32))),
+    (9, 8, 3, 1000, ((36, 153, 90, 131, 99, 175, 85, 186), (1, 2, 4, 8, 16, 32, 64, 128, 256))),
+    (3, 5, 4, 4000, ((28, 28, 0, 7, 17), (4, 1, 2))),
 ]
 
 
@@ -361,6 +368,20 @@ def test_unavoidable_sampling_slices_only_blocks_of_c_n_n_trials(monkeypatch):
     assert permutation_unavoidable(3, 6, mode="sample", trials=1000, seed=1).holds
     assert [bits // 36 for bits in draws] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 489]
     assert set(calls) == {1, 2, 3, 4, 5}
+
+
+def test_unavoidable_sampling_draws_one_trial_when_the_pattern_outsizes_the_host(monkeypatch):
+    # every trial violates the first pattern, so one N * N-bit draw decides
+    draws = []
+    next_bits = Xoshiro256StarStar.next_bits
+    monkeypatch.setattr(Xoshiro256StarStar, "next_bits",
+                        lambda gen, count: draws.append(count) or next_bits(gen, count))
+    for n, N, seed, trials, expected in SAMPLED_GOLDEN:
+        if n > N:
+            draws.clear()
+            report = permutation_unavoidable(n, N, mode="sample", trials=trials, seed=seed)
+            assert _outcome(report) == expected, (n, N, seed, trials)
+            assert draws == [N * N], (n, N, seed, trials)
 
 
 # ---------------------------------------------------------------------------
