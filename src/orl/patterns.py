@@ -15,15 +15,16 @@ The matching/coloring converters translate avoidance certificates into
 matrices that dodge a permutation pattern both ways.
 
 Sampled unavoidability checks its trials a block at a time, in blocks of
-1, 2, 4, ... trials.  A block of at least C(N, n) trials is bit-sliced:
+one size: as many trials as fit in `DRAW_BLOCK_BITS`, the last block
+taking what is left.  A block of at least C(N, n) trials is bit-sliced:
 entry (r, c) of all its trials is one int with a bit per trial, and each
 pattern is matched against every trial at once, at C(N, n) host column
 sets whatever the trial count, where the per-trial check costs a
-`contained_in` call per trial.  Smaller blocks, the first ones of every
-sample and all of them when C(N, n) is large (3-in-65, 8-in-12), keep the
-per-trial check.  Either way a block reports its first violating trial
-with the first pattern that trial violates, so the report does not depend
-on which check ran.
+`contained_in` call per trial.  Smaller blocks, those of short samples and
+all of them when C(N, n) is large (3-in-65, 8-in-12), keep the per-trial
+check.  Either way a block reports its first violating trial with the
+first pattern that trial violates, so the report does not depend on which
+check ran.
 """
 
 from __future__ import annotations
@@ -217,31 +218,15 @@ class UnavoidabilityReport(NamedTuple):
     counterexample_pattern: Optional[BinaryMatrix] = None
 
 
-# bits of one `next_bits` draw in sampling mode, at most: blocks of trials
-# start at one trial and double up to it, or hold one trial when N * N is
-# larger.  A long draw runs in 64-step lanes and costs less per bit than short
-# ones (36,000 bits: 1.4 ms in one draw, 21 ms as 36-bit draws; Python 3.11.7,
-# 2 vCPUs), and a bit-sliced block needs C(N, n) trials to pay (see
-# `permutation_unavoidable`), so blocks grow; starting at one trial keeps an
-# early counterexample cheap, and the cap keeps the draw's memory and each
-# block int (2^16 / N^2 bits, one bit per trial) flat in the trial count.
+# bits of one `next_bits` draw in sampling mode, at most: a block holds as
+# many trials as fit, or one trial when N * N is larger.  A long draw runs in
+# 64-step lanes and costs less per bit than short ones (36,000 bits: 1.3 ms
+# in one draw, 19 ms as 36-bit draws; Python 3.11.7, 2 vCPUs), and a
+# bit-sliced block needs C(N, n) trials to pay (see `permutation_unavoidable`),
+# so blocks are as large as the cap allows; the cap keeps the draw's memory
+# and each block int (2^16 / N^2 bits, one bit per trial) flat in the trial
+# count, and bounds what an early counterexample costs to one block.
 DRAW_BLOCK_BITS = 1 << 16
-
-
-def _sampled_blocks(size: int, trials: int, seed: int) -> Iterator[tuple[int, int]]:
-    """`trials` draws of `size` bits from `Xoshiro256StarStar(seed)` as
-    (count, bits) per block of trials: trial k of the block takes bits
-    k * size through (k + 1) * size - 1 of `bits`, as one `next_bits(size)`
-    per trial would draw them.  Blocks hold 1, 2, 4, ... trials, up to
-    DRAW_BLOCK_BITS bits or one trial."""
-    gen = Xoshiro256StarStar(seed)
-    cap = max(1, DRAW_BLOCK_BITS // size)
-    count = 1
-    while trials > 0:
-        count = min(count, cap, trials)
-        yield count, gen.next_bits(count * size)
-        trials -= count
-        count *= 2
 
 
 def _sliced_violation(
@@ -325,10 +310,14 @@ def permutation_unavoidable(
     and it reports the first violating trial with the first pattern, in
     `permutation_matrices` order, that trial violates.
 
-    Sampled trials are drawn in blocks of 1, 2, 4, ... trials.  A block of
-    at least C(N, n) trials (n <= N) is checked bit-sliced, all its trials
-    per pattern at once by `_sliced_violation`, at C(N, n) column sets per
-    pattern whatever the trial count; a smaller block runs one
+    Sampled trials are drawn in blocks of max(1, DRAW_BLOCK_BITS // N^2)
+    trials, the last block holding what is left, one `next_bits` per block:
+    trial k of a block takes bits k * N * N through (k + 1) * N * N - 1 of
+    it, as one `next_bits(N * N)` per trial would draw them.  For n > N only
+    trial 0 is drawn, as every trial violates the first pattern.  A block
+    of at least C(N, n) trials (n <= N) is checked bit-sliced, all its
+    trials per pattern at once by `_sliced_violation`, at C(N, n) column
+    sets per pattern whatever the trial count; a smaller block runs one
     `BinaryMatrix.contained_in` per trial and pattern.  Both find the
     block's first violating trial and that trial's first pattern, and the
     blocks come in trial order, so the report is the per-trial one.
@@ -379,7 +368,13 @@ def permutation_unavoidable(
     def trial_masks(bits: int, k: int) -> list[int]:
         return [(bits >> r) & full for r in range(k * N * N, (k + 1) * N * N, N)]
 
-    for count, bits in _sampled_blocks(N * N, trials, seed):
+    gen = Xoshiro256StarStar(seed)
+    cap = max(1, DRAW_BLOCK_BITS // (N * N))
+    left = trials if n <= N else 1
+    while left:
+        count = min(cap, left)
+        left -= count
+        bits = gen.next_bits(count * N * N)
         if n <= N and comb(N, n) <= count:
             found = _sliced_violation(patterns, bits, count, N)
         else:

@@ -250,15 +250,15 @@ def test_unavoidable_sampling_mode_small():
 # pattern as row masks, or a digest of them past 9 rows, or None when the
 # report holds.  Recorded with one next_bits(N * N) draw per trial.  The
 # cases take trials across and off draw-block edges, N * N up to 4,900 bits,
-# counterexamples from trial 0 to 1,079, and n > N.  The rows from
+# counterexamples from trial 0 to 3,837, and n > N.  The rows from
 # (3, 6, 4, 3000) on draw past 2^16 bits, put counterexamples inside the runs
-# of trials 2^j - 1 through 2^(j+1) - 2 (at trials 619, 117 and 140, each
-# with a lower pattern violating a later trial of its run, 140 also with a
-# higher one, and at 9) and one on the last trial of such a run (1,022), and
-# end the trials one before and one after the runs that end at trials 126
-# and 1,022.  The rows from (4, 5, 2, 1000) on ask for many trials but find
-# a counterexample at trial 0, or at trial 3,837, past the first 2^16-bit
-# block of 3-in-5 trials (trials 0 through 2,620).
+# of trials 2^j - 1 through 2^(j+1) - 2, the blocks of a doubling schedule
+# (at trials 619, 117 and 140, each with a lower pattern violating a later
+# trial of its run, 140 also with a higher one, and at 9) and one on the last
+# trial of such a run (1,022), and end the trials one before and one after
+# the runs that end at trials 126 and 1,022.  The rows from (4, 5, 2, 1000)
+# on ask for many trials but find a counterexample at trial 0, or at trial
+# 3,837, past the first 2^16-bit block of 3-in-5 trials (trials 0 to 2,620).
 SAMPLED_GOLDEN = [
     (1, 1, 1, 50, None),
     (2, 2, 1, 5, ((1, 1), (1, 2))),
@@ -331,9 +331,10 @@ def test_unavoidable_sample_mode_golden():
 @pytest.mark.parametrize("budget", [1, 30, 100, 1000])
 def test_unavoidable_sampling_blocks_keep_the_per_trial_bits(monkeypatch, budget):
     # small draw blocks: one trial per draw when N * N > budget, else blocks
-    # of a few trials that end off the counterexample's trial; at 1,000 bits
-    # the counterexamples at trials 33, 110, 117, 248, 610, 619 and 1,007
-    # lie inside bit-sliced blocks (18 to 40 trials), off their edges
+    # of budget // (N * N) trials; at 1,000 bits the counterexamples at
+    # trials 33, 110, 117, 248, 610, 619, 1,007 and 3,837 lie inside
+    # bit-sliced blocks of 27 or 40 trials, off their edges, and the one at
+    # trial 1,079 ends its block
     monkeypatch.setattr(patterns, "DRAW_BLOCK_BITS", budget)
     for n, N, seed, trials, expected in SAMPLED_GOLDEN:
         if N > 8:
@@ -358,7 +359,7 @@ def test_unavoidable_sampling_slices_only_blocks_of_c_n_n_trials(monkeypatch):
         assert not p.contained_in(a.masks, 12)
         assert not p.contained_in(complement(a).masks, 12)
 
-    # C(6, 3) = 20: only the blocks of 1 to 16 trials check trial by trial
+    # C(6, 3) = 20: 1,000 trials are one block of 36,000 bits, bit-sliced whole
     draws, calls = [], []
     next_bits, contained_in = Xoshiro256StarStar.next_bits, BinaryMatrix.contained_in
     monkeypatch.setattr(Xoshiro256StarStar, "next_bits",
@@ -366,8 +367,8 @@ def test_unavoidable_sampling_slices_only_blocks_of_c_n_n_trials(monkeypatch):
     monkeypatch.setattr(BinaryMatrix, "contained_in",
                         lambda p, *args: calls.append(len(draws)) or contained_in(p, *args))
     assert permutation_unavoidable(3, 6, mode="sample", trials=1000, seed=1).holds
-    assert [bits // 36 for bits in draws] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 489]
-    assert set(calls) == {1, 2, 3, 4, 5}
+    assert draws == [36000]
+    assert not calls
 
 
 def test_unavoidable_sampling_draws_one_trial_when_the_pattern_outsizes_the_host(monkeypatch):
