@@ -187,6 +187,30 @@ def test_unavoidable_size_5_goldens():
     assert permutation_unavoidable(2, 5).holds
 
 
+def test_unavoidable_exhaustive_size_5_goldens_for_every_n():
+    # (n, counterexample as row masks, then pattern masks, or None when it holds)
+    for n, expected in [
+        (1, None),
+        (4, ((3, 3, 0, 0, 0), (1, 2, 4, 8))),
+        (5, ((1, 0, 0, 0, 0), (1, 2, 4, 8, 16))),
+        (6, ((0, 0, 0, 0, 0), (1, 2, 4, 8, 16, 32))),
+    ]:
+        report = permutation_unavoidable(n, 5)
+        assert report.exhaustive
+        assert _outcome(report) == expected, n
+
+
+def test_unavoidable_exhaustive_scan_ignores_the_block_size(monkeypatch):
+    # blocks of 8, 64 and 512 matrices (fewer when 2^(N * N) is smaller): a
+    # scan is one block or several, and in each the entries past the lowest
+    # log2(block size) are constant over the block
+    expected = {(n, N): flat_unavoidable(n, N) for N in range(1, 5) for n in range(1, N + 2)}
+    for budget in (8, 64, 1000):
+        monkeypatch.setattr(patterns, "DRAW_BLOCK_BITS", budget)
+        for (n, N), report in expected.items():
+            assert permutation_unavoidable(n, N) == report, (budget, n, N)
+
+
 def test_unavoidable_exhaustive_guard():
     with pytest.raises(ValueError):
         permutation_unavoidable(2, 6)
