@@ -230,25 +230,22 @@ DRAW_BLOCK_BITS = 1 << 16
 
 
 def _sliced_violation(
-    patterns: Sequence[BinaryMatrix], bits: int, count: int, N: int
+    patterns: Sequence[BinaryMatrix], entry: Sequence[int], count: int, N: int
 ) -> Optional[tuple[int, BinaryMatrix]]:
-    """The first of `count` trials (trial k's N x N matrix in bits
-    k * N * N.. of `bits`, entry (r, c) at bit r * N + c) whose matrix and
+    """The first of `count` trials of N x N matrices whose matrix and
     complement both avoid one of the permutation `patterns`, with the first
     such pattern; None when every trial holds them all.
 
-    The block is transposed so that entry (r, c) of every trial is one
-    `count`-bit int, bit k for trial k, and each pattern is checked on all
-    trials still undecided at once.  For each set of n host columns, pattern
+    `entry[r * N + c]` is entry (r, c) of every trial as one `count`-bit
+    int, bit k for trial k, so each pattern is checked on all trials still
+    undecided at once.  For each set of n host columns, pattern
     row k goes on column cols[pi[k]] (pi[k] is its 1), and a DP over the host
     rows gives the trials with increasing rows that take them: reach[k] is
     the trials in which pattern rows 0..k-1 fit in the rows seen so far.  A
     violation at trial t leaves only the trials below t undecided, so the
     first trial is found, and with the first pattern that violates it.
     """
-    size, n = N * N, patterns[0].rows
-    text = format(bits, f"0{count * size}b")  # bit i is text[-1 - i]
-    entry = [int(text[size - 1 - p::size], 2) for p in range(size)]
+    n = patterns[0].rows
     col_sets = list(combinations(range(N), n))
     # host row r can take pattern rows r - (N - n) through r, highest first
     # so that reach[k] still holds the rows above r
@@ -334,7 +331,7 @@ def permutation_unavoidable(
         raise ValueError(f"trials must be at least 1, got {trials}")
     # no N x N matrix holds an n x n pattern for n > N: the first one is the answer
     patterns = list(islice(permutation_matrices(n), 1 if n > N else None))
-    full = (1 << N) - 1
+    full, size = (1 << N) - 1, N * N
 
     def violates(masks: list[int]) -> Optional[BinaryMatrix]:
         flipped = None  # the complement's rows, built on the first miss
@@ -347,36 +344,36 @@ def permutation_unavoidable(
                 return p
         return None
 
-    def first_violation(suffix: list[int]) -> Optional[UnavoidabilityReport]:
-        """The report of the first violating completion of rows
-        N - len(suffix).., trying each row's masks in ascending order."""
-        for m in range(full + 1):
-            masks = [m, *suffix]
-            bad = violates(masks)
-            if bad is None:
-                continue  # adding rows keeps containment: no completion violates
-            if len(masks) == N:
-                return UnavoidabilityReport(False, True, BinaryMatrix._from_masks(N, masks), bad)
-            found = first_violation(masks)
-            if found is not None:
-                return found
-        return None
+    def trial_masks(bits: int, k: int) -> list[int]:
+        return [(bits >> r) & full for r in range(k * size, (k + 1) * size, N)]
 
     if mode == "exhaustive":
-        return first_violation([]) or UnavoidabilityReport(True, True)
-
-    def trial_masks(bits: int, k: int) -> list[int]:
-        return [(bits >> r) & full for r in range(k * N * N, (k + 1) * N * N, N)]
+        low = min(size, DRAW_BLOCK_BITS.bit_length() - 1)
+        count = 1 << low
+        block = (1 << count) - 1
+        counter = []  # entry p of matrix base + k is bit p of k, for p < low
+        for p in range(low):  # from 2^p matrices to 2^(p + 1)
+            half = 1 << p
+            counter = [e | e << half for e in counter] + [((1 << half) - 1) << half]
+        for base in range(0, 1 << size, count):
+            entry = counter + [block if base >> p & 1 else 0 for p in range(low, size)]
+            found = _sliced_violation(patterns, entry, count, N)
+            if found is not None:
+                k, bad = found
+                return UnavoidabilityReport(False, True, BinaryMatrix._from_masks(N, trial_masks(base + k, 0)), bad)
+        return UnavoidabilityReport(True, True)
 
     gen = Xoshiro256StarStar(seed)
-    cap = max(1, DRAW_BLOCK_BITS // (N * N))
+    cap = max(1, DRAW_BLOCK_BITS // size)
     left = trials if n <= N else 1
     while left:
         count = min(cap, left)
         left -= count
-        bits = gen.next_bits(count * N * N)
+        bits = gen.next_bits(count * size)
         if n <= N and comb(N, n) <= count:
-            found = _sliced_violation(patterns, bits, count, N)
+            text = format(bits, f"0{count * size}b")  # bit i is text[-1 - i]
+            entry = [int(text[size - 1 - p::size], 2) for p in range(size)]
+            found = _sliced_violation(patterns, entry, count, N)
         else:
             found = None
             for k in range(count):

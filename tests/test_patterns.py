@@ -170,7 +170,8 @@ def test_unavoidable_counterexamples_golden():
 
 
 def test_unavoidable_exhaustive_matches_flat_scan():
-    # the row-suffix pruning reports what the flat scan over every matrix does
+    # the bit-sliced blocks of matrices report what the flat scan over every
+    # matrix does
     for N in range(1, 5):
         for n in range(1, N + 1):
             assert permutation_unavoidable(n, N) == flat_unavoidable(n, N), (n, N)
@@ -209,6 +210,17 @@ def test_unavoidable_exhaustive_scan_ignores_the_block_size(monkeypatch):
         monkeypatch.setattr(patterns, "DRAW_BLOCK_BITS", budget)
         for (n, N), report in expected.items():
             assert permutation_unavoidable(n, N) == report, (budget, n, N)
+
+
+def test_unavoidable_exhaustive_scan_runs_no_per_matrix_check(monkeypatch):
+    # every block of matrices is bit-sliced, never one contained_in per matrix
+    def refused(*args):
+        raise AssertionError("called contained_in")
+
+    monkeypatch.setattr(BinaryMatrix, "contained_in", refused)
+    assert permutation_unavoidable(2, 4).holds
+    report = permutation_unavoidable(3, 5)
+    assert _outcome(report) == ((14, 12, 13, 1, 0), (2, 1, 4))
 
 
 def test_unavoidable_exhaustive_guard():
