@@ -8,23 +8,23 @@ choice: the forward checking `orl.core.search_embedding` does on graphs.
 That row/column structure and speed keep it a separate engine.  A merge
 through the graph engine (host rows, then one separator vertex joined to
 every row and column, then the columns) agreed with it on 3,000 random
-pairs, but on the matrix benchmark's calls it took 4.2 s against 0.47 s
-for the exhaustive 2-in-4 scan, and 1.5 s against 0.33 s for four
+pairs, but on the matrix benchmark's calls then it took 4.2 s against
+0.47 s for the exhaustive 2-in-4 scan, and 1.5 s against 0.33 s for four
 1,000-trial 3-in-6 samples (medians of six runs, Python 3.11.7, 2 vCPUs).
 The matching/coloring converters translate avoidance certificates into
 matrices that dodge a permutation pattern both ways.
 
-Sampled unavoidability checks its trials a block at a time, in blocks of
-one size: as many trials as fit in `DRAW_BLOCK_BITS`, the last block
-taking what is left.  A block of at least C(N, n) trials is bit-sliced:
-entry (r, c) of all its trials is one int with a bit per trial, and each
-pattern is matched against every trial at once, at C(N, n) host column
-sets whatever the trial count, where the per-trial check costs a
-`contained_in` call per trial.  Smaller blocks, those of short samples and
-all of them when C(N, n) is large (3-in-65, 8-in-12), keep the per-trial
-check.  Either way a block reports its first violating trial with the
-first pattern that trial violates, so the report does not depend on which
-check ran.
+Unavoidability checks its matrices a block at a time, bit-sliced: entry
+(r, c) of all the block's matrices is one int with a bit per matrix, and
+each pattern is matched against every matrix at once, at C(N, n) host
+column sets whatever the block size, where the per-matrix check costs a
+`contained_in` call per matrix.  Exhaustive blocks are runs of consecutive
+matrices in integer order; sampled blocks hold as many trials as fit in
+`DRAW_BLOCK_BITS` bits, the last block taking what is left.  A sampled
+block of fewer than C(N, n) trials, as in short samples and all blocks
+when C(N, n) is large (3-in-65, 8-in-12), keeps the per-trial check.
+Either way a block reports its first violating matrix with the first
+pattern it violates, so the report does not depend on which check ran.
 """
 
 from __future__ import annotations
@@ -218,14 +218,14 @@ class UnavoidabilityReport(NamedTuple):
     counterexample_pattern: Optional[BinaryMatrix] = None
 
 
-# bits of one `next_bits` draw in sampling mode, at most: a block holds as
-# many trials as fit, or one trial when N * N is larger.  A long draw runs in
+# bits of one `next_bits` draw in sampling mode, at most, and matrices of one
+# exhaustive block, rounded down to a power of two: a sampled block holds as
+# many trials as fit, or one when N * N is larger.  A long draw runs in
 # 64-step lanes and costs less per bit than short ones (36,000 bits: 1.3 ms
 # in one draw, 19 ms as 36-bit draws; Python 3.11.7, 2 vCPUs), and a
-# bit-sliced block needs C(N, n) trials to pay (see `permutation_unavoidable`),
-# so blocks are as large as the cap allows; the cap keeps the draw's memory
-# and each block int (2^16 / N^2 bits, one bit per trial) flat in the trial
-# count, and bounds what an early counterexample costs to one block.
+# bit-sliced block needs C(N, n) trials to pay, so blocks are as large as
+# the cap allows; it keeps memory and each block int (a bit per matrix) flat
+# in the trial count, and an early counterexample costs at most one block.
 DRAW_BLOCK_BITS = 1 << 16
 
 
@@ -295,12 +295,14 @@ def permutation_unavoidable(
     """Check whether every n x n permutation matrix appears in A or in its
     complement for every (exhaustive) or sampled N x N matrix A.
 
-    Exhaustive mode fixes rows N - 1 down to 0, each mask in ascending
-    order, so full matrices come in the order of the integer whose bit
-    r * N + c is entry (r, c); the first counterexample in that order is
-    reported.  Containment survives adding rows, so a suffix of rows in
-    which (or in whose complement) every pattern already appears is skipped
-    with all its completions.  It is limited to N <= 5; sampling mode only
+    Exhaustive mode takes the matrices in the order of the integer x whose
+    bit r * N + c is entry (r, c) and reports the first counterexample in
+    that order.  It checks blocks of 2^low consecutive x, the largest power
+    of two at most both 2^(N^2) and DRAW_BLOCK_BITS, by `_sliced_violation`:
+    entry p < low of matrix base + k is bit p of k, the same in every block,
+    and entry p >= low is bit p of base, the same for the whole block.  It
+    is limited to N <= 5 (at N = 5 a scan that holds checks 2^25 matrices,
+    in 512 blocks); sampling mode only
     reports counterexamples it happens to find, and lists all n! patterns,
     so it is limited to n <= 8 unless n > N.  Its trial k takes entry (r, c)
     from draw k * N * N + r * N + c of `Xoshiro256StarStar(seed).next_bit`,
@@ -359,8 +361,8 @@ def permutation_unavoidable(
             entry = counter + [block if base >> p & 1 else 0 for p in range(low, size)]
             found = _sliced_violation(patterns, entry, count, N)
             if found is not None:
-                k, bad = found
-                return UnavoidabilityReport(False, True, BinaryMatrix._from_masks(N, trial_masks(base + k, 0)), bad)
+                a = BinaryMatrix._from_masks(N, trial_masks(base + found[0], 0))
+                return UnavoidabilityReport(False, True, a, found[1])
         return UnavoidabilityReport(True, True)
 
     gen = Xoshiro256StarStar(seed)
